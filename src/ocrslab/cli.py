@@ -31,6 +31,7 @@ from .graphcore import (
     validate_instance,
 )
 from .lp import (
+    auto_objective,
     build_lp_pricing,
     objective_coefficients,
     single_weight_selection,
@@ -89,34 +90,64 @@ def instance_to_dict(inst: PricingInstance, x: dict[str, float] | None) -> dict:
     return doc
 
 
+_NUMBER = (int, float)
+_REQUIRED = object()
+
+
+def _field(row, key: str, kind, where: str, default=_REQUIRED):
+    """row[key] checked against `kind`; a ValueError naming the key otherwise.
+
+    An absent or null key gives `default`, or is an error without one.
+    """
+    if not isinstance(row, dict):
+        raise ValueError(f"{where}: expected an object")
+    val = row.get(key)
+    if val is None:
+        if default is _REQUIRED:
+            raise ValueError(f"{where}: missing key {key!r}")
+        return default
+    if isinstance(val, bool) or not isinstance(val, kind):
+        raise ValueError(f"{where}: {key!r} has the wrong type {type(val).__name__}")
+    return val
+
+
 def instance_from_dict(doc: dict) -> tuple[PricingInstance, dict[str, float] | None]:
     vertices = tuple(
         Vertex(
-            id=row["id"],
-            side=row.get("side"),
-            value=row.get("value"),
-            patience=row.get("patience"),
+            id=_field(row, "id", str, f"vertices[{k}]"),
+            side=_field(row, "side", str, f"vertices[{k}]", None),
+            value=_field(row, "value", _NUMBER, f"vertices[{k}]", None),
+            patience=_field(row, "patience", int, f"vertices[{k}]", None),
         )
-        for row in doc["vertices"]
+        for k, row in enumerate(_field(doc, "vertices", list, "instance"))
     )
     edges = tuple(
         Edge(
-            id=row["id"],
-            u=row["u"],
-            v=row["v"],
+            id=_field(row, "id", str, f"edges[{k}]"),
+            u=_field(row, "u", str, f"edges[{k}]"),
+            v=_field(row, "v", str, f"edges[{k}]"),
             menu=tuple(
-                MenuEntry(w=m["w"], p=m["p"], c=m.get("c")) for m in row["menu"]
+                MenuEntry(
+                    w=_field(m, "w", _NUMBER, f"edges[{k}].menu[{j}]"),
+                    p=_field(m, "p", _NUMBER, f"edges[{k}].menu[{j}]"),
+                    c=_field(m, "c", _NUMBER, f"edges[{k}].menu[{j}]", None),
+                )
+                for j, m in enumerate(_field(row, "menu", list, f"edges[{k}]"))
             ),
         )
-        for row in doc["edges"]
+        for k, row in enumerate(_field(doc, "edges", list, "instance"))
     )
-    inst = PricingInstance(vertices=vertices, edges=edges, mode=doc.get("mode", "general"))
+    mode = _field(doc, "mode", str, "instance", "general")
+    inst = PricingInstance(vertices=vertices, edges=edges, mode=mode)
     problems = validate_instance(inst)
     if problems:
         raise ValueError("invalid instance: " + "; ".join(problems))
     x = None
     if "x" in doc:
-        x = {row["edge"]: float(row["value"]) for row in doc["x"]}
+        x = {
+            _field(row, "edge", str, f"x[{k}]"): float(_field(row, "value", _NUMBER, f"x[{k}]"))
+            for k, row in enumerate(_field(doc, "x", list, "instance"))
+        }
         missing = [e.id for e in edges if e.id not in x]
         if missing:
             raise ValueError(f"x is missing edges: {missing}")
@@ -139,14 +170,6 @@ def _write_json(path: str, doc) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, default=_json_default)
         fh.write("\n")
-
-
-def _auto_objective(inst: PricingInstance) -> str:
-    return (
-        "custom"
-        if all(entry.c is not None for e in inst.edges for entry in e.menu)
-        else "revenue"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +226,7 @@ def _cmd_lp(args) -> int:
     inst, _ = load_instance(args.instance)
     objective = args.objective
     if objective == "auto":
-        objective = _auto_objective(inst)
+        objective = auto_objective(inst)
     sol = solve_lp(build_lp_pricing(inst, objective))
     point, value = sol.point, sol.objective
     print(f"objective {value:.6f} ({objective})")
@@ -223,7 +246,7 @@ def _cmd_lp(args) -> int:
 def _build_engine(args, inst: PricingInstance, x: dict[str, float] | None):
     spec = AttenuationSpec(args.attenuation, alpha=args.alpha)
     if args.scheme == "pricing":
-        objective = _auto_objective(inst)
+        objective = auto_objective(inst)
         sol = solve_lp(build_lp_pricing(inst, objective))
         return SequentialPricingEngine(inst, sol.point, spec, objective=objective), sol
     if x is None:

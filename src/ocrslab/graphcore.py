@@ -103,6 +103,17 @@ class PricingInstance:
                 inc[e.v].append(i)
         return {k: tuple(v) for k, v in inc.items()}
 
+    @cached_property
+    def neighbors(self) -> tuple[np.ndarray, ...]:
+        """edge position → sorted positions of the edges sharing an endpoint
+        with it (itself excluded, a parallel edge counted once)."""
+        out = []
+        for i, e in enumerate(self.edges):
+            nb = set(self.incident[e.u]) | set(self.incident[e.v])
+            nb.discard(i)
+            out.append(np.array(sorted(nb), dtype=np.intp))
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class FractionalPoint:
@@ -277,26 +288,15 @@ def check_polytope(
 def edge_stats(x: Mapping[str, float], inst: PricingInstance) -> dict[str, EdgeStats]:
     """d, s, m and the neighbor lists of every edge under the point x.
 
-    Neighbors are edges sharing at least one endpoint (parallel edges count,
-    once).  A neighbor contributes to m only when the pair closes a triangle:
-    f must meet e in exactly one vertex and some third edge must join the two
-    far endpoints — parallel edges never qualify.
+    Neighbors are ``inst.neighbors``.  A neighbor contributes to m only when
+    the pair closes a triangle: f must meet e in exactly one vertex and some
+    third edge must join the two far endpoints — parallel edges never qualify.
     """
     edges = inst.edges
     xv = np.array([float(x.get(e.id, 0.0)) for e in edges])
-    n = len(edges)
+    neighbor_idx = inst.neighbors
 
-    neighbor_idx: list[list[int]] = [[] for _ in range(n)]
-    for i, e in enumerate(edges):
-        seen: set[int] = set()
-        for vid in (e.u, e.v):
-            for j in inst.incident[vid]:
-                if j != i and j not in seen:
-                    seen.add(j)
-                    neighbor_idx[i].append(j)
-        neighbor_idx[i].sort()
-
-    d = np.array([xv[idx].sum() if idx else 0.0 for idx in neighbor_idx])
+    d = np.array([xv[idx].sum() if idx.size else 0.0 for idx in neighbor_idx])
     s = 2.0 - d - xv
 
     pair_present = {frozenset((e.u, e.v)) for e in edges}

@@ -41,6 +41,7 @@ __all__ = [
     "single_weight_selection",
     "job_endpoint",
     "objective_coefficients",
+    "auto_objective",
 ]
 
 PIVOT_TOL = 1e-10
@@ -91,6 +92,12 @@ def objective_coefficients(inst: PricingInstance, objective: str) -> dict[str, l
                     raise ValueError(f"edge {e.id} menu[{k}]: custom objective needs c")
             out[e.id] = [entry.c for entry in e.menu]
     return out
+
+
+def auto_objective(inst: PricingInstance) -> str:
+    """"custom" when every menu entry carries a coefficient c, else "revenue"."""
+    every_c = all(entry.c is not None for e in inst.edges for entry in e.menu)
+    return "custom" if every_c else "revenue"
 
 
 def build_lp_pricing(inst: PricingInstance, objective: str = "revenue") -> LinearProgram:

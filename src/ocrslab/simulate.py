@@ -1,10 +1,13 @@
 """Trial engines, Monte-Carlo aggregation, and exact small-instance oracles.
 
-Four trial engines share one shape: draw every random quantity up front from
-the counter-based stream (so worker count can never change a trial), walk the
-edges in arrival order, and update matched/patience state.  Each engine comes
-in two forms: a vectorized chunk kernel used by ``monte_carlo`` and a
-single-trial wrapper returning a full :class:`TrialOutcome`.
+The four online schemes are one attenuated greedy walk that differs only in
+its coins.  Each engine draws every random quantity of a chunk up front from
+the counter-based stream (so worker count can never change a trial), sets up
+its own coins and arrival-order key, and hands them to ``_walk``: an edge
+proposes when its coins allow and both endpoints are free (and patient), and
+is matched when the proposal is accepted.  Q-counts and the per-chunk
+reduction are shared too.  ``monte_carlo`` aggregates chunks into a report,
+and the ``run_*_trial`` wrappers return one trial as a :class:`TrialOutcome`.
 
 The exact oracles (``exact_trivial_oracle``, ``optimal_policy_dp``,
 ``greedy_baseline``) are memoized bitmask recursions over tiny instances and
@@ -30,7 +33,7 @@ from .graphcore import (
     PricingInstance,
     fractional_point_violations,
 )
-from .lp import objective_coefficients
+from .lp import auto_objective, objective_coefficients
 
 # 99% two-sided normal quantile, used for every interval in the reports.
 Z99 = 2.5758293035489004
@@ -115,17 +118,7 @@ class _Topology:
         self.v_idx = np.array([vpos[e.v] for e in inst.edges], dtype=np.intp)
         self.edge_ids = tuple(e.id for e in inst.edges)
         self.vertex_ids = tuple(v.id for v in inst.vertices)
-        # neighbor positions per edge (shared endpoint, self excluded;
-        # parallel edges count)
-        nbrs = []
-        for i, e in enumerate(inst.edges):
-            row = [
-                j
-                for j, f in enumerate(inst.edges)
-                if j != i and len({f.u, f.v} & {e.u, e.v}) > 0
-            ]
-            nbrs.append(np.array(row, dtype=np.intp))
-        self.neighbors = nbrs
+        self.neighbors = inst.neighbors
         pat = np.full(self.n_vertices, _UNBOUNDED, dtype=np.int32)
         for k, v in enumerate(inst.vertices):
             if v.patience is not None:
@@ -167,6 +160,13 @@ class _ChunkDetail(NamedTuple):
     probes_used: np.ndarray  # per vertex
 
 
+class _Walk(NamedTuple):
+    matched: np.ndarray
+    probed: np.ndarray
+    revenue: np.ndarray
+    probes_used: np.ndarray  # per vertex
+
+
 def _reduce_chunk(matched, q, revenue) -> _ChunkCounts:
     r0 = matched & (q == 0)
     r1 = matched & (q == 1)
@@ -177,6 +177,54 @@ def _reduce_chunk(matched, q, revenue) -> _ChunkCounts:
         float(revenue.sum()),
         float((revenue * revenue).sum()),
     )
+
+
+def _walk(topo: _Topology, order, go, accept, patience=None, reward=None) -> _Walk:
+    """The greedy walk every scheme shares, over (trials, edges) coin arrays.
+
+    Edges arrive in `order`.  An arriving edge proposes when `go` holds and
+    both endpoints are free.  Given per-vertex `patience`, it also needs
+    patience left at both endpoints, and its proposal spends one unit at each
+    and is marked probed.  A proposal is matched when `accept` also holds,
+    and a match adds its `reward` to the trial's revenue.
+    """
+    count, e = go.shape
+    rows = np.arange(count)
+    matched_v = np.zeros((count, topo.n_vertices), dtype=bool)
+    matched_e = np.zeros((count, e), dtype=bool)
+    probed_e = np.zeros((count, e), dtype=bool)
+    revenue = np.zeros(count)
+    if patience is not None:
+        pat = np.broadcast_to(patience, (count, topo.n_vertices)).copy()
+    for j in range(e):
+        ep = order[:, j]
+        uu, vv = topo.u_idx[ep], topo.v_idx[ep]
+        propose = go[rows, ep] & ~matched_v[rows, uu] & ~matched_v[rows, vv]
+        if patience is not None:
+            propose &= (pat[rows, uu] > 0) & (pat[rows, vv] > 0)
+            probed_e[rows, ep] |= propose
+            pr = rows[propose]
+            pat[pr, uu[propose]] -= 1
+            pat[pr, vv[propose]] -= 1
+        win = propose & accept[rows, ep]
+        matched_e[rows, ep] |= win
+        matched_v[rows[win], uu[win]] = True
+        matched_v[rows[win], vv[win]] = True
+        if reward is not None:
+            revenue[win] += reward[rows[win], ep[win]]
+    if patience is None:
+        probes = np.zeros((count, topo.n_vertices), dtype=np.int32)
+    else:
+        probes = (patience[None, :] - pat).astype(np.int32)
+    return _Walk(matched_e, probed_e, revenue, probes)
+
+
+def _chunk_result(walk: _Walk, active, realized, q, detail: bool):
+    if detail:
+        return _ChunkDetail(
+            active, realized, walk.probed, walk.matched, q, walk.revenue, walk.probes_used
+        )
+    return _reduce_chunk(walk.matched, q, walk.revenue)
 
 
 # --------------------------------------------------------------------------
@@ -206,8 +254,7 @@ class RoOcrsEngine:
         self.x_ref = self.x.copy()
 
     def run_chunk(self, seed: int, start: int, count: int, detail: bool = False):
-        topo = self.topo
-        e = topo.n_edges
+        e = self.topo.n_edges
         trials = np.arange(start, start + count, dtype=np.uint64)[:, None]
         units = np.arange(e, dtype=np.uint64)[None, :]
         t = hash_uniform(seed, trials, units, ARRIVAL)
@@ -215,25 +262,9 @@ class RoOcrsEngine:
         prof = attenuation_profile(self.spec, t, self.x[None, :], self.s[None, :])
         realized = active & (hash_uniform(seed, trials, units, COIN) < prof)
 
-        order = np.argsort(t, axis=1, kind="stable")
-        rows = np.arange(count)
-        matched_v = np.zeros((count, topo.n_vertices), dtype=bool)
-        matched_e = np.zeros((count, e), dtype=bool)
-        for j in range(e):
-            ep = order[:, j]
-            uu, vv = topo.u_idx[ep], topo.v_idx[ep]
-            win = realized[rows, ep] & ~matched_v[rows, uu] & ~matched_v[rows, vv]
-            matched_e[rows, ep] |= win
-            matched_v[rows[win], uu[win]] = True
-            matched_v[rows[win], vv[win]] = True
-
-        q = _q_counts(realized, t, topo)
-        revenue = np.zeros(count)
-        if detail:
-            probed = np.zeros((count, e), dtype=bool)
-            probes = np.zeros((count, topo.n_vertices), dtype=np.int32)
-            return _ChunkDetail(active, realized, probed, matched_e, q, revenue, probes)
-        return _reduce_chunk(matched_e, q, revenue)
+        walk = _walk(self.topo, np.argsort(t, axis=1, kind="stable"), realized, active)
+        q = _q_counts(realized, t, self.topo)
+        return _chunk_result(walk, active, realized, q, detail)
 
 
 class StochasticOcrsEngine:
@@ -274,8 +305,7 @@ class StochasticOcrsEngine:
         self.x_ref = self.x.copy()
 
     def run_chunk(self, seed: int, start: int, count: int, detail: bool = False):
-        topo = self.topo
-        e = topo.n_edges
+        e = self.topo.n_edges
         trials = np.arange(start, start + count, dtype=np.uint64)[:, None]
         units = np.arange(e, dtype=np.uint64)[None, :]
         t = hash_uniform(seed, trials, units, ARRIVAL)
@@ -285,32 +315,9 @@ class StochasticOcrsEngine:
         realized = active & probe_ok
 
         order = np.argsort(t, axis=1, kind="stable")
-        rows = np.arange(count)
-        matched_v = np.zeros((count, topo.n_vertices), dtype=bool)
-        matched_e = np.zeros((count, e), dtype=bool)
-        probed_e = np.zeros((count, e), dtype=bool)
-        pat = np.broadcast_to(topo.patience, (count, topo.n_vertices)).copy()
-        for j in range(e):
-            ep = order[:, j]
-            uu, vv = topo.u_idx[ep], topo.v_idx[ep]
-            free = ~matched_v[rows, uu] & ~matched_v[rows, vv]
-            has_pat = (pat[rows, uu] > 0) & (pat[rows, vv] > 0)
-            probe = free & has_pat & probe_ok[rows, ep]
-            probed_e[rows, ep] |= probe
-            pr = rows[probe]
-            pat[pr, uu[probe]] -= 1
-            pat[pr, vv[probe]] -= 1
-            win = probe & active[rows, ep]
-            matched_e[rows, ep] |= win
-            matched_v[rows[win], uu[win]] = True
-            matched_v[rows[win], vv[win]] = True
-
-        q = _q_counts(realized, t, topo)
-        revenue = np.zeros(count)
-        if detail:
-            probes = (topo.patience[None, :] - pat).astype(np.int32)
-            return _ChunkDetail(active, realized, probed_e, matched_e, q, revenue, probes)
-        return _reduce_chunk(matched_e, q, revenue)
+        walk = _walk(self.topo, order, probe_ok, active, patience=self.topo.patience)
+        q = _q_counts(realized, t, self.topo)
+        return _chunk_result(walk, active, realized, q, detail)
 
 
 class VertexArrivalEngine:
@@ -340,8 +347,7 @@ class VertexArrivalEngine:
         self.x_ref = self.x.copy()
 
     def run_chunk(self, seed: int, start: int, count: int, detail: bool = False):
-        topo = self.topo
-        e, nv = topo.n_edges, topo.n_vertices
+        e, nv = self.topo.n_edges, self.topo.n_vertices
         trials = np.arange(start, start + count, dtype=np.uint64)[:, None]
         units = np.arange(e, dtype=np.uint64)[None, :]
         vunits = (np.arange(nv, dtype=np.uint64) + np.uint64(e))[None, :]
@@ -355,26 +361,10 @@ class VertexArrivalEngine:
         rank_v = np.argsort(np.argsort(t_v, axis=1, kind="stable"), axis=1, kind="stable")
         rank_e = np.argsort(np.argsort(t_e, axis=1, kind="stable"), axis=1, kind="stable")
         key = rank_v[:, self.online_of_edge] * (e + 1) + rank_e
-        order = np.argsort(key, axis=1, kind="stable")
 
-        rows = np.arange(count)
-        matched_v = np.zeros((count, nv), dtype=bool)
-        matched_e = np.zeros((count, e), dtype=bool)
-        for j in range(e):
-            ep = order[:, j]
-            uu, vv = topo.u_idx[ep], topo.v_idx[ep]
-            win = realized[rows, ep] & ~matched_v[rows, uu] & ~matched_v[rows, vv]
-            matched_e[rows, ep] |= win
-            matched_v[rows[win], uu[win]] = True
-            matched_v[rows[win], vv[win]] = True
-
-        q = _q_counts(realized, key, topo)
-        revenue = np.zeros(count)
-        if detail:
-            probed = np.zeros((count, e), dtype=bool)
-            probes = np.zeros((count, nv), dtype=np.int32)
-            return _ChunkDetail(active, realized, probed, matched_e, q, revenue, probes)
-        return _reduce_chunk(matched_e, q, revenue)
+        walk = _walk(self.topo, np.argsort(key, axis=1, kind="stable"), realized, active)
+        q = _q_counts(realized, key, self.topo)
+        return _chunk_result(walk, active, realized, q, detail)
 
 
 class SequentialPricingEngine:
@@ -414,15 +404,11 @@ class SequentialPricingEngine:
         self.x_ref = self.x.copy()
         self.spec = spec
         # s_e from the induced marginals, for the a2 profile
-        d = np.zeros(e)
-        for i in range(e):
-            nb = self.topo.neighbors[i]
-            d[i] = self.x[nb].sum() if nb.size else 0.0
+        d = np.array([self.x[nb].sum() if nb.size else 0.0 for nb in inst.neighbors])
         self.s = 2.0 - d - self.x
 
     def run_chunk(self, seed: int, start: int, count: int, detail: bool = False):
-        topo = self.topo
-        e = topo.n_edges
+        e = self.topo.n_edges
         trials = np.arange(start, start + count, dtype=np.uint64)[:, None]
         units = np.arange(e, dtype=np.uint64)[None, :]
         t = hash_uniform(seed, trials, units, ARRIVAL)
@@ -431,51 +417,26 @@ class SequentialPricingEngine:
         prof = attenuation_profile(self.spec, t, self.x[None, :], self.s[None, :])
         propose_ok = hash_uniform(seed, trials, units, COIN) < prof
 
-        # inverse-CDF menu draw: index -1 means no offer this trial
+        # inverse-CDF menu draw; a draw at or beyond the total menu mass
+        # means no offer this trial
         cum = np.cumsum(self.menu_y, axis=1)
-        idx = np.empty((count, e), dtype=np.int8)
+        have = u_price < cum[:, -1][None, :]
         acc_p = np.zeros((count, e))
         reward = np.zeros((count, e))
         for i in range(e):
             pos = np.searchsorted(cum[i], u_price[:, i], side="right")
-            # a draw at or beyond the total menu mass means no offer
-            have = u_price[:, i] < cum[i, -1]
             pos = np.minimum(pos, self.menu_y.shape[1] - 1)
-            idx[:, i] = np.where(have, pos, -1)
-            acc_p[:, i] = np.where(have, self.menu_p[i, pos], 0.0)
-            reward[:, i] = np.where(have, self.menu_r[i, pos], 0.0)
+            acc_p[:, i] = np.where(have[:, i], self.menu_p[i, pos], 0.0)
+            reward[:, i] = np.where(have[:, i], self.menu_r[i, pos], 0.0)
 
         would_accept = u_accept < acc_p
-        realized = (idx >= 0) & propose_ok & would_accept
+        go = have & propose_ok
+        realized = go & would_accept
 
         order = np.argsort(t, axis=1, kind="stable")
-        rows = np.arange(count)
-        matched_v = np.zeros((count, topo.n_vertices), dtype=bool)
-        matched_e = np.zeros((count, e), dtype=bool)
-        probed_e = np.zeros((count, e), dtype=bool)
-        pat = np.broadcast_to(topo.patience, (count, topo.n_vertices)).copy()
-        revenue = np.zeros(count)
-        for j in range(e):
-            ep = order[:, j]
-            uu, vv = topo.u_idx[ep], topo.v_idx[ep]
-            free = ~matched_v[rows, uu] & ~matched_v[rows, vv]
-            has_pat = (pat[rows, uu] > 0) & (pat[rows, vv] > 0)
-            propose = free & has_pat & (idx[rows, ep] >= 0) & propose_ok[rows, ep]
-            probed_e[rows, ep] |= propose
-            pr = rows[propose]
-            pat[pr, uu[propose]] -= 1
-            pat[pr, vv[propose]] -= 1
-            win = propose & would_accept[rows, ep]
-            matched_e[rows, ep] |= win
-            matched_v[rows[win], uu[win]] = True
-            matched_v[rows[win], vv[win]] = True
-            revenue[win] += reward[rows[win], ep[win]]
-
-        q = _q_counts(realized, t, topo)
-        if detail:
-            probes = (topo.patience[None, :] - pat).astype(np.int32)
-            return _ChunkDetail(realized, realized, probed_e, matched_e, q, revenue, probes)
-        return _reduce_chunk(matched_e, q, revenue)
+        walk = _walk(self.topo, order, go, would_accept, self.topo.patience, reward)
+        q = _q_counts(realized, t, self.topo)
+        return _chunk_result(walk, realized, realized, q, detail)
 
 
 # --------------------------------------------------------------------------
@@ -660,11 +621,6 @@ def exact_trivial_oracle(x: dict[str, float], inst: PricingInstance) -> dict[str
     return {e.id: probs[i] for i, e in enumerate(edges)}
 
 
-def _auto_objective(inst: PricingInstance) -> str:
-    every_c = all(entry.c is not None for e in inst.edges for entry in e.menu)
-    return "custom" if every_c else "revenue"
-
-
 def optimal_policy_dp(inst: PricingInstance, objective: str | None = None) -> float:
     """Exact optimum over adaptive probe policies (order, prices, stopping).
 
@@ -673,7 +629,7 @@ def optimal_policy_dp(inst: PricingInstance, objective: str | None = None) -> fl
     probes edges whose endpoints are currently free.
     """
     if objective is None:
-        objective = _auto_objective(inst)
+        objective = auto_objective(inst)
     options = [(i, k) for i, e in enumerate(inst.edges) for k in range(len(e.menu))]
     if len(options) > 12:
         est = 2 ** len(inst.edges) * 2 ** len(inst.vertices)
@@ -733,7 +689,7 @@ def greedy_baseline(
     if rule not in ("by_weight", "by_expected_weight"):
         raise ValueError(f"unknown greedy rule: {rule!r}")
     if objective is None:
-        objective = _auto_objective(inst)
+        objective = auto_objective(inst)
     coeffs = objective_coefficients(inst, objective)
     vpos = inst.vertex_pos
     edges = inst.edges

@@ -24,7 +24,7 @@ from .graphcore import (
     edge_stats,
     generate_family,
 )
-from .lp import build_lp_pricing, solve_lp
+from .lp import auto_objective, build_lp_pricing, solve_lp
 from .simulate import (
     RoOcrsEngine,
     SequentialPricingEngine,
@@ -411,9 +411,7 @@ def run_criteria(
             dp = optimal_policy_dp(inst)
         except ValueError:
             continue
-        objective = "custom" if all(
-            en.c is not None for e in inst.edges for en in e.menu
-        ) else "revenue"
+        objective = auto_objective(inst)
         sol = solve_lp(build_lp_pricing(inst, objective))
         checked7 += 1
         worst7 = min(worst7, sol.objective - dp)
@@ -424,9 +422,7 @@ def run_criteria(
     ] + [("d1", d1.instance), ("single_edge_hard", hard.instance)]
     worst_rev = math.inf
     for name, inst in pricing_pool:
-        objective = "custom" if all(
-            en.c is not None for e in inst.edges for en in e.menu
-        ) else "revenue"
+        objective = auto_objective(inst)
         sol = solve_lp(build_lp_pricing(inst, objective))
         if sol.objective <= 0:
             continue

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 
@@ -57,6 +58,28 @@ def test_corrupt_instance_rejected(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     assert main(["simulate", "--instance", str(bad), "--scheme", "ro-ocrs"]) == 1
+
+
+@pytest.mark.parametrize(
+    "break_doc, message",
+    [
+        (lambda doc: doc["edges"][0].pop("menu"), "edges[0]: missing key 'menu'"),
+        (lambda doc: doc.pop("vertices"), "instance: missing key 'vertices'"),
+        (lambda doc: doc.update(edges={"e0": doc["edges"][0]}), "instance: 'edges' has the wrong type"),
+    ],
+    ids=["no-menu", "no-vertices", "edges-not-a-list"],
+)
+def test_malformed_instance_file_is_a_clean_error(tmp_path, capsys, break_doc, message):
+    doc = json.loads(_gen(tmp_path, "star", "--k", "3").read_text())
+    break_doc(doc)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        instance_from_dict(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["lp", "--instance", str(bad), "--out", str(tmp_path / "p.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 # ---------------------------------------------------------------------------

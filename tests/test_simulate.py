@@ -339,6 +339,36 @@ def test_pricing_respects_patience():
         assert len(out.matched) <= 1
 
 
+def test_pricing_offers_from_menus_wider_than_127_entries():
+    # all offer mass on menu[200]: a menu index stored in 8 bits would wrap
+    # negative and read as "no offer", so the edge would never match
+    inst = generate_family("single_edge_hard", k=400, grid=range(300)).instance
+    w = inst.edges[0].menu[200].w
+    point = FractionalPoint(y={("e0", w): 1.0}, x={"e0": 0.005})
+    rep = monte_carlo(SequentialPricingEngine(inst, point, TRIV), 200_000, 4)
+    (er,) = rep.edges
+    assert er.freq > 0
+    assert er.ci_lo <= 0.005 <= er.ci_hi
+
+
+# ---------------------------------------------------------------------------
+# one walk for every scheme
+
+
+def test_ro_walk_is_the_stochastic_walk_with_sure_probes():
+    # without patience, probing every edge (y = 1) that turns out active with
+    # p = x draws the same coins as RO-OCRS at x and walks the same way
+    gen = generate_family("random_general", n=7, density=0.5, seed=5)
+    stats = edge_stats(gen.x, gen.instance)
+    ones = {eid: 1.0 for eid in gen.x}
+    ro = RoOcrsEngine(gen.instance, gen.x, stats, A2)
+    sto = StochasticOcrsEngine(gen.instance, ones, gen.x, stats, A2)
+    a, b = ro.run_chunk(13, 100, 4000), sto.run_chunk(13, 100, 4000)
+    assert a.matched.sum() > 0
+    for field in ("matched", "r0", "r1"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+
+
 # ---------------------------------------------------------------------------
 # exact baselines
 
