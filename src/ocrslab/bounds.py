@@ -555,21 +555,30 @@ def verify_facts() -> list[FactCheck]:
     add("z_kernel_floor", zmin - 0.055)
 
     # -- r0 integral floors (patience pair / one-sided single form) ----------
+    # (chunked over the 10,001-point axis, as above, to bound memory)
     y = np.linspace(0.0, 1.0, 2001)
     wy = _simpson_weights(2001, 0.0, 1.0)
-    karr = np.linspace(0.0, 2.0, 10_001)[:, None]
-    f22 = (np.exp(-y[None, :] * (4.0 - karr)) * (1.0 + y[None, :]) ** 2) @ wy
-    add("patience_r0_floor_at_2", float(np.min(f22 - (0.382 + 0.117 * karr[:, 0]))))
-    f2 = (np.exp(-y[None, :] * (3.0 - karr)) * (1.0 + y[None, :])) @ wy
-    add("one_sided_r0_floor_at_2", float(np.min(f2 - (0.405 + 0.131 * karr[:, 0]))))
+    f22_m = f2_m = np.inf
+    for kc in np.array_split(np.linspace(0.0, 2.0, 10_001), 10):
+        karr = kc[:, None]
+        f22 = (np.exp(-y[None, :] * (4.0 - karr)) * (1.0 + y[None, :]) ** 2) @ wy
+        f22_m = min(f22_m, float(np.min(f22 - (0.382 + 0.117 * kc))))
+        f2 = (np.exp(-y[None, :] * (3.0 - karr)) * (1.0 + y[None, :])) @ wy
+        f2_m = min(f2_m, float(np.min(f2 - (0.405 + 0.131 * kc))))
+    add("patience_r0_floor_at_2", f22_m)
+    add("one_sided_r0_floor_at_2", f2_m)
 
     # -- r1 integral floors over x ∈ [0,1] ------------------------------------
-    xcol = np.linspace(0.0, 1.0, 10_001)[:, None]
-    h1v = _h1_closed(y[None, :], xcol)
-    g22 = (np.exp(-4.0 * y[None, :] + y[None, :] * xcol) * h1v * (1.0 + y[None, :]) ** 2) @ wy
-    add("patience_r1_floor_at_2", float(np.min(g22)) - 0.181)
-    g2 = (np.exp(-3.0 * y[None, :] + y[None, :] * xcol) * h1v * (1.0 + y[None, :])) @ wy
-    add("one_sided_r1_floor_at_2", float(np.min(g2)) - 0.209)
+    g22_m = g2_m = np.inf
+    for xc in np.array_split(np.linspace(0.0, 1.0, 10_001), 10):
+        xcol = xc[:, None]
+        h1v = _h1_closed(y[None, :], xcol)
+        g22 = (np.exp(-4.0 * y[None, :] + y[None, :] * xcol) * h1v * (1.0 + y[None, :]) ** 2) @ wy
+        g22_m = min(g22_m, float(np.min(g22)))
+        g2 = (np.exp(-3.0 * y[None, :] + y[None, :] * xcol) * h1v * (1.0 + y[None, :])) @ wy
+        g2_m = min(g2_m, float(np.min(g2)))
+    add("patience_r1_floor_at_2", g22_m - 0.181)
+    add("one_sided_r1_floor_at_2", g2_m - 0.209)
 
     # -- patience-2 minimality scans over ℓ ∈ {1..20, ∞} ----------------------
     phis = np.vstack([_phi_nodes(ell, y) for ell in _ELLS])

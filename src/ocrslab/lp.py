@@ -177,14 +177,10 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = PIVOT
 
     max_iter = 50 * (m + n + 10)
     for _ in range(max_iter):
-        red = T[m, : n + m]
-        entering = -1
-        for j in range(n + m):  # Bland: first improving column
-            if red[j] < -tol:
-                entering = j
-                break
-        if entering < 0:
+        improving = np.flatnonzero(T[m, : n + m] < -tol)
+        if improving.size == 0:
             break
+        entering = improving[0]  # Bland: first improving column
         col = T[:m, entering]
         best_ratio, leave = np.inf, -1
         for i in range(m):
@@ -198,9 +194,12 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = PIVOT
             raise RuntimeError("simplex: unbounded direction (malformed program)")
         piv = T[leave, entering]
         T[leave] /= piv
-        for i in range(m + 1):
-            if i != leave and T[i, entering] != 0.0:
-                T[i] -= T[i, entering] * T[leave]
+        # only rows with a nonzero entry change, so no other row's zeros flip
+        # sign; the temporary keeps one shape for the whole solve, so the
+        # allocator reuses it instead of mapping fresh pages every pivot
+        rows = T[:, entering] != 0.0
+        rows[leave] = False
+        np.subtract(T, np.outer(T[:, entering], T[leave]), out=T, where=rows[:, None])
         basis[leave] = entering
     else:
         raise RuntimeError("simplex: iteration limit hit (malformed program)")

@@ -3,11 +3,13 @@
 The four online schemes are one attenuated greedy walk that differs only in
 its coins.  Each engine draws every random quantity of a chunk up front from
 the counter-based stream (so worker count can never change a trial), sets up
-its own coins and arrival-order key, and hands them to ``_walk``: an edge
+its own coins and arrival order, and hands them to ``_walk``: an edge
 proposes when its coins allow and both endpoints are free (and patient), and
-is matched when the proposal is accepted.  Q-counts and the per-chunk
-reduction are shared too.  ``monte_carlo`` aggregates chunks into a report,
-and the ``run_*_trial`` wrappers return one trial as a :class:`TrialOutcome`.
+is matched when the proposal is accepted.  The walk also counts Q(e), the
+realized neighbours that arrive before e, as it goes.  Vertex arrival orders
+its edges with one ``lexsort``.  The per-chunk reduction is shared too.
+``monte_carlo`` aggregates chunks into a report, and the ``run_*_trial``
+wrappers return one trial as a :class:`TrialOutcome`.
 
 The exact oracles (``exact_trivial_oracle``, ``optimal_policy_dp``,
 ``greedy_baseline``) are memoized bitmask recursions over tiny instances and
@@ -106,6 +108,15 @@ def wilson_interval(successes: int, trials: int, z: float = Z99) -> tuple[float,
 # shared instance precomputation
 # --------------------------------------------------------------------------
 
+def _count_dtype(widest: int):
+    """int16 when it holds every Q-count, else int32.
+
+    A Q-count is at most `widest`, the largest neighbour count; the walk's
+    per-vertex counters reach a vertex's degree, at most `widest` + 1.
+    """
+    return np.int16 if widest + 1 <= np.iinfo(np.int16).max else np.int32
+
+
 class _Topology:
     """Index arrays shared by all chunk kernels."""
 
@@ -119,6 +130,13 @@ class _Topology:
         self.edge_ids = tuple(e.id for e in inst.edges)
         self.vertex_ids = tuple(v.id for v in inst.vertices)
         self.neighbors = inst.neighbors
+        widths = np.array([nb.size for nb in self.neighbors], dtype=np.intp)
+        self.q_dtype = _count_dtype(int(widths.max(initial=0)))
+        # without self-loops and parallel edges, e's neighbours are the other
+        # edges at u plus the other edges at v, each counted once, so Q(e) is
+        # a sum of per-vertex counts
+        degree = np.bincount(np.concatenate([self.u_idx, self.v_idx]), minlength=self.n_vertices)
+        self.simple = bool(np.array_equal(widths, degree[self.u_idx] + degree[self.v_idx] - 2))
         pat = np.full(self.n_vertices, _UNBOUNDED, dtype=np.int32)
         for k, v in enumerate(inst.vertices):
             if v.patience is not None:
@@ -132,13 +150,13 @@ class _Topology:
 def _q_counts(realized: np.ndarray, key: np.ndarray, topo: _Topology) -> np.ndarray:
     """|Q(e)| per trial: realized neighbors arriving strictly before e."""
     t, e = realized.shape
-    q = np.zeros((t, e), dtype=np.int16)
+    q = np.zeros((t, e), dtype=topo.q_dtype)
     for i in range(e):
         nb = topo.neighbors[i]
         if nb.size == 0:
             continue
         before = key[:, nb] < key[:, i : i + 1]
-        q[:, i] = (realized[:, nb] & before).sum(axis=1).astype(np.int16)
+        q[:, i] = (realized[:, nb] & before).sum(axis=1)
     return q
 
 
@@ -179,7 +197,16 @@ def _reduce_chunk(matched, q, revenue) -> _ChunkCounts:
     )
 
 
-def _walk(topo: _Topology, order, go, accept, patience=None, reward=None) -> _Walk:
+def _tied_trials(key: np.ndarray, order: np.ndarray, block: int = 1024) -> np.ndarray:
+    """Trials in which two edges share an arrival key (adjacent in `order`)."""
+    tied = np.zeros(len(order), dtype=bool)
+    for r in range(0, len(order), block):
+        k = np.take_along_axis(key[r : r + block], order[r : r + block], axis=1)
+        tied[r : r + block] = (k[:, 1:] == k[:, :-1]).any(axis=1)
+    return tied
+
+
+def _walk(topo: _Topology, order, go, accept, key, patience=None, reward=None):
     """The greedy walk every scheme shares, over (trials, edges) coin arrays.
 
     Edges arrive in `order`.  An arriving edge proposes when `go` holds and
@@ -187,36 +214,69 @@ def _walk(topo: _Topology, order, go, accept, patience=None, reward=None) -> _Wa
     patience left at both endpoints, and its proposal spends one unit at each
     and is marked probed.  A proposal is matched when `accept` also holds,
     and a match adds its `reward` to the trial's revenue.
+
+    Also returns Q(e), the number of e's neighbours that arrive before e and
+    are realized (`go` and `accept` both hold).  A per-(trial, vertex)
+    counter of realized arrivals, read at both endpoints before e adds its
+    own, counts them as the walk goes.  `order` sorts `key` stably, and
+    `_q_counts` counts only strictly smaller keys, so it recounts every trial
+    with a tied key, and every trial when the graph has parallel edges or
+    self-loops.  `key=None` declares the order strict.  Arrays are read and
+    written through flat (trial * width + column) indices.
     """
     count, e = go.shape
-    rows = np.arange(count)
-    matched_v = np.zeros((count, topo.n_vertices), dtype=bool)
-    matched_e = np.zeros((count, e), dtype=bool)
-    probed_e = np.zeros((count, e), dtype=bool)
+    nv = topo.n_vertices
+    base_e = np.arange(count) * e
+    base_v = np.arange(count) * nv
+    go_f, accept_f = go.ravel(), accept.ravel()
+    reward_f = None if reward is None else reward.ravel()
+    matched = np.zeros((count, e), dtype=bool)
+    probed = np.zeros((count, e), dtype=bool)
+    q = np.zeros((count, e), dtype=topo.q_dtype)
+    matched_f, probed_f, q_f = matched.ravel(), probed.ravel(), q.ravel()
     revenue = np.zeros(count)
+    taken = np.zeros(count * nv, dtype=bool)  # matched vertices
+    arrived = np.zeros(count * nv, dtype=topo.q_dtype) if topo.simple else None
     if patience is not None:
-        pat = np.broadcast_to(patience, (count, topo.n_vertices)).copy()
+        pat = np.tile(patience, count)
     for j in range(e):
         ep = order[:, j]
-        uu, vv = topo.u_idx[ep], topo.v_idx[ep]
-        propose = go[rows, ep] & ~matched_v[rows, uu] & ~matched_v[rows, vv]
+        fe = base_e + ep
+        fu = base_v + topo.u_idx[ep]
+        fv = base_v + topo.v_idx[ep]
+        g, acc = go_f[fe], accept_f[fe]
+        if arrived is not None:
+            q_f[fe] = arrived[fu] + arrived[fv]
+            here = g & acc
+            arrived[fu[here]] += 1
+            arrived[fv[here]] += 1
+        propose = g & ~taken[fu] & ~taken[fv]
         if patience is not None:
-            propose &= (pat[rows, uu] > 0) & (pat[rows, vv] > 0)
-            probed_e[rows, ep] |= propose
-            pr = rows[propose]
-            pat[pr, uu[propose]] -= 1
-            pat[pr, vv[propose]] -= 1
-        win = propose & accept[rows, ep]
-        matched_e[rows, ep] |= win
-        matched_v[rows[win], uu[win]] = True
-        matched_v[rows[win], vv[win]] = True
+            propose &= (pat[fu] > 0) & (pat[fv] > 0)
+            probed_f[fe[propose]] = True
+            pat[fu[propose]] -= 1
+            pat[fv[propose]] -= 1
+        win = propose & acc
+        matched_f[fe[win]] = True
+        taken[fu[win]] = True
+        taken[fv[win]] = True
         if reward is not None:
-            revenue[win] += reward[rows[win], ep[win]]
+            revenue[win] += reward_f[fe[win]]
+
+    if arrived is None:
+        if key is None:
+            key = np.empty_like(order)  # arrival positions: a strict key
+            np.put_along_axis(key, order, np.arange(e), axis=1)
+        q = _q_counts(go & accept, key, topo)
+    elif key is not None:
+        tied = _tied_trials(key, order)
+        if tied.any():
+            q[tied] = _q_counts(go[tied] & accept[tied], key[tied], topo)
     if patience is None:
-        probes = np.zeros((count, topo.n_vertices), dtype=np.int32)
+        probes = np.zeros((count, nv), dtype=np.int32)
     else:
-        probes = (patience[None, :] - pat).astype(np.int32)
-    return _Walk(matched_e, probed_e, revenue, probes)
+        probes = (patience[None, :] - pat.reshape(count, nv)).astype(np.int32)
+    return _Walk(matched, probed, revenue, probes), q
 
 
 def _chunk_result(walk: _Walk, active, realized, q, detail: bool):
@@ -259,11 +319,15 @@ class RoOcrsEngine:
         units = np.arange(e, dtype=np.uint64)[None, :]
         t = hash_uniform(seed, trials, units, ARRIVAL)
         active = hash_uniform(seed, trials, units, ACTIVE) < self.x[None, :]
-        prof = attenuation_profile(self.spec, t, self.x[None, :], self.s[None, :])
-        realized = active & (hash_uniform(seed, trials, units, COIN) < prof)
+        # the coin is hashed before its profile is built and neither outlives
+        # the comparison, so fewer (trials, edges) floats are alive at once
+        realized = active & (
+            hash_uniform(seed, trials, units, COIN)
+            < attenuation_profile(self.spec, t, self.x[None, :], self.s[None, :])
+        )
 
-        walk = _walk(self.topo, np.argsort(t, axis=1, kind="stable"), realized, active)
-        q = _q_counts(realized, t, self.topo)
+        order = np.argsort(t, axis=1, kind="stable")
+        walk, q = _walk(self.topo, order, realized, active, t)
         return _chunk_result(walk, active, realized, q, detail)
 
 
@@ -310,14 +374,24 @@ class StochasticOcrsEngine:
         units = np.arange(e, dtype=np.uint64)[None, :]
         t = hash_uniform(seed, trials, units, ARRIVAL)
         active = hash_uniform(seed, trials, units, ACTIVE) < self.p[None, :]
-        prof = attenuation_profile(self.spec, t, self.x[None, :], self.s[None, :])
-        probe_ok = hash_uniform(seed, trials, units, COIN) < self.y[None, :] * prof
+        probe_ok = hash_uniform(seed, trials, units, COIN) < (
+            self.y[None, :] * attenuation_profile(self.spec, t, self.x[None, :], self.s[None, :])
+        )
         realized = active & probe_ok
 
         order = np.argsort(t, axis=1, kind="stable")
-        walk = _walk(self.topo, order, probe_ok, active, patience=self.topo.patience)
-        q = _q_counts(realized, t, self.topo)
+        walk, q = _walk(self.topo, order, probe_ok, active, t, self.topo.patience)
         return _chunk_result(walk, active, realized, q, detail)
+
+
+def _vertex_order(t_e: np.ndarray, t_v: np.ndarray, online: np.ndarray) -> np.ndarray:
+    """Edge arrival order per trial when online vertices arrive.
+
+    Sorts by the online endpoint's time, then its position, then the edge's
+    time, then (lexsort is stable) the edge's position: a strict order, so
+    Q-counts need no key.
+    """
+    return np.lexsort((t_e, np.broadcast_to(online, t_e.shape), t_v[:, online]), axis=1)
 
 
 class VertexArrivalEngine:
@@ -336,12 +410,13 @@ class VertexArrivalEngine:
         for edg in inst.edges:
             if {sides[edg.u], sides[edg.v]} != {"offline", "online"}:
                 raise ValueError(f"edge {edg.id} does not cross the bipartition")
+        # the narrowest unsigned dtype, so lexsort sorts this key by radix
         self.online_of_edge = np.array(
             [
                 self.topo.inst.vertex_pos[edg.u if sides[edg.u] == "online" else edg.v]
                 for edg in inst.edges
             ],
-            dtype=np.intp,
+            dtype=np.min_scalar_type(max(self.topo.n_vertices - 1, 0)),
         )
         self.x = self.topo.x_vector(x)
         self.x_ref = self.x.copy()
@@ -357,13 +432,8 @@ class VertexArrivalEngine:
         coin = hash_uniform(seed, trials, units, COIN) < np.exp(-self.x[None, :] * t_e)
         realized = active & coin
 
-        # integer ranks make the (t_u, t_e) lexicographic key exact
-        rank_v = np.argsort(np.argsort(t_v, axis=1, kind="stable"), axis=1, kind="stable")
-        rank_e = np.argsort(np.argsort(t_e, axis=1, kind="stable"), axis=1, kind="stable")
-        key = rank_v[:, self.online_of_edge] * (e + 1) + rank_e
-
-        walk = _walk(self.topo, np.argsort(key, axis=1, kind="stable"), realized, active)
-        q = _q_counts(realized, key, self.topo)
+        order = _vertex_order(t_e, t_v, self.online_of_edge)
+        walk, q = _walk(self.topo, order, realized, active, None)
         return _chunk_result(walk, active, realized, q, detail)
 
 
@@ -414,8 +484,9 @@ class SequentialPricingEngine:
         t = hash_uniform(seed, trials, units, ARRIVAL)
         u_price = hash_uniform(seed, trials, units, PRICE)
         u_accept = hash_uniform(seed, trials, units, ACTIVE)
-        prof = attenuation_profile(self.spec, t, self.x[None, :], self.s[None, :])
-        propose_ok = hash_uniform(seed, trials, units, COIN) < prof
+        propose_ok = hash_uniform(seed, trials, units, COIN) < (
+            attenuation_profile(self.spec, t, self.x[None, :], self.s[None, :])
+        )
 
         # inverse-CDF menu draw; a draw at or beyond the total menu mass
         # means no offer this trial
@@ -434,8 +505,7 @@ class SequentialPricingEngine:
         realized = go & would_accept
 
         order = np.argsort(t, axis=1, kind="stable")
-        walk = _walk(self.topo, order, go, would_accept, self.topo.patience, reward)
-        q = _q_counts(realized, t, self.topo)
+        walk, q = _walk(self.topo, order, go, would_accept, t, self.topo.patience, reward)
         return _chunk_result(walk, realized, realized, q, detail)
 
 

@@ -1,9 +1,11 @@
 """Pricing relaxation: objective coefficients, simplex correctness,
 menu-thinning reductions."""
 
+import dataclasses
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from ocrslab.graphcore import (
@@ -16,6 +18,8 @@ from ocrslab.graphcore import (
     generate_family,
 )
 from ocrslab.lp import (
+    PIVOT_TOL,
+    _simplex_max,
     build_lp_pricing,
     job_endpoint,
     marginals,
@@ -101,6 +105,57 @@ def test_solutions_are_feasible_points():
         inst = generate_family(family, **params).instance
         sol = solve_lp(build_lp_pricing(inst, "revenue"))
         assert fractional_point_violations(sol.point, inst) == []
+
+
+def reference_simplex(A, b, c, tol=PIVOT_TOL):
+    """Bland's-rule simplex with both scans and the pivot update as row loops."""
+    m, n = A.shape
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A
+    T[:m, n : n + m] = np.eye(m)
+    T[:m, -1] = b
+    T[m, :n] = -c
+    basis = list(range(n, n + m))
+    while True:
+        entering = next((j for j in range(n + m) if T[m, j] < -tol), -1)
+        if entering < 0:
+            break
+        col = T[:m, entering]
+        best_ratio, leave = np.inf, -1
+        for i in range(m):
+            if col[i] > tol:
+                ratio = T[i, -1] / col[i]
+                if ratio < best_ratio - 1e-15 or (
+                    abs(ratio - best_ratio) <= 1e-15 and (leave < 0 or basis[i] < basis[leave])
+                ):
+                    best_ratio, leave = ratio, i
+        T[leave] /= T[leave, entering]
+        for i in range(m + 1):
+            if i != leave and T[i, entering] != 0.0:
+                T[i] -= T[i, entering] * T[leave]
+        basis[leave] = entering
+    x = np.zeros(n + m)
+    for i, bi in enumerate(basis):
+        x[bi] = T[i, -1]
+    return x[:n], float(c @ x[:n])
+
+
+def test_simplex_pivots_like_the_row_loop_reference():
+    for params in (
+        {"n": 6, "m": 6, "density": 0.5, "seed": 7},
+        {"n": 4, "m": 4, "density": 0.5, "seed": 12},
+        {"n": 8, "m": 5, "density": 0.4, "seed": 3},
+    ):
+        inst = generate_family("random_bipartite", **params).instance
+        patient = dataclasses.replace(
+            inst, vertices=tuple(dataclasses.replace(v, patience=2) for v in inst.vertices)
+        )
+        for variant in (inst, patient):
+            lp = build_lp_pricing(variant, "revenue")
+            x, obj = _simplex_max(lp.A, lp.b, lp.c)
+            x_ref, obj_ref = reference_simplex(lp.A, lp.b, lp.c)
+            # bit for bit, signed zeros included
+            assert x.tobytes() == x_ref.tobytes() and repr(obj) == repr(obj_ref)
 
 
 def test_lp_dominates_feasible_grid_points():

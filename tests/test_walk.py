@@ -1,0 +1,241 @@
+"""The shared walk kernel against a step-by-step reference.
+
+`reference_walk` is the walk written the plain way: one (trial, column) pair
+per array access, and Q-counts straight from their definition.  Every engine
+must hand `_walk` coins on which the kernel and the reference agree on every
+output, on suite instances, with patience, with rewards, with parallel edges
+and with tied arrival keys.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from ocrslab import simulate, suite
+from ocrslab.attenuation import AttenuationSpec
+from ocrslab.graphcore import Edge, MenuEntry, PricingInstance, Vertex, edge_stats, generate_family
+from ocrslab.lp import build_lp_pricing, solve_lp
+
+A1 = AttenuationSpec("a1")
+A2 = AttenuationSpec("a2", alpha=0.171)
+
+
+def reference_q(topo, realized, key):
+    """Q(e): edges sharing an endpoint with e, realized, with a smaller key."""
+    u, v = topo.u_idx, topo.v_idx
+    q = np.zeros(realized.shape, dtype=np.int64)
+    for i in range(len(u)):
+        nb = (u == u[i]) | (u == v[i]) | (v == u[i]) | (v == v[i])
+        nb[i] = False
+        q[:, i] = (realized[:, nb] & (key[:, nb] < key[:, [i]])).sum(axis=1)
+    return q
+
+
+def reference_walk(topo, order, go, accept, key, patience=None, reward=None):
+    count, e = go.shape
+    rows = np.arange(count)
+    matched_v = np.zeros((count, topo.n_vertices), dtype=bool)
+    matched_e = np.zeros((count, e), dtype=bool)
+    probed_e = np.zeros((count, e), dtype=bool)
+    revenue = np.zeros(count)
+    if patience is not None:
+        pat = np.broadcast_to(patience, (count, topo.n_vertices)).copy()
+    for j in range(e):
+        ep = order[:, j]
+        uu, vv = topo.u_idx[ep], topo.v_idx[ep]
+        propose = go[rows, ep] & ~matched_v[rows, uu] & ~matched_v[rows, vv]
+        if patience is not None:
+            propose &= (pat[rows, uu] > 0) & (pat[rows, vv] > 0)
+            probed_e[rows, ep] |= propose
+            pr = rows[propose]
+            pat[pr, uu[propose]] -= 1
+            pat[pr, vv[propose]] -= 1
+        win = propose & accept[rows, ep]
+        matched_e[rows, ep] |= win
+        matched_v[rows[win], uu[win]] = True
+        matched_v[rows[win], vv[win]] = True
+        if reward is not None:
+            revenue[win] += reward[rows[win], ep[win]]
+    if patience is None:
+        probes = np.zeros((count, topo.n_vertices), dtype=np.int32)
+    else:
+        probes = (patience[None, :] - pat).astype(np.int32)
+    if key is None:  # the order is strict: rank by arrival position
+        key = np.empty_like(order)
+        np.put_along_axis(key, order, np.arange(e), axis=1)
+    q = reference_q(topo, go & accept, key)
+    return simulate._Walk(matched_e, probed_e, revenue, probes), q
+
+
+def assert_walks_equal(got, want):
+    (walk, q), (ref, ref_q) = got, want
+    for field in simulate._Walk._fields:
+        a, b = getattr(walk, field), getattr(ref, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field
+    assert np.array_equal(q, ref_q)
+
+
+def run_against_reference(engine, monkeypatch, seed=7, count=1500):
+    """Runs one detail chunk, checking every `_walk` call against the reference."""
+    real = simulate._walk
+    calls = []
+
+    def spy(*args):
+        out = real(*args)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(simulate, "_walk", spy)
+    det = engine.run_chunk(seed, 100, count, detail=True)
+    ((args, out),) = calls
+    assert_walks_equal(out, reference_walk(*args))
+    _, _, go, accept = args[:4]
+    # the walk counts `go & accept` as realized; every engine reports the same
+    assert np.array_equal(det.realized, go & accept)
+    assert np.array_equal(det.matched, out[0].matched) and np.array_equal(det.q, out[1])
+    assert det.matched.any() and det.q.any()
+    return det
+
+
+def _entry(name):
+    return next(e for e in suite.build_suite() if e.name == name)
+
+
+def _ro(name):
+    e = _entry(name)
+    return simulate.RoOcrsEngine(e.instance, e.x, edge_stats(e.x, e.instance), A2)
+
+
+def _stochastic(name, ell):
+    e = _entry(name)
+    inst, y, p = suite.stochastic_variant(e, ell)
+    return simulate.StochasticOcrsEngine(inst, y, p, edge_stats(e.x, e.instance), A2)
+
+
+def _one_sided(name):
+    e = _entry(name)
+    inst, y, p = suite.one_sided_variant(e)
+    return simulate.StochasticOcrsEngine(inst, y, p, edge_stats(e.x, e.instance), A1)
+
+
+def _vertex(name):
+    e = _entry(name)
+    return simulate.VertexArrivalEngine(suite.vertex_variant(e), e.x)
+
+
+def _pricing(name, patience):
+    inst = _entry(name).instance
+    inst = dataclasses.replace(
+        inst, vertices=tuple(dataclasses.replace(v, patience=patience) for v in inst.vertices)
+    )
+    point = solve_lp(build_lp_pricing(inst, "revenue")).point
+    return simulate.SequentialPricingEngine(inst, point, A2)
+
+
+ENGINES = {
+    "ro-gen_6d": lambda: _ro("gen_6d"),
+    "ro-star_5": lambda: _ro("star_5"),
+    "stochastic-bip_4x4-patience1": lambda: _stochastic("bip_4x4", 1),
+    "stochastic-gen_7-patience2": lambda: _stochastic("gen_7", 2),
+    "one-sided-bip_5x5": lambda: _one_sided("bip_5x5"),
+    "vertex-bip_4x3": lambda: _vertex("bip_4x3"),
+    "vertex-bip_5x5": lambda: _vertex("bip_5x5"),
+    "pricing-bip_3x3": lambda: _pricing("bip_3x3", None),
+    "pricing-bip_4x4-patience1": lambda: _pricing("bip_4x4", 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINES))
+def test_engines_walk_like_the_reference(name, monkeypatch):
+    det = run_against_reference(ENGINES[name](), monkeypatch)
+    if name.startswith("pricing"):
+        assert det.revenue.any()
+    if "patience" in name or name.startswith("one-sided"):
+        assert det.probed.any() and det.probes_used.any()
+
+
+def _parallel_instance():
+    # e0 and e1 join the same pair; e2 hangs off b, e3 off a
+    vs = (
+        Vertex("a", side="offline", patience=2),
+        Vertex("b", side="online"),
+        Vertex("c", side="offline"),
+        Vertex("d", side="online"),
+    )
+    es = tuple(
+        Edge(eid, u, v, (MenuEntry(0.0, 0.3, c=0.3),))
+        for eid, u, v in (("e0", "a", "b"), ("e1", "a", "b"), ("e2", "c", "b"), ("e3", "a", "d"))
+    )
+    return PricingInstance(vs, es, mode="bipartite"), {eid: 0.3 for eid in ("e0", "e1", "e2", "e3")}
+
+
+@pytest.mark.parametrize("scheme", ["ro", "stochastic", "vertex"])
+def test_parallel_edges_count_once_in_q(scheme, monkeypatch):
+    inst, x = _parallel_instance()
+    assert not simulate._Topology(inst).simple
+    assert simulate._Topology(_entry("bip_4x4").instance).simple
+    stats = edge_stats(x, inst)
+    engine = {
+        "ro": lambda: simulate.RoOcrsEngine(inst, x, stats, A2),
+        "stochastic": lambda: simulate.StochasticOcrsEngine(inst, dict.fromkeys(x, 1.0), x, stats, A2),
+        "vertex": lambda: simulate.VertexArrivalEngine(inst, x),
+    }[scheme]()
+    run_against_reference(engine, monkeypatch, count=4000)
+
+
+def test_walk_recounts_trials_with_tied_keys():
+    gen = generate_family("random_general", n=7, density=0.5, seed=5)
+    topo = simulate._Topology(gen.instance)
+    rng = np.random.default_rng(3)
+    count, e = 600, topo.n_edges
+    key = rng.random((count, e))
+    key[::3] = rng.integers(0, 4, (len(key[::3]), e))  # every third trial is full of ties
+    go = rng.random((count, e)) < 0.7
+    accept = rng.random((count, e)) < 0.6
+    order = np.argsort(key, axis=1, kind="stable")
+    patience = np.full(topo.n_vertices, 2, dtype=np.int32)
+    reward = rng.random((count, e))
+    got = simulate._walk(topo, order, go, accept, key, patience, reward)
+    assert_walks_equal(got, reference_walk(topo, order, go, accept, key, patience, reward))
+    # counting by arrival position alone would be wrong on tied trials only
+    _, by_position = simulate._walk(topo, order, go, accept, None, patience, reward)
+    wrong = (by_position != got[1]).any(axis=1)
+    assert wrong.any() and not wrong[1::3].any() and not wrong[2::3].any()
+
+
+def rank_key_order(t_e, t_v, online):
+    """Vertex-arrival order from integer ranks: stable ranks of the vertex
+    and edge times, combined into one key and argsorted stably."""
+    e = t_e.shape[1]
+    rank_v = np.argsort(np.argsort(t_v, axis=1, kind="stable"), axis=1, kind="stable")
+    rank_e = np.argsort(np.argsort(t_e, axis=1, kind="stable"), axis=1, kind="stable")
+    key = rank_v[:, online] * (e + 1) + rank_e
+    return np.argsort(key, axis=1, kind="stable")
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.intp])
+def test_vertex_order_matches_the_rank_key_under_time_ties(dtype):
+    rng = np.random.default_rng(11)
+    count, e, nv = 400, 12, 6
+    online = rng.choice([1, 3, 4], size=e).astype(dtype)
+    t_e = rng.integers(0, 3, (count, e)) / 4.0  # edge-time ties too
+    t_v = rng.random((count, nv))
+    t_v[:, 3] = t_v[:, 1]  # two online vertices arrive together in every trial
+    t_v[::2, 4] = t_v[::2, 1]
+    assert np.array_equal(simulate._vertex_order(t_e, t_v, online), rank_key_order(t_e, t_v, online))
+
+
+def test_q_dtype_follows_the_widest_neighbourhood(monkeypatch):
+    assert simulate._count_dtype(0) is np.int16
+    assert simulate._count_dtype(32766) is np.int16
+    assert simulate._count_dtype(32767) is np.int32
+    assert simulate._count_dtype(10**6) is np.int32
+    engine = _ro("gen_6d")
+    assert engine.topo.q_dtype is np.int16
+    narrow = engine.run_chunk(5, 0, 2000, detail=True)
+    assert narrow.q.dtype == np.int16
+    # a wide dtype changes no count
+    monkeypatch.setattr(simulate, "_count_dtype", lambda widest: np.int32)
+    wide = _ro("gen_6d").run_chunk(5, 0, 2000, detail=True)
+    assert wide.q.dtype == np.int32 and np.array_equal(wide.q, narrow.q)
