@@ -13,8 +13,6 @@ coins an engine needs for one unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
@@ -23,7 +21,6 @@ __all__ = [
     "COIN",
     "PRICE",
     "hash_uniform",
-    "TrialRNG",
 ]
 
 # Purpose tags.  ARRIVAL: arrival time in [0,1).  ACTIVE: the value/acceptance
@@ -68,17 +65,3 @@ def hash_uniform(seed: int, trial, unit, purpose: int) -> np.ndarray:
         h = _mix(h ^ (_key(purpose) * _GAMMA))
         return (h >> _S11).astype(np.float64) * _INV53
 
-
-@dataclass(frozen=True)
-class TrialRNG:
-    """Handle addressing one trial of one master seed."""
-
-    seed: int
-    trial: int
-
-    def uniform(self, unit: int, purpose: int) -> float:
-        return float(hash_uniform(self.seed, self.trial, unit, purpose))
-
-    def uniform_units(self, n_units: int, purpose: int, offset: int = 0) -> np.ndarray:
-        units = np.arange(offset, offset + n_units, dtype=np.uint64)
-        return hash_uniform(self.seed, self.trial, units, purpose)

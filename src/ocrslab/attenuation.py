@@ -13,7 +13,6 @@ alpha in [0, 0.5] keeps a2 in [0, 1] because s ranges over [0, 2].
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,19 +37,15 @@ class AttenuationSpec:
 
 
 def attenuation_value(spec: AttenuationSpec, t: float, stats: EdgeStats, x_e: float) -> float:
-    """Attenuation coin bias for one edge at arrival time t."""
+    """Attenuation coin bias for one edge at arrival time t: the range-checked
+    scalar form of :func:`attenuation_profile`."""
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"t must lie in [0, 1], got {t}")
     if not (0.0 <= x_e <= 1.0):
         raise ValueError(f"x_e must lie in [0, 1], got {x_e}")
-    if spec.kind == "trivial":
-        return 1.0
-    if not (0.0 <= stats.s <= 2.0):
+    if spec.kind != "trivial" and not (0.0 <= stats.s <= 2.0):
         raise ValueError(f"s_e must lie in [0, 2], got {stats.s}")
-    base = math.exp(-t * x_e)
-    if spec.kind == "a1":
-        return base
-    return base * (1.0 - spec.alpha * stats.s)
+    return float(attenuation_profile(spec, t, x_e, stats.s))
 
 
 def attenuation_profile(

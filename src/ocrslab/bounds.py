@@ -1,7 +1,7 @@
 """Numeric certification layer.
 
 Four jobs:
-  * quadrature + the special functions h, z, h1, phi used by the analysis;
+  * the special functions h, h1, phi used by the analysis, vectorized;
   * evaluators for the per-edge lower-bound formulas (the probability that an
     edge is matched jointly with seeing zero / one realized earlier neighbor);
   * five-variable minimization certificates for the headline balancedness
@@ -25,11 +25,7 @@ from .graphcore import EdgeStats
 
 __all__ = [
     "H2",
-    "Z0",
-    "QUAD_TOL",
     "h",
-    "quadrature",
-    "z",
     "h1",
     "phi",
     "lemma_r0_bound",
@@ -46,128 +42,65 @@ __all__ = [
     "verify_facts",
 ]
 
-QUAD_TOL = 1e-10
-
 # h(2) = (1 - e^-2)/2, kept in exact form rather than the 4-digit decimal some
 # derivations quote; the certified minima agree to the stated tolerance either way.
 H2 = 0.5 * -math.expm1(-2.0)
 
-# z(0) analytic limit: 1/8 - 1/(8 e^4) - 1/(2 e^2)
-Z0 = 0.125 - 0.125 * math.exp(-4.0) - 0.5 * math.exp(-2.0)
+# setting → (c0, c1, c2, m free?): the r0 constants c0 + c1·(…), the r1
+# coefficient c2, and whether the triangle mass m enters the r1 tail
+FIVE_VAR_SETTINGS: dict[str, tuple[float, float, float, bool]] = {
+    "general": (H2, 0.14, 0.0275, True),
+    "bipartite": (H2, 0.14, 0.0275, False),
+    "patience_general": (0.382, 0.117, 0.02, True),
+    "patience_one_sided": (0.405, 0.131, 0.023, False),
+}
 
 
-def h(x: float) -> float:
-    """(1 - e^{-x})/x, continuously extended by h(0) = 1."""
-    if x < 0:
+def h(x):
+    """(1 - e^{-x})/x elementwise, continuously extended by h(0) = 1."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(x >= 0.0):
         raise ValueError(f"h: x must be ≥ 0, got {x}")
-    if x == 0.0:
-        return 1.0
-    return -math.expm1(-x) / x
+    pos = x > 0.0
+    return np.where(pos, -np.expm1(-x) / np.where(pos, x, 1.0), 1.0)[()]
 
 
-def quadrature(f, a: float, b: float, tol: float = QUAD_TOL) -> float:
-    """Adaptive Simpson integral of f over [a, b], absolute tolerance tol."""
-    if not tol > 0:
-        raise ValueError("quadrature: tol must be positive")
+def h1(a, x):
+    """∫₀^a e^{-bx}·(4 − (3b+4)e^{-3b}) db elementwise, in closed form.
 
-    def _eval(t: float) -> float:
-        v = f(t)
-        if not math.isfinite(v):
-            raise ArithmeticError(f"quadrature: non-finite sample f({t}) = {v}")
-        return v
-
-    def _simpson(x0, f0, x2, f2):
-        x1 = 0.5 * (x0 + x2)
-        f1 = _eval(x1)
-        return x1, f1, (x2 - x0) / 6.0 * (f0 + 4.0 * f1 + f2)
-
-    def _recurse(x0, f0, x2, f2, whole, x1, f1, eps, depth):
-        lm, flm, left = _simpson(x0, f0, x1, f1)
-        rm, frm, right = _simpson(x1, f1, x2, f2)
-        err = left + right - whole
-        if depth > 60 or abs(err) <= 15.0 * eps:
-            return left + right + err / 15.0
-        return _recurse(x0, f0, x1, f1, left, lm, flm, eps / 2.0, depth + 1) + _recurse(
-            x1, f1, x2, f2, right, rm, frm, eps / 2.0, depth + 1
-        )
-
-    if a == b:
-        return 0.0
-    fa, fb = _eval(a), _eval(b)
-    mid, fmid, whole = _simpson(a, fa, b, fb)
-    return _recurse(a, fa, b, fb, whole, mid, fmid, tol, 0)
-
-
-def z(x: float, tol: float = QUAD_TOL) -> float:
-    """∫₀¹ e^{-2a+ax}·((1-e^{-xa})/x − (1-e^{-a(x+2)})/(x+2)) da, with the
-    removable x = 0 singularity handled by its analytic limit."""
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"z: x must lie in [0, 1], got {x}")
-    if x == 0.0:
-        return Z0
-
-    def integrand(a: float) -> float:
-        return math.exp(-2.0 * a + a * x) * (
-            -math.expm1(-x * a) / x + math.expm1(-a * (x + 2.0)) / (x + 2.0)
-        )
-
-    return quadrature(integrand, 0.0, 1.0, tol)
-
-
-def h1(a: float, x: float, tol: float = QUAD_TOL) -> float:
-    """∫₀^a e^{-bx}·(4 − (3b+4)e^{-3b}) db."""
-    if not (0.0 <= a <= 1.0) or not (0.0 <= x <= 1.0):
-        raise ValueError(f"h1: need a, x in [0, 1], got a={a}, x={x}")
-    if a == 0.0:
-        return 0.0
-    return quadrature(
-        lambda b: math.exp(-b * x) * (4.0 - (3.0 * b + 4.0) * math.exp(-3.0 * b)), 0.0, a, tol
-    )
-
-
-def _h1_closed(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Closed form of h1 (elementary antiderivatives), vectorized.
-
-    4·∫e^{-bx}db − ∫(3b+4)e^{-b(x+3)}db over [0, a].  Used by the fact grids;
-    the adaptive-quadrature h1 above is cross-checked against it in tests.
+    4·∫e^{-bx}db − ∫(3b+4)e^{-b(x+3)}db over [0, a], from elementary
+    antiderivatives.
     """
     a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
+    if not (np.all((a >= 0.0) & (a <= 1.0)) and np.all((x >= 0.0) & (x <= 1.0))):
+        raise ValueError(f"h1: need a, x in [0, 1], got a={a}, x={x}")
     c = x + 3.0
-    first = np.where(x > 0.0, 4.0 * -np.expm1(-a * np.where(x > 0.0, x, 1.0)) / np.where(x > 0.0, x, 1.0), 4.0 * a)
+    pos = x > 0.0
+    xs = np.where(pos, x, 1.0)
+    first = np.where(pos, 4.0 * -np.expm1(-a * xs) / xs, 4.0 * a)
     eca = np.exp(-c * a)
     second = (4.0 - (3.0 * a + 4.0) * eca) / c + 3.0 * -np.expm1(-c * a) / (c * c)
-    return first - second
+    return (first - second)[()]
 
 
-def phi(ell: int | None, y: float) -> float:
-    """Pr[Pois(y·(ell−1)) ≤ ell−1]; 1 for ell = 1 and for unbounded ell (None)."""
-    if not (0.0 <= y <= 1.0):
+def phi(ell: int | None, y):
+    """Pr[Pois(y·(ell−1)) ≤ ell−1] elementwise; 1 for ell = 1 and for
+    unbounded ell (None)."""
+    y = np.asarray(y, dtype=float)
+    if not np.all((y >= 0.0) & (y <= 1.0)):
         raise ValueError(f"phi: y must lie in [0, 1], got {y}")
     if ell is None:
-        return 1.0
+        return np.ones_like(y)[()]
     if not isinstance(ell, int) or ell < 1:
         raise ValueError(f"phi: ell must be a positive integer or None, got {ell}")
     lam = y * (ell - 1)
-    term = math.exp(-lam)
-    total = term
-    for k in range(1, ell):
-        term *= lam / k
-        total += term
-    return min(total, 1.0)
-
-
-def _phi_nodes(ell: int | None, ynodes: np.ndarray) -> np.ndarray:
-    """phi on a vector of y values."""
-    if ell is None:
-        return np.ones_like(ynodes)
-    lam = ynodes * (ell - 1)
     term = np.exp(-lam)
     total = term.copy()
     for k in range(1, ell):
         term = term * lam / k
         total += term
-    return np.minimum(total, 1.0)
+    return np.minimum(total, 1.0)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -181,15 +114,15 @@ def _neighbor_arrays(stats: EdgeStats) -> tuple[np.ndarray, np.ndarray]:
     return arr[:, 0], arr[:, 1]
 
 
-def _r0_formula(c0: float, c1: float, stats: EdgeStats, x_e: float, alpha: float) -> float:
+def _r0_formula(setting: str, stats: EdgeStats, x_e: float, alpha: float) -> float:
+    c0, c1, _, _ = FIVE_VAR_SETTINGS[setting]
     xf, sf = _neighbor_arrays(stats)
     coupling = float(np.dot(xf, sf))
     return (1.0 - alpha * stats.s) * (c0 + c1 * (stats.s + alpha * coupling)) * x_e
 
 
-def _r1_formula(
-    c2: float, stats: EdgeStats, x_e: float, alpha: float, use_m: bool
-) -> float:
+def _r1_formula(setting: str, stats: EdgeStats, x_e: float, alpha: float) -> float:
+    _, _, c2, use_m = FIVE_VAR_SETTINGS[setting]
     xf, sf = _neighbor_arrays(stats)
     m = stats.m if use_m else 0.0
     tail = np.maximum(1.0 - m - xf - sf, 0.0)
@@ -198,48 +131,41 @@ def _r1_formula(
 
 
 def lemma_r0_bound(stats: EdgeStats, x_e: float, alpha: float) -> float:
-    """(1 − α·s_e)·(h(2) + 0.14(s_e + α·Σ x_f s_f))·x_e — floor on
-    Pr[e matched ∧ no realized earlier neighbor], no patience."""
-    return _r0_formula(H2, 0.14, stats, x_e, alpha)
+    """(1 − α·s_e)·(c0 + c1(s_e + α·Σ x_f s_f))·x_e with the "general"
+    constants (c0 = h(2)) — floor on Pr[e matched ∧ no realized earlier
+    neighbor], no patience."""
+    return _r0_formula("general", stats, x_e, alpha)
 
 
 def lemma_r1_bound(stats: EdgeStats, x_e: float, alpha: float) -> float:
-    """(1 − α·s_e)(1 − 2α)²·Σ x_f(1 − m_e − x_f − s_f)⁺·0.0275·x_e — floor on
-    Pr[e matched ∧ exactly one realized earlier neighbor], no patience."""
-    return _r1_formula(0.0275, stats, x_e, alpha, use_m=True)
+    """(1 − α·s_e)(1 − 2α)²·Σ x_f(1 − m_e − x_f − s_f)⁺·c2·x_e with the
+    "general" c2 — floor on Pr[e matched ∧ exactly one realized earlier
+    neighbor], no patience."""
+    return _r1_formula("general", stats, x_e, alpha)
 
 
 def patience_r0_bound(stats: EdgeStats, x_e: float, alpha: float) -> float:
-    """Patience-constrained analogue of lemma_r0_bound (constants 0.382/0.117)."""
-    return _r0_formula(0.382, 0.117, stats, x_e, alpha)
+    """Patience-constrained analogue of lemma_r0_bound ("patience_general")."""
+    return _r0_formula("patience_general", stats, x_e, alpha)
 
 
 def patience_r1_bound(stats: EdgeStats, x_e: float, alpha: float) -> float:
-    """Patience-constrained analogue of lemma_r1_bound (coefficient 0.02)."""
-    return _r1_formula(0.02, stats, x_e, alpha, use_m=True)
+    """Patience-constrained analogue of lemma_r1_bound ("patience_general")."""
+    return _r1_formula("patience_general", stats, x_e, alpha)
 
 
 def one_sided_r0_bound(stats: EdgeStats, x_e: float, alpha: float) -> float:
-    """One-sided-patience bipartite analogue (constants 0.405/0.131)."""
-    return _r0_formula(0.405, 0.131, stats, x_e, alpha)
+    """One-sided-patience bipartite analogue ("patience_one_sided")."""
+    return _r0_formula("patience_one_sided", stats, x_e, alpha)
 
 
 def one_sided_r1_bound(stats: EdgeStats, x_e: float, alpha: float) -> float:
-    """One-sided-patience bipartite analogue (coefficient 0.023, no m term)."""
-    return _r1_formula(0.023, stats, x_e, alpha, use_m=False)
+    """One-sided-patience bipartite analogue ("patience_one_sided", no m term)."""
+    return _r1_formula("patience_one_sided", stats, x_e, alpha)
 
 
 # ---------------------------------------------------------------------------
 # five-variable certificates
-
-# setting → (c0, c1, c2, m free?)
-FIVE_VAR_SETTINGS: dict[str, tuple[float, float, float, bool]] = {
-    "general": (H2, 0.14, 0.0275, True),
-    "bipartite": (H2, 0.14, 0.0275, False),
-    "patience_general": (0.382, 0.117, 0.02, True),
-    "patience_one_sided": (0.405, 0.131, 0.023, False),
-}
-
 
 @dataclass(frozen=True)
 class BoundCertificate:
@@ -533,11 +459,10 @@ def verify_facts() -> list[FactCheck]:
         worst = min(worst, float(np.prod(1.0 - r) - (1.0 - r.sum())))
     add("union_bound_product", worst)
 
-    # -- linear underestimate: h(2−x) ≥ h(2) + 0.14x on [0,2] ----------------
+    # -- linear underestimate: h(2−x) ≥ c0 + c1·x on [0,2] (c0 = h(2)) -------
+    c0, c1, _, _ = FIVE_VAR_SETTINGS["general"]
     xs = np.linspace(0.0, 2.0, 20_001)
-    with np.errstate(invalid="ignore"):
-        hv = np.where(xs < 2.0, -np.expm1(-(2.0 - xs)) / np.where(xs < 2.0, 2.0 - xs, 1.0), 1.0)
-    add("h_linear_underestimate", float(np.min(hv - (H2 + 0.14 * xs))))
+    add("h_linear_underestimate", float(np.min(h(2.0 - xs) - (c0 + c1 * xs))))
 
     # -- light-neighbor kernel floor: z(x) ≥ 0.055 on [0,1] ------------------
     anodes = np.linspace(0.0, 1.0, 2001)
@@ -555,6 +480,9 @@ def verify_facts() -> list[FactCheck]:
     add("z_kernel_floor", zmin - 0.055)
 
     # -- r0 integral floors (patience pair / one-sided single form) ----------
+    # floors c0 + c1·k with the patience and one-sided constants
+    pc0, pc1, _, _ = FIVE_VAR_SETTINGS["patience_general"]
+    oc0, oc1, _, _ = FIVE_VAR_SETTINGS["patience_one_sided"]
     # (chunked over the 10,001-point axis, as above, to bound memory)
     y = np.linspace(0.0, 1.0, 2001)
     wy = _simpson_weights(2001, 0.0, 1.0)
@@ -562,9 +490,9 @@ def verify_facts() -> list[FactCheck]:
     for kc in np.array_split(np.linspace(0.0, 2.0, 10_001), 10):
         karr = kc[:, None]
         f22 = (np.exp(-y[None, :] * (4.0 - karr)) * (1.0 + y[None, :]) ** 2) @ wy
-        f22_m = min(f22_m, float(np.min(f22 - (0.382 + 0.117 * kc))))
+        f22_m = min(f22_m, float(np.min(f22 - (pc0 + pc1 * kc))))
         f2 = (np.exp(-y[None, :] * (3.0 - karr)) * (1.0 + y[None, :])) @ wy
-        f2_m = min(f2_m, float(np.min(f2 - (0.405 + 0.131 * kc))))
+        f2_m = min(f2_m, float(np.min(f2 - (oc0 + oc1 * kc))))
     add("patience_r0_floor_at_2", f22_m)
     add("one_sided_r0_floor_at_2", f2_m)
 
@@ -572,7 +500,7 @@ def verify_facts() -> list[FactCheck]:
     g22_m = g2_m = np.inf
     for xc in np.array_split(np.linspace(0.0, 1.0, 10_001), 10):
         xcol = xc[:, None]
-        h1v = _h1_closed(y[None, :], xcol)
+        h1v = h1(y[None, :], xcol)
         g22 = (np.exp(-4.0 * y[None, :] + y[None, :] * xcol) * h1v * (1.0 + y[None, :]) ** 2) @ wy
         g22_m = min(g22_m, float(np.min(g22)))
         g2 = (np.exp(-3.0 * y[None, :] + y[None, :] * xcol) * h1v * (1.0 + y[None, :])) @ wy
@@ -581,7 +509,7 @@ def verify_facts() -> list[FactCheck]:
     add("one_sided_r1_floor_at_2", g2_m - 0.209)
 
     # -- patience-2 minimality scans over ℓ ∈ {1..20, ∞} ----------------------
-    phis = np.vstack([_phi_nodes(ell, y) for ell in _ELLS])
+    phis = np.vstack([phi(ell, y) for ell in _ELLS])
     i2 = _ELLS.index(2)
 
     def pair_margin(kernel: np.ndarray) -> float:
@@ -627,9 +555,9 @@ def verify_facts() -> list[FactCheck]:
     for kk in kgrid:
         kernel = np.exp(-y * (2.0 - kk))
         mat = _ell_scan_matrices(kernel, phis, wy)
-        worst_pair = min(worst_pair, float(mat.min() - (0.382 + 0.117 * kk)))
+        worst_pair = min(worst_pair, float(mat.min() - (pc0 + pc1 * kk)))
         vals = (phis * (kernel * wy)).sum(axis=1)
-        worst_single = min(worst_single, float(vals.min() - (0.405 + 0.131 * kk)))
+        worst_single = min(worst_single, float(vals.min() - (oc0 + oc1 * kk)))
     add("patience_r0_floor_all_ell", worst_pair)
     add("one_sided_r0_floor_all_ell", worst_single)
 

@@ -419,20 +419,9 @@ def _gen_random_general(n: int, density: float, seed: int) -> GeneratedInstance:
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < density]
     if not pairs:
         pairs = [(0, 1)]
-    xs_raw = rng.uniform(0.2, 1.0, size=len(pairs))  # drawn before menus for stable streams
-    es = tuple(
-        Edge(id=f"e{k}", u=f"v{i}", v=f"v{j}", menu=_ocrs_menu(0.0))
-        for k, (i, j) in enumerate(pairs)
-    )
-    load = {v.id: 0.0 for v in vs}
-    for g, e in zip(xs_raw, es):
-        load[e.u] += g
-        load[e.v] += g
-    scale = max(1.0, max(load.values()))
-    x = {e.id: float(g / scale) for g, e in zip(xs_raw, es)}
-    es = tuple(
-        Edge(id=e.id, u=e.u, v=e.v, menu=_ocrs_menu(x[e.id])) for e in es
-    )
+    es = tuple(Edge(id=f"e{k}", u=f"v{i}", v=f"v{j}", menu=()) for k, (i, j) in enumerate(pairs))
+    x = _scaled_point(rng, PricingInstance(vertices=vs, edges=es))  # the menus record x
+    es = tuple(Edge(id=e.id, u=e.u, v=e.v, menu=_ocrs_menu(x[e.id])) for e in es)
     inst = PricingInstance(vertices=vs, edges=es, mode="general")
     return GeneratedInstance(inst, x)
 

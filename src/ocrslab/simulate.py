@@ -8,8 +8,8 @@ proposes when its coins allow and both endpoints are free (and patient), and
 is matched when the proposal is accepted.  The walk also counts Q(e), the
 realized neighbours that arrive before e, as it goes.  Vertex arrival orders
 its edges with one ``lexsort``.  The per-chunk reduction is shared too.
-``monte_carlo`` aggregates chunks into a report, and the ``run_*_trial``
-wrappers return one trial as a :class:`TrialOutcome`.
+``monte_carlo`` aggregates chunks into a report; one trial replays as row 0
+of ``engine.run_chunk(seed, trial, 1, detail=True)``.
 
 The exact oracles (``exact_trivial_oracle``, ``optimal_policy_dp``,
 ``greedy_baseline``) are memoized bitmask recursions over tiny instances and
@@ -19,7 +19,6 @@ serve as ground truth for the statistical engines.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._rng import ACTIVE, ARRIVAL, COIN, PRICE, TrialRNG, hash_uniform
+from ._rng import ACTIVE, ARRIVAL, COIN, PRICE, hash_uniform
 from .attenuation import AttenuationSpec, attenuation_profile
 from .graphcore import (
     EdgeStats,
@@ -42,28 +41,13 @@ Z99 = 2.5758293035489004
 
 _UNBOUNDED = np.int32(2**31 - 1)
 
+# trials x edges cells per chunk: each float64 chunk array stays <= 64 MiB
+_CHUNK_CELLS = 2**23
+
 
 # --------------------------------------------------------------------------
 # result containers
 # --------------------------------------------------------------------------
-
-class EdgeFlags(NamedTuple):
-    active: bool
-    realized: bool
-    probed: bool
-    matched: bool
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Everything observable about a single trial."""
-
-    matched: tuple[str, ...]
-    flags: dict[str, EdgeFlags]
-    q_counts: dict[str, int]
-    revenue: float
-    probes_used: dict[str, int]
-
 
 @dataclass(frozen=True)
 class EdgeReport:
@@ -128,7 +112,6 @@ class _Topology:
         self.u_idx = np.array([vpos[e.u] for e in inst.edges], dtype=np.intp)
         self.v_idx = np.array([vpos[e.v] for e in inst.edges], dtype=np.intp)
         self.edge_ids = tuple(e.id for e in inst.edges)
-        self.vertex_ids = tuple(v.id for v in inst.vertices)
         self.neighbors = inst.neighbors
         widths = np.array([nb.size for nb in self.neighbors], dtype=np.intp)
         self.q_dtype = _count_dtype(int(widths.max(initial=0)))
@@ -311,7 +294,6 @@ class RoOcrsEngine:
         self.x = self.topo.x_vector(x)
         self.s = np.array([stats[eid].s for eid in self.topo.edge_ids], dtype=float)
         self.spec = spec
-        self.x_ref = self.x.copy()
 
     def run_chunk(self, seed: int, start: int, count: int, detail: bool = False):
         e = self.topo.n_edges
@@ -366,7 +348,6 @@ class StochasticOcrsEngine:
         self.x = self.y * self.p
         self.s = np.array([stats[eid].s for eid in self.topo.edge_ids], dtype=float)
         self.spec = spec
-        self.x_ref = self.x.copy()
 
     def run_chunk(self, seed: int, start: int, count: int, detail: bool = False):
         e = self.topo.n_edges
@@ -419,7 +400,6 @@ class VertexArrivalEngine:
             dtype=np.min_scalar_type(max(self.topo.n_vertices - 1, 0)),
         )
         self.x = self.topo.x_vector(x)
-        self.x_ref = self.x.copy()
 
     def run_chunk(self, seed: int, start: int, count: int, detail: bool = False):
         e, nv = self.topo.n_edges, self.topo.n_vertices
@@ -471,7 +451,6 @@ class SequentialPricingEngine:
                 c = coeffs[edg.id][k]
                 self.menu_r[i, k] = c / entry.p if entry.p > 0 else 0.0
         self.x = (self.menu_y * self.menu_p).sum(axis=1)
-        self.x_ref = self.x.copy()
         self.spec = spec
         # s_e from the induced marginals, for the a2 profile
         d = np.array([self.x[nb].sum() if nb.size else 0.0 for nb in inst.neighbors])
@@ -510,44 +489,6 @@ class SequentialPricingEngine:
 
 
 # --------------------------------------------------------------------------
-# single-trial wrappers
-# --------------------------------------------------------------------------
-
-def _single(engine, rng: TrialRNG) -> TrialOutcome:
-    det: _ChunkDetail = engine.run_chunk(rng.seed, rng.trial, 1, detail=True)
-    topo = engine.topo
-    flags = {
-        eid: EdgeFlags(
-            bool(det.active[0, i]),
-            bool(det.realized[0, i]),
-            bool(det.probed[0, i]),
-            bool(det.matched[0, i]),
-        )
-        for i, eid in enumerate(topo.edge_ids)
-    }
-    matched = tuple(eid for i, eid in enumerate(topo.edge_ids) if det.matched[0, i])
-    q = {eid: int(det.q[0, i]) for i, eid in enumerate(topo.edge_ids)}
-    probes = {vid: int(det.probes_used[0, k]) for k, vid in enumerate(topo.vertex_ids)}
-    return TrialOutcome(matched, flags, q, float(det.revenue[0]), probes)
-
-
-def run_ro_ocrs_trial(inst, x, stats, spec, rng: TrialRNG) -> TrialOutcome:
-    return _single(RoOcrsEngine(inst, x, stats, spec), rng)
-
-
-def run_stochastic_ocrs_trial(inst, y, p, stats, spec, rng: TrialRNG) -> TrialOutcome:
-    return _single(StochasticOcrsEngine(inst, y, p, stats, spec), rng)
-
-
-def run_vertex_arrival_trial(inst, x, rng: TrialRNG) -> TrialOutcome:
-    return _single(VertexArrivalEngine(inst, x), rng)
-
-
-def run_sequential_pricing_trial(inst, point, spec, rng: TrialRNG, objective="revenue") -> TrialOutcome:
-    return _single(SequentialPricingEngine(inst, point, spec, objective), rng)
-
-
-# --------------------------------------------------------------------------
 # Monte-Carlo aggregation
 # --------------------------------------------------------------------------
 
@@ -562,26 +503,26 @@ def monte_carlo(
 
     Per-trial streams are keyed by the absolute trial index, and reduction
     walks chunks in index order with integer counters, so the result is
-    bit-identical for any worker count or chunk size.
+    bit-identical for any worker count or chunk size.  A chunk holds at most
+    `chunk_size` trials, and fewer on wide instances, so that no
+    (trials, edges) float array passes 64 MiB.  `workers=None` means 1.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if workers is None:
-        workers = int(os.environ.get("OCRS_WORKERS", "1"))
-    starts = list(range(0, trials, chunk_size))
-    jobs = [(s, min(chunk_size, trials - s)) for s in starts]
+    n_edges = len(engine.topo.edge_ids)
+    chunk = max(1, min(chunk_size, _CHUNK_CELLS // max(n_edges, 1)))
+    jobs = [(s, min(chunk, trials - s)) for s in range(0, trials, chunk)]
 
     def work(job):
         s, n = job
         return engine.run_chunk(master_seed, s, n)
 
-    if workers > 1 and len(jobs) > 1:
+    if workers is not None and workers > 1 and len(jobs) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(work, jobs))
     else:
         results = [work(j) for j in jobs]
 
-    n_edges = len(engine.topo.edge_ids)
     matched = np.zeros(n_edges, dtype=np.int64)
     r0 = np.zeros(n_edges, dtype=np.int64)
     r1 = np.zeros(n_edges, dtype=np.int64)
@@ -597,7 +538,7 @@ def monte_carlo(
     for i, eid in enumerate(engine.topo.edge_ids):
         freq = matched[i] / trials
         lo, hi = wilson_interval(int(matched[i]), trials)
-        xr = float(engine.x_ref[i])
+        xr = float(engine.x[i])
         ratio = freq / xr if xr > 0 else math.nan
         if xr > 0:
             min_ratio = min(min_ratio, ratio)

@@ -196,6 +196,11 @@ def run_criteria(
         seed_counter += 1
         return master_seed + 7919 * seed_counter
 
+    def run(engine):
+        return monte_carlo(engine, trials, next_seed(), workers=workers)
+
+    stats = {entry.name: edge_stats(entry.x, entry.instance) for entry in suite}
+
     # ---- 1: fact battery --------------------------------------------------
     t0 = time.time()
     rows = bounds.verify_facts()
@@ -238,10 +243,9 @@ def run_criteria(
 
     # ---- 3: tightness reproduction -----------------------------------------
     entry100 = next(e for e in suite if e.name == "tight_path3_100")
-    stats100 = edge_stats(entry100.x, entry100.instance)
     t0 = time.time()
     rep3 = monte_carlo(
-        RoOcrsEngine(entry100.instance, entry100.x, stats100, a1),
+        RoOcrsEngine(entry100.instance, entry100.x, stats[entry100.name], a1),
         trials,
         master_seed,
         workers=workers,
@@ -265,10 +269,7 @@ def run_criteria(
     for entry in suite:
         if not entry.name.startswith("star_"):
             continue
-        st = edge_stats(entry.x, entry.instance)
-        rep = monte_carlo(
-            RoOcrsEngine(entry.instance, entry.x, st, a1), trials, next_seed(), workers=workers
-        )
+        rep = run(RoOcrsEngine(entry.instance, entry.x, stats[entry.name], a1))
         worst4 = min(worst4, min(er.ratio for er in rep.edges))
     results.append(
         CriterionResult(
@@ -280,72 +281,30 @@ def run_criteria(
     )
 
     # ---- shared batteries ----------------------------------------------------
-    runs_a2 = {}
-    runs_triv = {}
+    # (entry, stats, report) per instance; the next_seed() order is fixed
+    runs_a2, runs_triv, runs_stoch, runs_one_sided, runs_vertex = {}, {}, {}, {}, {}
     for entry in suite:
-        st = edge_stats(entry.x, entry.instance)
+        st = stats[entry.name]
         runs_a2[entry.name] = (
-            entry,
-            st,
-            monte_carlo(
-                RoOcrsEngine(entry.instance, entry.x, st, a2_general),
-                trials,
-                next_seed(),
-                workers=workers,
-            ),
+            entry, st, run(RoOcrsEngine(entry.instance, entry.x, st, a2_general))
         )
-        runs_triv[entry.name] = (
-            entry,
-            st,
-            monte_carlo(
-                RoOcrsEngine(entry.instance, entry.x, st, triv),
-                trials,
-                next_seed(),
-                workers=workers,
-            ),
-        )
-
-    runs_stoch = {}
+        runs_triv[entry.name] = (entry, st, run(RoOcrsEngine(entry.instance, entry.x, st, triv)))
     for entry in suite:
         inst_p, y, p = stochastic_variant(entry)
-        st = edge_stats(entry.x, entry.instance)
+        st = stats[entry.name]
         runs_stoch[entry.name] = (
-            entry,
-            st,
-            monte_carlo(
-                StochasticOcrsEngine(inst_p, y, p, st, a2_patience),
-                trials,
-                next_seed(),
-                workers=workers,
-            ),
+            entry, st, run(StochasticOcrsEngine(inst_p, y, p, st, a2_patience))
         )
-
-    runs_one_sided = {}
-    runs_vertex = {}
     for entry in suite:
         if not entry.bipartite:
             continue
         inst_o, y, p = one_sided_variant(entry)
-        st = edge_stats(entry.x, entry.instance)
+        st = stats[entry.name]
         runs_one_sided[entry.name] = (
-            entry,
-            st,
-            monte_carlo(
-                StochasticOcrsEngine(inst_o, y, p, st, a2_one_sided),
-                trials,
-                next_seed(),
-                workers=workers,
-            ),
+            entry, st, run(StochasticOcrsEngine(inst_o, y, p, st, a2_one_sided))
         )
         runs_vertex[entry.name] = (
-            entry,
-            st,
-            monte_carlo(
-                VertexArrivalEngine(vertex_variant(entry), entry.x),
-                trials,
-                next_seed(),
-                workers=workers,
-            ),
+            entry, st, run(VertexArrivalEngine(vertex_variant(entry), entry.x))
         )
 
     # ---- 5: balancedness floors ----------------------------------------------
@@ -427,7 +386,7 @@ def run_criteria(
         if sol.objective <= 0:
             continue
         eng = SequentialPricingEngine(inst, sol.point, a2_general, objective=objective)
-        rep = monte_carlo(eng, trials, next_seed(), workers=workers)
+        rep = run(eng)
         slack = (rep.revenue_mean + 3.0 * rep.revenue_ci) / sol.objective - 0.45
         worst_rev = min(worst_rev, slack)
     rev_ok = worst_rev >= 0

@@ -72,8 +72,8 @@ def test_profile_matches_scalar():
     prof = attenuation_profile(spec, t, x, s)
     for i in range(5):
         for j in range(3):
-            assert math.isclose(
-                prof[i, j],
-                attenuation_value(spec, float(t[i, j]), _stats(s=float(s[j])), float(x[j])),
-            )
+            tij, xj, sj = float(t[i, j]), float(x[j]), float(s[j])
+            # the scalar form is the profile itself; the formula is written out here
+            assert attenuation_value(spec, tij, _stats(s=sj), xj) == prof[i, j]
+            assert math.isclose(prof[i, j], math.exp(-tij * xj) * (1.0 - 0.171 * sj))
     assert np.all(attenuation_profile(AttenuationSpec("trivial"), t, x, s) == 1.0)

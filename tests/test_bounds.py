@@ -1,14 +1,17 @@
-"""Quadrature, kernel functions, lemma bound formulas, fact battery, and the
+"""Kernel functions, lemma bound formulas, fact battery, and the
 five-variable minimization certificates.
 
 Frozen constants below were computed once with an independent high-precision
 quadrature and are asserted at tolerances far above that reference's error.
+The adaptive quadrature in ``reference`` is the scalar oracle the library's
+closed-form and vectorized kernels are compared against.
 """
 
 import math
 
 import numpy as np
 import pytest
+import reference as ref
 
 from ocrslab import bounds
 from ocrslab.attenuation import AttenuationSpec
@@ -44,45 +47,45 @@ def test_h_values():
 
 def test_quadrature_closed_forms():
     assert math.isclose(
-        bounds.quadrature(lambda y: math.exp(-2 * y), 0, 1, 1e-10), H2, abs_tol=1e-9
+        ref.quadrature(lambda y: math.exp(-2 * y), 0, 1, 1e-10), H2, abs_tol=1e-9
     )
     assert math.isclose(
-        bounds.quadrature(lambda z: (1 - z) ** 2, 0, 1, 1e-10), 1 / 3, abs_tol=1e-10
+        ref.quadrature(lambda z: (1 - z) ** 2, 0, 1, 1e-10), 1 / 3, abs_tol=1e-10
     )
-    val = bounds.quadrature(lambda y: math.exp(-4 * y) * (1 + y) ** 2, 0, 1, 1e-10)
+    val = ref.quadrature(lambda y: math.exp(-4 * y) * (1 + y) ** 2, 0, 1, 1e-10)
     assert val >= 0.382
 
 
 def test_quadrature_tolerance_self_consistency():
     f = lambda a: math.exp(-3 * a + 0.4 * a) * (1 + a)
-    coarse = bounds.quadrature(f, 0, 1, 1e-6)
-    fine = bounds.quadrature(f, 0, 1, 1e-12)
+    coarse = ref.quadrature(f, 0, 1, 1e-6)
+    fine = ref.quadrature(f, 0, 1, 1e-12)
     assert abs(coarse - fine) < 1e-6
 
 
 def test_quadrature_rejects_non_finite():
     with pytest.raises(ArithmeticError):
-        bounds.quadrature(lambda a: float("inf"), 0, 1, 1e-8)
+        ref.quadrature(lambda a: float("inf"), 0, 1, 1e-8)
 
 
 def test_h1_adaptive_matches_closed_form():
     for a in (0.1, 0.5, 1.0):
         for x in (0.0, 0.4, 1.0):
-            closed = float(bounds._h1_closed(a, x))
-            assert math.isclose(bounds.h1(a, x), closed, abs_tol=1e-9)
+            closed = float(bounds.h1(a, x))
+            assert math.isclose(ref.h1(a, x), closed, abs_tol=1e-9)
 
 
 def test_z_values_and_shape():
-    assert bounds.z(0.0) == Z0
+    assert ref.z(0.0) == ref.Z0 == Z0
     assert Z0 == 1 / 8 - 1 / (8 * math.e**4) - 1 / (2 * math.e**2)
-    assert math.isclose(bounds.z(1.0), Z1, abs_tol=1e-9)
+    assert math.isclose(ref.z(1.0), Z1, abs_tol=1e-9)
     grid = np.linspace(0, 1, 201)
-    vals = [bounds.z(float(x)) for x in grid]
+    vals = [ref.z(float(x)) for x in grid]
     # the kernel never dips below its x = 0 value, which carries the 0.055 floor
     assert min(vals) >= 0.055
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))  # nondecreasing
     with pytest.raises(ValueError):
-        bounds.z(1.5)
+        ref.z(1.5)
 
 
 def test_decomposition_term_is_decreasing():
@@ -104,15 +107,15 @@ def test_h1_values_and_floors():
     with pytest.raises(ValueError):
         bounds.h1(1.2, 0.3)
     for x in np.linspace(0, 1, 21):
-        v45 = bounds.quadrature(
-            lambda a: math.exp(-4 * a + a * x) * bounds.h1(a, float(x)) * (1 + a) ** 2,
+        v45 = ref.quadrature(
+            lambda a: math.exp(-4 * a + a * x) * ref.h1(a, float(x)) * (1 + a) ** 2,
             0,
             1,
             1e-9,
         )
         assert v45 >= 0.181
-        vc4 = bounds.quadrature(
-            lambda a: math.exp(-3 * a + a * x) * bounds.h1(a, float(x)) * (1 + a),
+        vc4 = ref.quadrature(
+            lambda a: math.exp(-3 * a + a * x) * ref.h1(a, float(x)) * (1 + a),
             0,
             1,
             1e-9,
@@ -130,6 +133,29 @@ def test_phi_values():
         bounds.phi(0, 0.5)
     with pytest.raises(ValueError):
         bounds.phi(2, 1.5)
+
+
+def test_kernels_take_arrays():
+    x = np.linspace(0.0, 2.0, 9)
+    assert np.array_equal(bounds.h(x), [bounds.h(float(v)) for v in x])
+    a, y = np.meshgrid(np.linspace(0, 1, 5), np.linspace(0, 1, 7))
+    closed = bounds.h1(a, y)
+    assert closed.shape == a.shape
+    for i, j in np.ndindex(a.shape):
+        assert closed[i, j] == bounds.h1(float(a[i, j]), float(y[i, j]))
+        assert math.isclose(closed[i, j], ref.h1(float(a[i, j]), float(y[i, j])), abs_tol=1e-9)
+    ys = np.linspace(0.0, 1.0, 11)
+    for ell in (None, 1, 2, 5):
+        vals = bounds.phi(ell, ys)
+        assert vals.shape == ys.shape
+        assert np.array_equal(vals, [bounds.phi(ell, float(v)) for v in ys])
+    # every element is range-checked
+    with pytest.raises(ValueError):
+        bounds.h(np.array([1.0, -0.1]))
+    with pytest.raises(ValueError):
+        bounds.h1(np.array([0.5, 1.2]), 0.3)
+    with pytest.raises(ValueError):
+        bounds.phi(2, np.array([0.5, 1.5]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ocrslab._rng import ACTIVE, ARRIVAL, COIN, PRICE, TrialRNG, hash_uniform
+from ocrslab._rng import ACTIVE, ARRIVAL, COIN, PRICE, hash_uniform
 
 U64 = st.integers(min_value=0, max_value=2**64 - 1)
 
@@ -57,10 +57,3 @@ def test_uniformity_sanity():
     assert abs(np.mean(vals < 0.25) - 0.25) < 0.005
     assert vals.min() >= 0.0 and vals.max() < 1.0
 
-
-def test_trial_rng_wraps_hash():
-    rng = TrialRNG(seed=5, trial=17)
-    assert rng.uniform(3, COIN) == float(hash_uniform(5, 17, 3, COIN))
-    arr = rng.uniform_units(4, ARRIVAL, offset=10)
-    expect = [float(hash_uniform(5, 17, 10 + k, ARRIVAL)) for k in range(4)]
-    assert list(arr) == expect

@@ -6,13 +6,13 @@ probability, and the pinned ones make failures reproducible.
 """
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocrslab._rng import TrialRNG
 from ocrslab.attenuation import AttenuationSpec
 from ocrslab.graphcore import (
     Edge,
@@ -28,13 +28,11 @@ from ocrslab.simulate import (
     SequentialPricingEngine,
     StochasticOcrsEngine,
     VertexArrivalEngine,
+    _ChunkCounts,
     exact_trivial_oracle,
     greedy_baseline,
     monte_carlo,
     optimal_policy_dp,
-    run_ro_ocrs_trial,
-    run_stochastic_ocrs_trial,
-    run_vertex_arrival_trial,
     wilson_interval,
 )
 
@@ -61,6 +59,15 @@ def _two_path(x0=0.5, x1=0.5):
         [("e0", "v0", "v1"), ("e1", "v1", "v2")],
         ["v0", "v1", "v2"],
     )
+
+
+def assert_matching(inst, matched_row):
+    """The edges flagged in one trial's row share no vertex."""
+    used = set()
+    for e, m in zip(inst.edges, matched_row):
+        if m:
+            assert e.u not in used and e.v not in used
+            used.update((e.u, e.v))
 
 
 # ---------------------------------------------------------------------------
@@ -159,26 +166,46 @@ def test_chunking_and_workers_do_not_change_results():
     assert monte_carlo(eng, 30_000, 5, chunk_size=1234, workers=3) == base
 
 
+class _WideEngine:
+    """Stands in for an engine on `n_edges` edges and records its chunk sizes."""
+
+    def __init__(self, n_edges: int):
+        self.topo = SimpleNamespace(edge_ids=tuple(f"e{i}" for i in range(n_edges)))
+        self.x = np.zeros(n_edges)
+        self.counts = []
+
+    def run_chunk(self, seed, start, count, detail=False):
+        self.counts.append(count)
+        zeros = np.zeros(len(self.x), dtype=np.int64)
+        return _ChunkCounts(zeros, zeros, zeros, 0.0, 0.0)
+
+
+def test_chunks_are_capped_by_memory_on_wide_instances():
+    eng = _WideEngine(100_000)
+    rep = monte_carlo(eng, 200, 1)
+    assert rep.trials == 200
+    assert sum(eng.counts) == 200
+    # a (trials, edges) float64 array of any chunk stays at or below 64 MiB
+    assert max(eng.counts) * 100_000 * 8 <= 64 * 2**20
+    assert eng.counts == [83, 83, 34]
+    # a narrow instance keeps the requested chunk size
+    narrow = _WideEngine(479)
+    monte_carlo(narrow, 40_000, 1)
+    assert narrow.counts == [16384, 16384, 7232]
+
+
 @settings(max_examples=60, deadline=None)
 @given(trial=st.integers(0, 10**6))
 def test_trial_outcomes_form_matchings(trial):
     gen = generate_family("random_general", n=6, density=0.5, seed=3)
     stats = edge_stats(gen.x, gen.instance)
-    out = run_ro_ocrs_trial(gen.instance, gen.x, stats, A2, TrialRNG(17, trial))
-    used = set()
-    for eid in out.matched:
-        e = gen.instance.edge_by_id[eid]
-        assert e.u not in used and e.v not in used
-        used.update((e.u, e.v))
-    for eid, fl in out.flags.items():
-        if fl.matched:
-            assert fl.realized and eid in out.matched
-        if fl.realized:
-            assert fl.active
-        n_nbrs = len(stats[eid].neighbors)
-        assert 0 <= out.q_counts[eid] <= n_nbrs
-        if fl.matched:
-            assert out.q_counts[eid] >= 0
+    eng = RoOcrsEngine(gen.instance, gen.x, stats, A2)
+    det = eng.run_chunk(17, trial, 1, detail=True)  # row 0 is the trial
+    assert_matching(gen.instance, det.matched[0])
+    assert np.all(det.realized[0] | ~det.matched[0])  # matched => realized
+    assert np.all(det.active[0] | ~det.realized[0])  # realized => active
+    n_nbrs = [len(stats[e.id].neighbors) for e in gen.instance.edges]
+    assert np.all((det.q[0] >= 0) & (det.q[0] <= n_nbrs))
 
 
 def test_matched_iff_realized_and_q_zero_on_disjoint_edges():
@@ -243,13 +270,12 @@ def test_stochastic_probe_semantics(trial):
     stats = edge_stats(gen.x, inst)
     y = {e.id: 1.0 for e in inst.edges}
     p = {e.id: 0.5 for e in inst.edges}
-    out = run_stochastic_ocrs_trial(inst, y, p, stats, TRIV, TrialRNG(23, trial))
-    assert out.probes_used[center] <= 1
-    for eid, fl in out.flags.items():
-        if fl.probed and fl.active:
-            assert fl.matched  # an active probe commits
-        if fl.matched:
-            assert fl.probed
+    eng = StochasticOcrsEngine(inst, y, p, stats, TRIV)
+    det = eng.run_chunk(23, trial, 1, detail=True)
+    assert det.probes_used[0, inst.vertex_pos[center]] <= 1
+    probed, active, matched = det.probed[0], det.active[0], det.matched[0]
+    assert np.all(matched | ~(probed & active))  # an active probe commits
+    assert np.all(probed | ~matched)
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +310,8 @@ def test_vertex_trials_form_matchings(trial):
     import dataclasses
 
     inst = dataclasses.replace(gen.instance, mode="vertex-arrival")
-    out = run_vertex_arrival_trial(inst, gen.x, TrialRNG(29, trial))
-    used = set()
-    for eid in out.matched:
-        e = inst.edge_by_id[eid]
-        assert e.u not in used and e.v not in used
-        used.update((e.u, e.v))
+    det = VertexArrivalEngine(inst, gen.x).run_chunk(29, trial, 1, detail=True)
+    assert_matching(inst, det.matched[0])
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +353,9 @@ def test_pricing_respects_patience():
     rep = monte_carlo(eng, 20_000, 8)
     total_matched = sum(er.matched for er in rep.edges)
     assert total_matched <= rep.trials  # never both edges in one trial
-    from ocrslab.simulate import _single
-
-    for trial in range(200):
-        out = _single(eng, TrialRNG(8, trial))
-        assert out.probes_used["hub"] <= 1
-        assert len(out.matched) <= 1
+    det = eng.run_chunk(8, 0, 200, detail=True)  # row k is trial k
+    assert np.all(det.probes_used[:, inst.vertex_pos["hub"]] <= 1)
+    assert np.all(det.matched.sum(axis=1) <= 1)
 
 
 def test_pricing_offers_from_menus_wider_than_127_entries():
