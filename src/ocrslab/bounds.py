@@ -6,7 +6,9 @@ Four jobs:
     edge is matched jointly with seeing zero / one realized earlier neighbor);
   * five-variable minimization certificates for the headline balancedness
     constants (0.450 general / 0.456 bipartite / 0.395 patience / 0.426
-    one-sided patience);
+    one-sided patience), each the exact minimum of the program: a reduction
+    proved in `five_var_minimize` leaves a piecewise cubic in one variable,
+    minimized over its piece ends and stationary points;
   * a battery of grid-verified inequalities ("facts") that the bound
     derivations lean on, each reported with its worst-case margin.
 
@@ -28,12 +30,8 @@ __all__ = [
     "h",
     "h1",
     "phi",
-    "lemma_r0_bound",
-    "lemma_r1_bound",
-    "patience_r0_bound",
-    "patience_r1_bound",
-    "one_sided_r0_bound",
-    "one_sided_r1_bound",
+    "r0_bound",
+    "r1_bound",
     "BoundCertificate",
     "five_var_minimize",
     "FIVE_VAR_SETTINGS",
@@ -114,54 +112,32 @@ def _neighbor_arrays(stats: EdgeStats) -> tuple[np.ndarray, np.ndarray]:
     return arr[:, 0], arr[:, 1]
 
 
-def _r0_formula(setting: str, stats: EdgeStats, x_e: float, alpha: float) -> float:
-    c0, c1, _, _ = FIVE_VAR_SETTINGS[setting]
+def _constants(setting: str) -> tuple[float, float, float, bool]:
+    try:
+        return FIVE_VAR_SETTINGS[setting]
+    except KeyError:
+        raise ValueError(f"unknown setting {setting!r}; known: {sorted(FIVE_VAR_SETTINGS)}") from None
+
+
+def r0_bound(setting: str, stats: EdgeStats, x_e: float, alpha: float) -> float:
+    """(1 − α·s_e)·(c0 + c1(s_e + α·Σ x_f s_f))·x_e with the constants of
+    `setting` — floor on Pr[e matched ∧ no realized earlier neighbor]."""
+    c0, c1, _, _ = _constants(setting)
     xf, sf = _neighbor_arrays(stats)
     coupling = float(np.dot(xf, sf))
     return (1.0 - alpha * stats.s) * (c0 + c1 * (stats.s + alpha * coupling)) * x_e
 
 
-def _r1_formula(setting: str, stats: EdgeStats, x_e: float, alpha: float) -> float:
-    _, _, c2, use_m = FIVE_VAR_SETTINGS[setting]
+def r1_bound(setting: str, stats: EdgeStats, x_e: float, alpha: float) -> float:
+    """(1 − α·s_e)(1 − 2α)²·Σ x_f(1 − m_e − x_f − s_f)⁺·c2·x_e with the c2 of
+    `setting`, and m_e = 0 where the setting does not free m — floor on
+    Pr[e matched ∧ exactly one realized earlier neighbor]."""
+    _, _, c2, use_m = _constants(setting)
     xf, sf = _neighbor_arrays(stats)
     m = stats.m if use_m else 0.0
     tail = np.maximum(1.0 - m - xf - sf, 0.0)
     total = float(np.dot(xf, tail))
     return (1.0 - alpha * stats.s) * (1.0 - 2.0 * alpha) ** 2 * total * c2 * x_e
-
-
-def lemma_r0_bound(stats: EdgeStats, x_e: float, alpha: float) -> float:
-    """(1 − α·s_e)·(c0 + c1(s_e + α·Σ x_f s_f))·x_e with the "general"
-    constants (c0 = h(2)) — floor on Pr[e matched ∧ no realized earlier
-    neighbor], no patience."""
-    return _r0_formula("general", stats, x_e, alpha)
-
-
-def lemma_r1_bound(stats: EdgeStats, x_e: float, alpha: float) -> float:
-    """(1 − α·s_e)(1 − 2α)²·Σ x_f(1 − m_e − x_f − s_f)⁺·c2·x_e with the
-    "general" c2 — floor on Pr[e matched ∧ exactly one realized earlier
-    neighbor], no patience."""
-    return _r1_formula("general", stats, x_e, alpha)
-
-
-def patience_r0_bound(stats: EdgeStats, x_e: float, alpha: float) -> float:
-    """Patience-constrained analogue of lemma_r0_bound ("patience_general")."""
-    return _r0_formula("patience_general", stats, x_e, alpha)
-
-
-def patience_r1_bound(stats: EdgeStats, x_e: float, alpha: float) -> float:
-    """Patience-constrained analogue of lemma_r1_bound ("patience_general")."""
-    return _r1_formula("patience_general", stats, x_e, alpha)
-
-
-def one_sided_r0_bound(stats: EdgeStats, x_e: float, alpha: float) -> float:
-    """One-sided-patience bipartite analogue ("patience_one_sided")."""
-    return _r0_formula("patience_one_sided", stats, x_e, alpha)
-
-
-def one_sided_r1_bound(stats: EdgeStats, x_e: float, alpha: float) -> float:
-    """One-sided-patience bipartite analogue ("patience_one_sided", no m term)."""
-    return _r1_formula("patience_one_sided", stats, x_e, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -173,9 +149,6 @@ class BoundCertificate:
     alpha: float
     minimizer: tuple[float, float, float, float, float]  # (s, d, dbig, x, m)
     minimum: float
-    grid_resolution: int
-    refinements: int
-    quadrature_tol: float  # 0.0: the objective is closed-form
     sign_conditions: dict[str, float]
 
 
@@ -195,77 +168,31 @@ def _objective_arrays(setting: str, alpha: float, x, d, dbig, m):
     return (1.0 - alpha * s) * inner
 
 
-def _map_u(u: np.ndarray, free_m: bool):
-    """Scaled coordinates u ∈ [0,1]^k → feasible (x, d, dbig, m).
+def five_var_minimize(setting: str, alpha: float) -> BoundCertificate:
+    """The exact minimum of the five-variable program for one setting.
 
-    x = u0, d = u1·(2−2x), dbig = u2·d, m = u3 (or 0), so the feasible wedge
-    s + d = 2 − x, d ≤ 2(1−x), 0 ≤ dbig ≤ d becomes a static unit box.
+    The feasible set is x ∈ [0, 1], 0 ≤ d ≤ 2(1 − x), 0 ≤ dbig ≤ d and
+    m ∈ [0, 1] (m = 0 when the setting does not free it), with s = 2 − x − d.
+    Write the objective as f = (1 − αs)·B, with q = (1 − 2α)².  For a fixed
+    s ∈ [0, 2], d ranges over [max(0, 2 − 2s), 2 − s] and x = 2 − s − d.
+
+    * The factor 1 − αs ≥ 0 depends on s alone, so it is enough to minimize B.
+    * B is linear in dbig with slope (1 − m)(c1α/2 − c2q).  So dbig* = 0 when
+      the slope is ≥ 0 and dbig* = d otherwise, which leaves
+      B = c0 + c1s + c1αm² + (1 − m)κd with κ = min(c2q, c1α/2) ≥ 0.
+    * That B is nondecreasing in d for every m, so d* = max(0, 2 − 2s) and
+      x* = min(s, 2 − s).
+    * B is convex in m.  When m is free, m* = κd/(2c1α) ≤ d/4 ≤ 1/2, since
+      κ ≤ c1α/2, so the clip to [0, 1] never binds.  If c1α = 0 then κ = 0,
+      every m ties, and m* = 0.
+
+    What is left is f(s), a polynomial of degree ≤ 3 on each of [0, 1] and
+    [1, 2] (where d* = m* = 0).  Its minimum lies at a piece end s ∈ {0, 1, 2}
+    or at a real root of a piece's derivative inside that piece.  The
+    objective is evaluated at every candidate's reduced point, and the
+    smallest value wins, at the smallest s on a tie.
     """
-    x = u[..., 0]
-    d = u[..., 1] * (2.0 - 2.0 * x)
-    dbig = u[..., 2] * d
-    m = u[..., 3] if free_m else np.zeros_like(x)
-    return x, d, dbig, m
-
-
-def _nelder_mead(fun, u0: np.ndarray, max_iter: int = 600, ftol: float = 1e-13):
-    """Minimize fun over the unit box (fun clips internally). Deterministic."""
-    k = u0.size
-    pts = [np.clip(u0, 0.0, 1.0)]
-    for i in range(k):
-        p = pts[0].copy()
-        p[i] = p[i] + 0.02 if p[i] <= 0.98 else p[i] - 0.02
-        pts.append(p)
-    simplex = np.array(pts)
-    fvals = np.array([fun(p) for p in simplex])
-
-    for _ in range(max_iter):
-        order = np.argsort(fvals, kind="stable")
-        simplex, fvals = simplex[order], fvals[order]
-        if fvals[-1] - fvals[0] < ftol:
-            break
-        centroid = simplex[:-1].mean(axis=0)
-        worst = simplex[-1]
-        refl = centroid + (centroid - worst)
-        f_refl = fun(refl)
-        if f_refl < fvals[0]:
-            expd = centroid + 2.0 * (centroid - worst)
-            f_expd = fun(expd)
-            if f_expd < f_refl:
-                simplex[-1], fvals[-1] = expd, f_expd
-            else:
-                simplex[-1], fvals[-1] = refl, f_refl
-        elif f_refl < fvals[-2]:
-            simplex[-1], fvals[-1] = refl, f_refl
-        else:
-            contr = centroid + 0.5 * (worst - centroid)
-            f_contr = fun(contr)
-            if f_contr < fvals[-1]:
-                simplex[-1], fvals[-1] = contr, f_contr
-            else:  # shrink toward the best vertex
-                for i in range(1, k + 1):
-                    simplex[i] = simplex[0] + 0.5 * (simplex[i] - simplex[0])
-                    fvals[i] = fun(simplex[i])
-    best = int(np.argmin(fvals))
-    return simplex[best], float(fvals[best])
-
-
-def five_var_minimize(
-    setting: str,
-    alpha: float,
-    grid_resolution: int = 81,
-    refinements: int = 3,
-) -> BoundCertificate:
-    """Certify the minimum of the five-variable program for one setting.
-
-    Dense grid over the scaled unit box, `refinements` zoom rounds around the
-    incumbent (window = ±2 grid steps per round), then Nelder–Mead polish from
-    the best grid cells.  Ties broken toward lexicographically smaller scaled
-    coordinates, so results are bit-reproducible.
-    """
-    if setting not in FIVE_VAR_SETTINGS:
-        raise ValueError(f"unknown setting {setting!r}; known: {sorted(FIVE_VAR_SETTINGS)}")
-    c0, c1, c2, free_m = FIVE_VAR_SETTINGS[setting]
+    c0, c1, c2, free_m = _constants(setting)
     if setting in ("general", "bipartite") and not (0.12 <= alpha <= 0.5):
         raise ValueError(
             f"{setting}: alpha must lie in [0.12, 0.5] (the bound derivation's "
@@ -273,90 +200,39 @@ def five_var_minimize(
         )
     if not (0.0 <= alpha <= 0.5):
         raise ValueError(f"alpha must lie in [0, 0.5], got {alpha}")
-    n = int(grid_resolution)
-    if n < 3:
-        raise ValueError("grid_resolution must be ≥ 3")
-
-    k = 4 if free_m else 3
-
-    def fun_point(u: np.ndarray) -> float:
-        uu = np.clip(u, 0.0, 1.0)
-        full = np.concatenate([uu, [0.0]]) if k == 3 else uu
-        x, d, dbig, m = _map_u(full.reshape(1, -1), free_m)
-        return float(_objective_arrays(setting, alpha, x, d, dbig, m)[0])
-
-    lo = np.zeros(k)
-    hi = np.ones(k)
-    best_val = np.inf
-    best_u: np.ndarray | None = None
-    nm_seeds: list[np.ndarray] = []
-
-    for rnd in range(refinements + 1):
-        axes = [np.linspace(lo[i], hi[i], n) for i in range(k)]
-        if k == 4:
-            g1, g2, g3 = np.meshgrid(axes[1], axes[2], axes[3], indexing="ij")
-        else:
-            g1, g2 = np.meshgrid(axes[1], axes[2], indexing="ij")
-            g3 = np.zeros_like(g1)
-        slice_bests: list[tuple[float, np.ndarray]] = []
-        for i0 in range(n):  # chunk over the first coordinate to bound memory
-            x0 = axes[0][i0]
-            d = g1 * (2.0 - 2.0 * x0)
-            dbig = g2 * d
-            vals = _objective_arrays(setting, alpha, x0, d, dbig, g3)
-            flat = vals.reshape(-1)
-            j = int(np.argmin(flat))  # first minimum in C order = lexicographic
-            v = float(flat[j])
-            idx = np.unravel_index(j, vals.shape)
-            cand = np.array([x0] + [axes[i + 1][idx[i]] for i in range(k - 1)])
-            slice_bests.append((v, cand))
-            if v < best_val:
-                best_val, best_u = v, cand
-        if rnd == 0:
-            for v, cand in sorted(slice_bests, key=lambda t: t[0])[:8]:
-                nm_seeds.append(cand)
-        nm_seeds.append(best_u.copy())
-        step = (hi - lo) / (n - 1)
-        lo = np.clip(best_u - 2.0 * step, 0.0, 1.0)
-        hi = np.clip(best_u + 2.0 * step, 0.0, 1.0)
-
-    for seed in nm_seeds:
-        u_pol, v_pol = _nelder_mead(fun_point, seed)
-        if v_pol < best_val - 1e-15:
-            best_val, best_u = v_pol, np.clip(u_pol, 0.0, 1.0)
-
-    full = np.concatenate([best_u, [0.0]]) if k == 3 else best_u
-    x_, d_, dbig_, m_ = _map_u(full.reshape(1, -1), free_m)
-    x_, d_, dbig_, m_ = float(x_[0]), float(d_[0]), float(dbig_[0]), float(m_[0])
-    s_ = 2.0 - x_ - d_
-
-    # feasibility of the reported minimizer
-    checks = [
-        abs(s_ + d_ - (2.0 - x_)) <= 1e-9,
-        d_ <= 2.0 * (1.0 - x_) + 1e-9,
-        -1e-12 <= dbig_ <= d_ + 1e-12,
-        -1e-12 <= m_ <= 1.0 + 1e-12,
-        x_ >= -1e-12,
-        s_ >= -1e-12,
-    ]
-    if not all(checks):
-        raise RuntimeError(f"certificate minimizer violates constraints: {(s_, d_, dbig_, x_, m_)}")
 
     q = (1.0 - 2.0 * alpha) ** 2
-    sign_conditions = {
-        "neighbor_slack_coefficient": c1 * alpha - c2 * q,
-        "neighbor_mass_squared_coefficient": c1 * alpha - 2.0 * c2 * q,
-    }
+    ca = c1 * alpha
+    kappa = min(c2 * q, ca / 2.0)
+    k = kappa / (2.0 * ca) if free_m and ca > 0.0 else 0.0  # m* = k·d*
+
+    S = np.polynomial.Polynomial([0.0, 1.0])
+    d1 = 2.0 - 2.0 * S
+    pieces = (
+        (c0 + c1 * S + ca * (k * d1) ** 2 + (1.0 - k * d1) * kappa * d1, 0.0, 1.0),
+        (c0 + c1 * S, 1.0, 2.0),
+    )
+    cands = [0.0, 1.0, 2.0]
+    for b, lo, hi in pieces:
+        roots = ((1.0 - alpha * S) * b).deriv().roots()
+        cands += [float(r.real) for r in roots if r.imag == 0.0 and lo <= r.real <= hi]
+    s = np.array(sorted(cands))
+    d = np.maximum(0.0, 2.0 - 2.0 * s)
+    x = np.minimum(s, 2.0 - s)
+    dbig = d if ca / 2.0 < c2 * q else np.zeros_like(d)
+    vals = _objective_arrays(setting, alpha, x, d, dbig, k * d)
+    i = int(np.argmin(vals))  # the first minimum has the smallest s
+    x_, d_ = float(x[i]), float(d[i])
 
     return BoundCertificate(
         setting=setting,
         alpha=alpha,
-        minimizer=(s_, d_, dbig_, x_, m_),
-        minimum=best_val,
-        grid_resolution=n,
-        refinements=refinements,
-        quadrature_tol=0.0,
-        sign_conditions=sign_conditions,
+        minimizer=(2.0 - x_ - d_, d_, float(dbig[i]), x_, float(k * d[i])),
+        minimum=float(vals[i]),
+        sign_conditions={
+            "neighbor_slack_coefficient": ca - c2 * q,
+            "neighbor_mass_squared_coefficient": ca - 2.0 * c2 * q,
+        },
     )
 
 
@@ -468,7 +344,11 @@ def verify_facts() -> list[FactCheck]:
     anodes = np.linspace(0.0, 1.0, 2001)
     wa = _simpson_weights(2001, 0.0, 1.0)
     zmin = np.inf
-    for xc in np.array_split(np.linspace(0.0, 1.0, 10_001), 10):
+    # 20 chunks of the 10,001-point axis keep each temporary near 8 MB.  Far
+    # smaller chunks lower the peak further but slow the later Monte Carlo:
+    # glibc's mmap threshold rises only to the largest block freed, and
+    # chunk arrays of a few MB above it are mapped afresh on every call.
+    for xc in np.array_split(np.linspace(0.0, 1.0, 10_001), 20):
         xc2 = xc[:, None]
         an = anodes[None, :]
         first = np.where(
@@ -487,7 +367,7 @@ def verify_facts() -> list[FactCheck]:
     y = np.linspace(0.0, 1.0, 2001)
     wy = _simpson_weights(2001, 0.0, 1.0)
     f22_m = f2_m = np.inf
-    for kc in np.array_split(np.linspace(0.0, 2.0, 10_001), 10):
+    for kc in np.array_split(np.linspace(0.0, 2.0, 10_001), 20):
         karr = kc[:, None]
         f22 = (np.exp(-y[None, :] * (4.0 - karr)) * (1.0 + y[None, :]) ** 2) @ wy
         f22_m = min(f22_m, float(np.min(f22 - (pc0 + pc1 * kc))))
@@ -498,7 +378,7 @@ def verify_facts() -> list[FactCheck]:
 
     # -- r1 integral floors over x ∈ [0,1] ------------------------------------
     g22_m = g2_m = np.inf
-    for xc in np.array_split(np.linspace(0.0, 1.0, 10_001), 10):
+    for xc in np.array_split(np.linspace(0.0, 1.0, 10_001), 20):
         xcol = xc[:, None]
         h1v = h1(y[None, :], xcol)
         g22 = (np.exp(-4.0 * y[None, :] + y[None, :] * xcol) * h1v * (1.0 + y[None, :]) ** 2) @ wy

@@ -26,6 +26,7 @@ from .graphcore import (
     MenuEntry,
     PricingInstance,
     Vertex,
+    check_polytope,
     edge_stats,
     generate_family,
     validate_instance,
@@ -108,6 +109,13 @@ def _field(row, key: str, kind, where: str, default=_REQUIRED):
         return default
     if isinstance(val, bool) or not isinstance(val, kind):
         raise ValueError(f"{where}: {key!r} has the wrong type {type(val).__name__}")
+    if isinstance(val, _NUMBER):
+        try:
+            finite = math.isfinite(val)
+        except OverflowError:  # an int beyond the float range
+            finite = False
+        if not finite:
+            raise ValueError(f"{where}: {key!r} is not a finite number in the float range")
     return val
 
 
@@ -251,6 +259,9 @@ def _build_engine(args, inst: PricingInstance, x: dict[str, float] | None):
         return SequentialPricingEngine(inst, sol.point, spec, objective=objective), sol
     if x is None:
         raise ValueError(f"scheme {args.scheme!r} needs an embedded x in the instance file")
+    fit = check_polytope(x, inst)
+    if not fit.ok:
+        raise ValueError(f"x lies outside the matching polytope at {fit.worst} (excess {fit.excess:.3g})")
     if args.scheme == "ro-ocrs":
         return RoOcrsEngine(inst, x, edge_stats(x, inst), spec), None
     if args.scheme == "vertex":
@@ -326,9 +337,7 @@ def _cmd_bounds(args) -> int:
         raise ValueError(
             f"unknown setting {args.setting!r}; known: {sorted(_SETTING_ALIASES)}"
         )
-    cert = bounds.five_var_minimize(
-        setting, args.alpha, grid_resolution=args.grid, refinements=args.refinements
-    )
+    cert = bounds.five_var_minimize(setting, args.alpha)
     print(f"{setting} alpha={args.alpha}: certified minimum {cert.minimum:.6f}")
     out = args.out or f"cert_{setting}.json"
     _write_json(out, dataclasses.asdict(cert))
@@ -356,8 +365,6 @@ def _cmd_suite(args) -> int:
     results = run_criteria(
         trials=args.trials,
         master_seed=args.seed,
-        grid_resolution=args.grid,
-        refinements=args.refinements,
         workers=args.workers,
     )
     for r in results:
@@ -416,8 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="certify a balancedness constant")
     p.add_argument("--setting", required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--grid", type=int, default=81)
-    p.add_argument("--refinements", type=int, default=3)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bounds)
 
@@ -428,8 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run the full acceptance battery")
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--grid", type=int, default=81)
-    p.add_argument("--refinements", type=int, default=3)
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_suite)

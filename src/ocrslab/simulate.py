@@ -39,8 +39,6 @@ from .lp import auto_objective, objective_coefficients
 # 99% two-sided normal quantile, used for every interval in the reports.
 Z99 = 2.5758293035489004
 
-_UNBOUNDED = np.int32(2**31 - 1)
-
 # trials x edges cells per chunk: each float64 chunk array stays <= 64 MiB
 _CHUNK_CELLS = 2**23
 
@@ -120,11 +118,14 @@ class _Topology:
         # a sum of per-vertex counts
         degree = np.bincount(np.concatenate([self.u_idx, self.v_idx]), minlength=self.n_vertices)
         self.simple = bool(np.array_equal(widths, degree[self.u_idx] + degree[self.v_idx] - 2))
-        pat = np.full(self.n_vertices, _UNBOUNDED, dtype=np.int32)
-        for k, v in enumerate(inst.vertices):
-            if v.patience is not None:
-                pat[k] = v.patience
-        self.patience = pat
+        # a vertex spends at most one patience unit per incident edge, so a
+        # budget of its degree never binds: unbounded and huge budgets store
+        # the degree, and every budget fits the int32 walk counters
+        cap = degree.tolist()
+        self.patience = np.array(
+            [c if v.patience is None else min(v.patience, c) for v, c in zip(inst.vertices, cap)],
+            dtype=np.int32,
+        )
 
     def x_vector(self, x: dict[str, float]) -> np.ndarray:
         return np.array([x.get(eid, 0.0) for eid in self.edge_ids], dtype=float)

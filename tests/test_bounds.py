@@ -164,37 +164,39 @@ def test_kernels_take_arrays():
 
 def test_r0_bound_isolated_edge():
     st = _stats(s=1.0)
-    assert math.isclose(bounds.lemma_r0_bound(st, 1.0, 0.0), H2 + 0.14, abs_tol=1e-12)
-    assert math.isclose(bounds.patience_r0_bound(st, 1.0, 0.0), 0.382 + 0.117, abs_tol=1e-12)
+    assert math.isclose(bounds.r0_bound("general", st, 1.0, 0.0), H2 + 0.14, abs_tol=1e-12)
+    assert math.isclose(bounds.r0_bound("patience_general", st, 1.0, 0.0), 0.382 + 0.117, abs_tol=1e-12)
 
 
 def test_one_sided_r0_at_zero_slack():
     st = _stats(s=0.0)
     for alpha in (0.0, 0.162, 0.3):
-        assert math.isclose(bounds.one_sided_r0_bound(st, 0.7, alpha), 0.405 * 0.7, abs_tol=1e-12)
+        assert math.isclose(bounds.r0_bound("patience_one_sided", st, 0.7, alpha), 0.405 * 0.7, abs_tol=1e-12)
 
 
 def test_r1_bound_alpha_zero_reduction():
     st = _stats(s=0.5, d=0.8, m=0.1, neighbor_xs=((0.5, 0.2), (0.3, 0.6)))
     tail = sum(xf * max(0.0, 1.0 - 0.1 - xf - sf) for xf, sf in st.neighbor_xs)
-    assert math.isclose(bounds.lemma_r1_bound(st, 0.4, 0.0), 0.0275 * tail * 0.4, abs_tol=1e-12)
-    assert math.isclose(bounds.patience_r1_bound(st, 0.4, 0.0), 0.02 * tail * 0.4, abs_tol=1e-12)
+    assert math.isclose(bounds.r1_bound("general", st, 0.4, 0.0), 0.0275 * tail * 0.4, abs_tol=1e-12)
+    assert math.isclose(bounds.r1_bound("patience_general", st, 0.4, 0.0), 0.02 * tail * 0.4, abs_tol=1e-12)
     # one-sided tail ignores the triangle mass m
     tail_os = sum(xf * max(0.0, 1.0 - xf - sf) for xf, sf in st.neighbor_xs)
-    assert math.isclose(bounds.one_sided_r1_bound(st, 0.4, 0.0), 0.023 * tail_os * 0.4, abs_tol=1e-12)
+    assert math.isclose(
+        bounds.r1_bound("patience_one_sided", st, 0.4, 0.0), 0.023 * tail_os * 0.4, abs_tol=1e-12
+    )
 
 
 def test_bounds_scale_linearly_in_x():
     st = _stats(s=0.6, d=1.0, m=0.0, neighbor_xs=((0.5, 0.5), (0.5, 0.9)))
-    for fn in (
-        bounds.lemma_r0_bound,
-        bounds.lemma_r1_bound,
-        bounds.patience_r0_bound,
-        bounds.patience_r1_bound,
-        bounds.one_sided_r0_bound,
-        bounds.one_sided_r1_bound,
-    ):
-        assert math.isclose(fn(st, 0.4, 0.171), 2.0 * fn(st, 0.2, 0.171), abs_tol=1e-12)
+    for setting in ("general", "patience_general", "patience_one_sided"):
+        for fn in (bounds.r0_bound, bounds.r1_bound):
+            assert math.isclose(fn(setting, st, 0.4, 0.171), 2.0 * fn(setting, st, 0.2, 0.171), abs_tol=1e-12)
+
+
+def test_bounds_reject_unknown_setting():
+    for fn in (bounds.r0_bound, bounds.r1_bound):
+        with pytest.raises(ValueError, match="known: .*'patience_general'"):
+            fn("lemma", _stats(s=0.5), 0.4, 0.171)
 
 
 # ---------------------------------------------------------------------------
@@ -235,10 +237,7 @@ def certs():
         "patience_general": 0.16,
         "patience_one_sided": 0.162,
     }
-    return {
-        s: bounds.five_var_minimize(s, a, grid_resolution=41, refinements=2)
-        for s, a in settings.items()
-    }
+    return {s: bounds.five_var_minimize(s, a) for s, a in settings.items()}
 
 
 def test_certified_minima(certs):
@@ -260,24 +259,48 @@ def test_minimizers_satisfy_constraints(certs):
         assert certs[setting].minimizer[4] == 0.0  # m pinned
 
 
-def test_grid_doubling_convergence():
-    a = bounds.five_var_minimize("bipartite", 0.171, grid_resolution=41, refinements=2)
-    b = bounds.five_var_minimize("bipartite", 0.171, grid_resolution=81, refinements=2)
-    assert abs(a.minimum - b.minimum) < 1e-3
+# minima from the grid, zoom and Nelder–Mead search this exact reduction
+# replaced; the last four pin the dbig* = d branch, c1·α = 0, and the s = 2
+# corner (where 1 − α·s vanishes at α = 1/2)
+SEARCHED_MINIMA = [
+    ("general", 0.171, 0.45022370000324896),
+    ("bipartite", 0.171, 0.45614537838169367),
+    ("patience_general", 0.16, 0.39592732991453006),
+    ("patience_one_sided", 0.162, 0.42602089600000004),
+    ("general", 0.12, 0.44493235838169365),
+    ("patience_general", 0.0, 0.382),
+    ("patience_one_sided", 0.4, 0.1334),
+    ("general", 0.5, 0.0),
+]
+
+
+@pytest.mark.parametrize("setting, alpha, minimum", SEARCHED_MINIMA)
+def test_minimum_matches_searched_value(setting, alpha, minimum):
+    cert = bounds.five_var_minimize(setting, alpha)
+    assert abs(cert.minimum - minimum) <= 1e-12
+    # the reported minimizer attains the reported minimum
+    s, d, dbig, x, m = cert.minimizer
+    assert bounds._objective_arrays(setting, alpha, x, d, dbig, m) == cert.minimum
+
+
+@pytest.mark.parametrize("setting, alpha, minimum", SEARCHED_MINIMA)
+def test_no_sampled_point_below_minimum(setting, alpha, minimum):
+    cert = bounds.five_var_minimize(setting, alpha)
+    u = np.random.default_rng(20261018).random((100_000, 4))
+    x = u[:, 0]
+    d = u[:, 1] * (2.0 - 2.0 * x)
+    dbig = u[:, 2] * d
+    m = u[:, 3] if bounds.FIVE_VAR_SETTINGS[setting][3] else 0.0
+    vals = bounds._objective_arrays(setting, alpha, x, d, dbig, m)
+    assert vals.min() >= cert.minimum - 1e-12
 
 
 def test_certificate_equality_invariant(certs):
-    pairs = {
-        "general": (bounds.lemma_r0_bound, bounds.lemma_r1_bound),
-        "bipartite": (bounds.lemma_r0_bound, bounds.lemma_r1_bound),
-        "patience_general": (bounds.patience_r0_bound, bounds.patience_r1_bound),
-        "patience_one_sided": (bounds.one_sided_r0_bound, bounds.one_sided_r1_bound),
-    }
     for setting, cert in certs.items():
         st, x_e = bounds.synthetic_stats_at(cert.minimizer)
-        r0, r1 = pairs[setting]
-        realized = (r0(st, x_e, cert.alpha) + r1(st, x_e, cert.alpha)) / x_e
-        assert abs(realized - cert.minimum) < 1e-6, setting
+        r0 = bounds.r0_bound(setting, st, x_e, cert.alpha)
+        r1 = bounds.r1_bound(setting, st, x_e, cert.alpha)
+        assert abs((r0 + r1) / x_e - cert.minimum) < 1e-6, setting
 
 
 def test_cross_validation_on_suite_instances(certs):
@@ -287,8 +310,8 @@ def test_cross_validation_on_suite_instances(certs):
         for eid, xe in entry.x.items():
             if xe <= 0:
                 continue
-            total = bounds.lemma_r0_bound(stats[eid], xe, 0.171) + bounds.lemma_r1_bound(
-                stats[eid], xe, 0.171
+            total = bounds.r0_bound("general", stats[eid], xe, 0.171) + bounds.r1_bound(
+                "general", stats[eid], xe, 0.171
             )
             assert total / xe >= floor, (entry.name, eid)
 

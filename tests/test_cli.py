@@ -1,10 +1,17 @@
 """End-to-end command-line checks run through main() with argv lists."""
 
+import contextlib
+import copy
+import io
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ocrslab.cli import instance_from_dict, instance_to_dict, load_instance, main
 from ocrslab.graphcore import check_polytope, generate_family
@@ -66,8 +73,10 @@ def test_corrupt_instance_rejected(tmp_path):
         (lambda doc: doc["edges"][0].pop("menu"), "edges[0]: missing key 'menu'"),
         (lambda doc: doc.pop("vertices"), "instance: missing key 'vertices'"),
         (lambda doc: doc.update(edges={"e0": doc["edges"][0]}), "instance: 'edges' has the wrong type"),
+        (lambda doc: doc["edges"][0]["menu"][0].update(w=math.nan), "edges[0].menu[0]: 'w' is not a finite number"),
+        (lambda doc: doc["vertices"][0].update(patience=10**400), "vertices[0]: 'patience' is not a finite number"),
     ],
-    ids=["no-menu", "no-vertices", "edges-not-a-list"],
+    ids=["no-menu", "no-vertices", "edges-not-a-list", "nan-weight", "patience-beyond-float"],
 )
 def test_malformed_instance_file_is_a_clean_error(tmp_path, capsys, break_doc, message):
     doc = json.loads(_gen(tmp_path, "star", "--k", "3").read_text())
@@ -159,6 +168,14 @@ def test_simulate_scheme_input_errors(tmp_path):
     # vertex arrival needs side tags
     gen = _gen(tmp_path, "random_general", "--n", "5", "--density", "0.5", "--seed", "2")
     assert main(["simulate", "--instance", str(gen), "--scheme", "vertex"]) == 1
+    # marginals must lie in the matching polytope
+    for value in (-0.5, 1.5):
+        doc = json.loads(star.read_text())
+        doc["x"][0]["value"] = value
+        off = tmp_path / "off.json"
+        off.write_text(json.dumps(doc))
+        for scheme in ("ro-ocrs", "vertex"):
+            assert main(["simulate", "--instance", str(off), "--scheme", scheme]) == 1
 
 
 def test_simulate_rejects_nonpositive_trials(tmp_path):
@@ -172,6 +189,100 @@ def test_simulate_missing_file(tmp_path):
                  "--scheme", "ro-ocrs"]) == 1
 
 
+def test_simulate_patience_beyond_int32(tmp_path):
+    # a budget of at least a vertex's degree never binds, however large
+    doc = json.loads(_gen(tmp_path, "star", "--k", "3").read_text())
+    for v in doc["vertices"]:
+        v["patience"] = 3_000_000_000
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+    for v in doc["vertices"]:
+        del v["patience"]
+    free = tmp_path / "free.json"
+    free.write_text(json.dumps(doc))
+    for inst in (huge, free):
+        assert main(["simulate", "--instance", str(inst), "--scheme", "stochastic",
+                     "--trials", "2000", "--seed", "3", "--out", str(tmp_path / f"run_{inst.stem}")]) == 0
+    for ext in (".csv", ".json"):
+        assert (tmp_path / f"run_huge{ext}").read_bytes() == (tmp_path / f"run_free{ext}").read_bytes()
+    assert main(["simulate", "--instance", str(huge), "--scheme", "pricing",
+                 "--trials", "200", "--out", str(tmp_path / "priced")]) == 0
+
+
+# ---------------------------------------------------------------------------
+# malformed instance files: a clean error or a normal run, never a traceback
+
+_NUMBERS = st.one_of(
+    st.sampled_from([-1, 0, 2**31, 2**63, 3_000_000_000, 10**400, -(10**400), math.nan, math.inf]),
+    st.integers(),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+_WRONG_TYPES = st.one_of(
+    st.booleans(),
+    st.text(max_size=3),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.dictionaries(st.sampled_from(["id", "w", "p"]), st.integers(-2, 2), max_size=2),
+)
+
+
+def _paths(node, path=()):
+    """Every location in a JSON document, the root included."""
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _paths(child, path + (key,))
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+# a bipartite star with marginals, single-entry menus and one patience budget:
+# every scheme runs on it unedited
+_STAR = generate_family("star", k=3)
+_DOC = instance_to_dict(_STAR.instance, _STAR.x)
+_DOC["vertices"][0]["patience"] = 1
+_PATHS = list(_paths(_DOC))
+# a numeric field set to any number, or any location deleted (None) or given
+# a value of the wrong type
+_EDIT = st.one_of(
+    st.tuples(st.sampled_from([p for p in _PATHS if type(_at(_DOC, p)) in (int, float)]), _NUMBERS),
+    st.tuples(st.sampled_from(_PATHS), st.none() | _WRONG_TYPES),
+)
+
+
+def _edited(path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(_DOC)
+    if value is None:
+        del _at(doc, path[:-1])[path[-1]]
+    else:
+        _at(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    edit=_EDIT,
+    scheme=st.sampled_from(["ro-ocrs", "stochastic", "vertex", "pricing"]),
+    trials=st.integers(1, 50),
+)
+def test_simulate_fuzzed_instance_files(edit, scheme, trials):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "inst.json"
+        path.write_text(json.dumps(_edited(*edit)))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["simulate", "--instance", str(path), "--scheme", scheme,
+                         "--trials", str(trials), "--out", str(Path(tmp) / "run")])
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # bounds + verify-facts
 
@@ -179,7 +290,7 @@ def test_simulate_missing_file(tmp_path):
 def test_bounds_writes_certificate(tmp_path, capsys):
     out = tmp_path / "cert.json"
     assert main(["bounds", "--setting", "one-sided", "--alpha", "0.162",
-                 "--grid", "13", "--refinements", "1", "--out", str(out)]) == 0
+                 "--out", str(out)]) == 0
     cert = json.loads(out.read_text())
     assert cert["setting"] == "patience_one_sided"
     assert cert["alpha"] == 0.162
@@ -206,8 +317,7 @@ def test_verify_facts_csv(tmp_path, monkeypatch):
 
 def test_suite_smoke(tmp_path, capsys):
     out = tmp_path / "suite.json"
-    code = main(["suite", "--trials", "400", "--seed", "0", "--grid", "9",
-                 "--refinements", "0", "--out", str(out)])
+    code = main(["suite", "--trials", "400", "--seed", "0", "--out", str(out)])
     text = capsys.readouterr().out
     results = json.loads(out.read_text())
     assert len(results) == 9
