@@ -89,10 +89,6 @@ class PricingInstance:
         return {v.id: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def edge_pos(self) -> dict[str, int]:
-        return {e.id: i for i, e in enumerate(self.edges)}
-
-    @cached_property
     def incident(self) -> dict[str, tuple[int, ...]]:
         """vertex id → positions of incident edges, in edge order."""
         inc: dict[str, list[int]] = {v.id: [] for v in self.vertices}

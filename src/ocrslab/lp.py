@@ -54,7 +54,6 @@ class LinearProgram:
     c: np.ndarray  # (n,)
     A: np.ndarray  # (m, n) dense
     b: np.ndarray  # (m,)
-    row_kinds: tuple[tuple[str, str], ...]  # ("budget"|"capacity"|"patience", id)
     var_keys: tuple[tuple[str, float], ...]  # (edge id, price) per column
     var_p: tuple[float, ...]  # acceptance probability per column
 
@@ -116,7 +115,6 @@ def build_lp_pricing(inst: PricingInstance, objective: str = "revenue") -> Linea
     n = len(var_keys)
     rows: list[np.ndarray] = []
     b: list[float] = []
-    kinds: list[tuple[str, str]] = []
 
     for e in inst.edges:
         row = np.zeros(n)
@@ -124,7 +122,6 @@ def build_lp_pricing(inst: PricingInstance, objective: str = "revenue") -> Linea
             row[col_of[(e.id, k)]] = 1.0
         rows.append(row)
         b.append(1.0)
-        kinds.append(("budget", e.id))
 
     for v in inst.vertices:
         row = np.zeros(n)
@@ -134,7 +131,6 @@ def build_lp_pricing(inst: PricingInstance, objective: str = "revenue") -> Linea
                 row[col_of[(e.id, k)]] += entry.p
         rows.append(row)
         b.append(1.0)
-        kinds.append(("capacity", v.id))
 
     for v in inst.vertices:
         if v.patience is None:
@@ -146,13 +142,11 @@ def build_lp_pricing(inst: PricingInstance, objective: str = "revenue") -> Linea
                 row[col_of[(e.id, k)]] += 1.0
         rows.append(row)
         b.append(float(v.patience))
-        kinds.append(("patience", v.id))
 
     return LinearProgram(
         c=np.array(c),
         A=np.vstack(rows) if rows else np.zeros((0, n)),
         b=np.array(b),
-        row_kinds=tuple(kinds),
         var_keys=tuple(var_keys),
         var_p=tuple(var_p),
     )
@@ -173,7 +167,7 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = PIVOT
     T[:m, n : n + m] = np.eye(m)
     T[:m, -1] = b
     T[m, :n] = -c
-    basis = list(range(n, n + m))
+    basis = np.arange(n, n + m)
 
     max_iter = 50 * (m + n + 10)
     for _ in range(max_iter):
@@ -182,16 +176,13 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = PIVOT
             break
         entering = improving[0]  # Bland: first improving column
         col = T[:m, entering]
-        best_ratio, leave = np.inf, -1
-        for i in range(m):
-            if col[i] > tol:
-                ratio = T[i, -1] / col[i]
-                if ratio < best_ratio - 1e-15 or (
-                    abs(ratio - best_ratio) <= 1e-15 and (leave < 0 or basis[i] < basis[leave])
-                ):
-                    best_ratio, leave = ratio, i
-        if leave < 0:
+        eligible = np.flatnonzero(col > tol)
+        if eligible.size == 0:
             raise RuntimeError("simplex: unbounded direction (malformed program)")
+        # Bland: among the (near-)minimum ratios, the smallest basic index
+        ratio = T[eligible, -1] / col[eligible]
+        tied = eligible[ratio <= ratio.min() + 1e-15]
+        leave = tied[np.argmin(basis[tied])]
         piv = T[leave, entering]
         T[leave] /= piv
         # only rows with a nonzero entry change, so no other row's zeros flip
@@ -205,8 +196,7 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = PIVOT
         raise RuntimeError("simplex: iteration limit hit (malformed program)")
 
     x = np.zeros(n + m)
-    for i, bi in enumerate(basis):
-        x[bi] = T[i, -1]
+    x[basis] = T[:m, -1]
     sol = x[:n]
 
     # optimality + feasibility certificate

@@ -6,10 +6,12 @@ the counter-based stream (so worker count can never change a trial), sets up
 its own coins and arrival order, and hands them to ``_walk``: an edge
 proposes when its coins allow and both endpoints are free (and patient), and
 is matched when the proposal is accepted.  The walk also counts Q(e), the
-realized neighbours that arrive before e, as it goes.  Vertex arrival orders
-its edges with one ``lexsort``.  The per-chunk reduction is shared too.
-``monte_carlo`` aggregates chunks into a report; one trial replays as row 0
-of ``engine.run_chunk(seed, trial, 1, detail=True)``.
+realized neighbours that arrive before e in its own arrival order, as it
+goes; on multigraphs it recounts them from arrival positions.  Vertex
+arrival orders its edges with one ``lexsort``.  The per-chunk reduction is
+shared too.  ``monte_carlo`` aggregates chunks into a report, summing
+revenue in fixed blocks of trials; one trial replays as row 0 of
+``engine.run_chunk(seed, trial, 1, detail=True)``.
 
 The exact oracles (``exact_trivial_oracle``, ``optimal_policy_dp``,
 ``greedy_baseline``) are memoized bitmask recursions over tiny instances and
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -41,6 +44,10 @@ Z99 = 2.5758293035489004
 
 # trials x edges cells per chunk: each float64 chunk array stays <= 64 MiB
 _CHUNK_CELLS = 2**23
+
+# the default chunk, and the block of absolute trial indices whose revenues
+# are summed together, so that chunking never changes a revenue sum
+_BLOCK_TRIALS = 16384
 
 
 # --------------------------------------------------------------------------
@@ -131,15 +138,15 @@ class _Topology:
         return np.array([x.get(eid, 0.0) for eid in self.edge_ids], dtype=float)
 
 
-def _q_counts(realized: np.ndarray, key: np.ndarray, topo: _Topology) -> np.ndarray:
-    """|Q(e)| per trial: realized neighbors arriving strictly before e."""
+def _q_counts(realized: np.ndarray, position: np.ndarray, topo: _Topology) -> np.ndarray:
+    """|Q(e)| per trial: realized neighbors at an earlier arrival position."""
     t, e = realized.shape
     q = np.zeros((t, e), dtype=topo.q_dtype)
     for i in range(e):
         nb = topo.neighbors[i]
         if nb.size == 0:
             continue
-        before = key[:, nb] < key[:, i : i + 1]
+        before = position[:, nb] < position[:, i : i + 1]
         q[:, i] = (realized[:, nb] & before).sum(axis=1)
     return q
 
@@ -148,8 +155,7 @@ class _ChunkCounts(NamedTuple):
     matched: np.ndarray  # int64 per edge
     r0: np.ndarray
     r1: np.ndarray
-    revenue_sum: float
-    revenue_sqsum: float
+    revenue: np.ndarray  # per trial
 
 
 class _ChunkDetail(NamedTuple):
@@ -176,21 +182,11 @@ def _reduce_chunk(matched, q, revenue) -> _ChunkCounts:
         matched.sum(axis=0, dtype=np.int64),
         r0.sum(axis=0, dtype=np.int64),
         r1.sum(axis=0, dtype=np.int64),
-        float(revenue.sum()),
-        float((revenue * revenue).sum()),
+        revenue,
     )
 
 
-def _tied_trials(key: np.ndarray, order: np.ndarray, block: int = 1024) -> np.ndarray:
-    """Trials in which two edges share an arrival key (adjacent in `order`)."""
-    tied = np.zeros(len(order), dtype=bool)
-    for r in range(0, len(order), block):
-        k = np.take_along_axis(key[r : r + block], order[r : r + block], axis=1)
-        tied[r : r + block] = (k[:, 1:] == k[:, :-1]).any(axis=1)
-    return tied
-
-
-def _walk(topo: _Topology, order, go, accept, key, patience=None, reward=None):
+def _walk(topo: _Topology, order, go, accept, patience=None, reward=None):
     """The greedy walk every scheme shares, over (trials, edges) coin arrays.
 
     Edges arrive in `order`.  An arriving edge proposes when `go` holds and
@@ -199,14 +195,13 @@ def _walk(topo: _Topology, order, go, accept, key, patience=None, reward=None):
     and is marked probed.  A proposal is matched when `accept` also holds,
     and a match adds its `reward` to the trial's revenue.
 
-    Also returns Q(e), the number of e's neighbours that arrive before e and
-    are realized (`go` and `accept` both hold).  A per-(trial, vertex)
-    counter of realized arrivals, read at both endpoints before e adds its
-    own, counts them as the walk goes.  `order` sorts `key` stably, and
-    `_q_counts` counts only strictly smaller keys, so it recounts every trial
-    with a tied key, and every trial when the graph has parallel edges or
-    self-loops.  `key=None` declares the order strict.  Arrays are read and
-    written through flat (trial * width + column) indices.
+    Also returns Q(e), the number of e's neighbours that arrive before e in
+    `order` and are realized (`go` and `accept` both hold).  A per-(trial,
+    vertex) counter of realized arrivals, read at both endpoints before e
+    adds its own, counts them as the walk goes.  With parallel edges or
+    self-loops an edge is not one neighbour per endpoint, so `_q_counts`
+    counts them from arrival positions instead.  Arrays are read and written
+    through flat (trial * width + column) indices.
     """
     count, e = go.shape
     nv = topo.n_vertices
@@ -248,14 +243,9 @@ def _walk(topo: _Topology, order, go, accept, key, patience=None, reward=None):
             revenue[win] += reward_f[fe[win]]
 
     if arrived is None:
-        if key is None:
-            key = np.empty_like(order)  # arrival positions: a strict key
-            np.put_along_axis(key, order, np.arange(e), axis=1)
-        q = _q_counts(go & accept, key, topo)
-    elif key is not None:
-        tied = _tied_trials(key, order)
-        if tied.any():
-            q[tied] = _q_counts(go[tied] & accept[tied], key[tied], topo)
+        positions = np.empty_like(order)
+        np.put_along_axis(positions, order, np.arange(e), axis=1)
+        q = _q_counts(go & accept, positions, topo)
     if patience is None:
         probes = np.zeros((count, nv), dtype=np.int32)
     else:
@@ -310,7 +300,7 @@ class RoOcrsEngine:
         )
 
         order = np.argsort(t, axis=1, kind="stable")
-        walk, q = _walk(self.topo, order, realized, active, t)
+        walk, q = _walk(self.topo, order, realized, active)
         return _chunk_result(walk, active, realized, q, detail)
 
 
@@ -362,7 +352,7 @@ class StochasticOcrsEngine:
         realized = active & probe_ok
 
         order = np.argsort(t, axis=1, kind="stable")
-        walk, q = _walk(self.topo, order, probe_ok, active, t, self.topo.patience)
+        walk, q = _walk(self.topo, order, probe_ok, active, self.topo.patience)
         return _chunk_result(walk, active, realized, q, detail)
 
 
@@ -370,8 +360,8 @@ def _vertex_order(t_e: np.ndarray, t_v: np.ndarray, online: np.ndarray) -> np.nd
     """Edge arrival order per trial when online vertices arrive.
 
     Sorts by the online endpoint's time, then its position, then the edge's
-    time, then (lexsort is stable) the edge's position: a strict order, so
-    Q-counts need no key.
+    time, then (lexsort is stable) the edge's position.  As in every scheme,
+    the walk matches in this order and counts Q(e) by it.
     """
     return np.lexsort((t_e, np.broadcast_to(online, t_e.shape), t_v[:, online]), axis=1)
 
@@ -414,7 +404,7 @@ class VertexArrivalEngine:
         realized = active & coin
 
         order = _vertex_order(t_e, t_v, self.online_of_edge)
-        walk, q = _walk(self.topo, order, realized, active, None)
+        walk, q = _walk(self.topo, order, realized, active)
         return _chunk_result(walk, active, realized, q, detail)
 
 
@@ -485,7 +475,7 @@ class SequentialPricingEngine:
         realized = go & would_accept
 
         order = np.argsort(t, axis=1, kind="stable")
-        walk, q = _walk(self.topo, order, go, would_accept, t, self.topo.patience, reward)
+        walk, q = _walk(self.topo, order, go, would_accept, self.topo.patience, reward)
         return _chunk_result(walk, realized, realized, q, detail)
 
 
@@ -497,16 +487,18 @@ def monte_carlo(
     engine,
     trials: int,
     master_seed: int,
-    chunk_size: int = 16384,
+    chunk_size: int = _BLOCK_TRIALS,
     workers: int | None = None,
 ) -> SimulationReport:
     """Aggregate `trials` independent trials into a report.
 
     Per-trial streams are keyed by the absolute trial index, and reduction
-    walks chunks in index order with integer counters, so the result is
-    bit-identical for any worker count or chunk size.  A chunk holds at most
-    `chunk_size` trials, and fewer on wide instances, so that no
-    (trials, edges) float array passes 64 MiB.  `workers=None` means 1.
+    walks chunks in index order with integer counters.  Revenue is summed
+    over fixed blocks of `_BLOCK_TRIALS` trial indices (numpy's sum within a
+    block, `math.fsum` across blocks), so the report is bit-identical for
+    any worker count or chunk size.  A chunk holds at most `chunk_size`
+    trials, and fewer on wide instances, so that no (trials, edges) float
+    array passes 64 MiB.  `workers=None` means 1.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -518,21 +510,29 @@ def monte_carlo(
         s, n = job
         return engine.run_chunk(master_seed, s, n)
 
-    if workers is not None and workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, jobs))
-    else:
-        results = [work(j) for j in jobs]
-
     matched = np.zeros(n_edges, dtype=np.int64)
     r0 = np.zeros(n_edges, dtype=np.int64)
     r1 = np.zeros(n_edges, dtype=np.int64)
-    for res in results:
-        matched += res.matched
-        r0 += res.r0
-        r1 += res.r1
-    rev_sum = math.fsum(res.revenue_sum for res in results)
-    rev_sqsum = math.fsum(res.revenue_sqsum for res in results)
+    block = np.empty(min(trials, _BLOCK_TRIALS))  # revenues of the block being filled
+    filled, sums, sqsums = 0, [], []
+    parallel = workers is not None and workers > 1 and len(jobs) > 1
+    with ThreadPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
+        for res in pool.map(work, jobs) if parallel else map(work, jobs):
+            matched += res.matched
+            r0 += res.r0
+            r1 += res.r1
+            rev = res.revenue
+            while rev.size:
+                size = min(block.size, trials - _BLOCK_TRIALS * len(sums))
+                take = min(size - filled, rev.size)
+                block[filled : filled + take] = rev[:take]
+                filled, rev = filled + take, rev[take:]
+                if filled == size:
+                    full = block[:size]
+                    sums.append(float(full.sum()))
+                    sqsums.append(float((full * full).sum()))
+                    filled = 0
+    rev_sum, rev_sqsum = math.fsum(sums), math.fsum(sqsums)
 
     edges = []
     min_ratio = math.inf

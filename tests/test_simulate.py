@@ -23,6 +23,7 @@ from ocrslab.graphcore import (
     edge_stats,
     generate_family,
 )
+from ocrslab.lp import build_lp_pricing, solve_lp
 from ocrslab.simulate import (
     RoOcrsEngine,
     SequentialPricingEngine,
@@ -159,11 +160,16 @@ def test_deterministic_and_seed_sensitive():
 
 def test_chunking_and_workers_do_not_change_results():
     gen = generate_family("random_general", n=6, density=0.4, seed=22)
-    eng = RoOcrsEngine(gen.instance, gen.x, edge_stats(gen.x, gen.instance), A2)
-    base = monte_carlo(eng, 30_000, 5)
-    assert monte_carlo(eng, 30_000, 5, chunk_size=999) == base
-    assert monte_carlo(eng, 30_000, 5, workers=4) == base
-    assert monte_carlo(eng, 30_000, 5, chunk_size=1234, workers=3) == base
+    ro = RoOcrsEngine(gen.instance, gen.x, edge_stats(gen.x, gen.instance), A2)
+    # revenue sums are floats, so they must not follow the chunk boundaries
+    bip = generate_family("random_bipartite", n=4, m=4, density=0.5, seed=3).instance
+    pricing = SequentialPricingEngine(bip, solve_lp(build_lp_pricing(bip, "revenue")).point, A2)
+    for eng in (ro, pricing):
+        base = monte_carlo(eng, 30_000, 5)
+        assert monte_carlo(eng, 30_000, 5, chunk_size=999) == base
+        assert monte_carlo(eng, 30_000, 5, workers=4) == base
+        assert monte_carlo(eng, 30_000, 5, chunk_size=1234, workers=3) == base
+    assert base.revenue_mean > 0.0
 
 
 class _WideEngine:
@@ -177,7 +183,7 @@ class _WideEngine:
     def run_chunk(self, seed, start, count, detail=False):
         self.counts.append(count)
         zeros = np.zeros(len(self.x), dtype=np.int64)
-        return _ChunkCounts(zeros, zeros, zeros, 0.0, 0.0)
+        return _ChunkCounts(zeros, zeros, zeros, np.zeros(count))
 
 
 def test_chunks_are_capped_by_memory_on_wide_instances():

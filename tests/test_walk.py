@@ -1,8 +1,9 @@
 """The shared walk kernel against a step-by-step reference.
 
 `reference_walk` is the walk written the plain way: one (trial, column) pair
-per array access, and Q-counts straight from their definition.  Every engine
-must hand `_walk` coins on which the kernel and the reference agree on every
+per array access, and Q-counts straight from their definition, with "before"
+meaning an earlier position in the walk's arrival order.  Every engine must
+hand `_walk` coins on which the kernel and the reference agree on every
 output, on suite instances, with patience, with rewards, with parallel edges
 and with tied arrival keys.
 """
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from ocrslab import simulate, suite
+from ocrslab._rng import ARRIVAL
 from ocrslab.attenuation import AttenuationSpec
 from ocrslab.graphcore import Edge, MenuEntry, PricingInstance, Vertex, edge_stats, generate_family
 from ocrslab.lp import build_lp_pricing, solve_lp
@@ -21,18 +23,18 @@ A1 = AttenuationSpec("a1")
 A2 = AttenuationSpec("a2", alpha=0.171)
 
 
-def reference_q(topo, realized, key):
-    """Q(e): edges sharing an endpoint with e, realized, with a smaller key."""
+def reference_q(topo, realized, position):
+    """Q(e): edges sharing an endpoint with e, realized, at an earlier position."""
     u, v = topo.u_idx, topo.v_idx
     q = np.zeros(realized.shape, dtype=np.int64)
     for i in range(len(u)):
         nb = (u == u[i]) | (u == v[i]) | (v == u[i]) | (v == v[i])
         nb[i] = False
-        q[:, i] = (realized[:, nb] & (key[:, nb] < key[:, [i]])).sum(axis=1)
+        q[:, i] = (realized[:, nb] & (position[:, nb] < position[:, [i]])).sum(axis=1)
     return q
 
 
-def reference_walk(topo, order, go, accept, key, patience=None, reward=None):
+def reference_walk(topo, order, go, accept, patience=None, reward=None):
     count, e = go.shape
     rows = np.arange(count)
     matched_v = np.zeros((count, topo.n_vertices), dtype=bool)
@@ -61,10 +63,9 @@ def reference_walk(topo, order, go, accept, key, patience=None, reward=None):
         probes = np.zeros((count, topo.n_vertices), dtype=np.int32)
     else:
         probes = (patience[None, :] - pat).astype(np.int32)
-    if key is None:  # the order is strict: rank by arrival position
-        key = np.empty_like(order)
-        np.put_along_axis(key, order, np.arange(e), axis=1)
-    q = reference_q(topo, go & accept, key)
+    position = np.empty_like(order)
+    np.put_along_axis(position, order, np.arange(e), axis=1)
+    q = reference_q(topo, go & accept, position)
     return simulate._Walk(matched_e, probed_e, revenue, probes), q
 
 
@@ -184,7 +185,18 @@ def test_parallel_edges_count_once_in_q(scheme, monkeypatch):
     run_against_reference(engine, monkeypatch, count=4000)
 
 
-def test_walk_recounts_trials_with_tied_keys():
+def _tie_every_third_trial(monkeypatch):
+    """Every third trial draws its arrival times from {0, 1/4, 1/2, 3/4}."""
+    real = simulate.hash_uniform
+
+    def tied(seed, trials, units, purpose):
+        u = real(seed, trials, units, purpose)
+        return np.where(trials % 3 == 0, np.floor(u * 4) / 4, u) if purpose == ARRIVAL else u
+
+    monkeypatch.setattr(simulate, "hash_uniform", tied)
+
+
+def test_q_follows_the_arrival_order_under_tied_keys(monkeypatch):
     gen = generate_family("random_general", n=7, density=0.5, seed=5)
     topo = simulate._Topology(gen.instance)
     rng = np.random.default_rng(3)
@@ -196,12 +208,18 @@ def test_walk_recounts_trials_with_tied_keys():
     order = np.argsort(key, axis=1, kind="stable")
     patience = np.full(topo.n_vertices, 2, dtype=np.int32)
     reward = rng.random((count, e))
-    got = simulate._walk(topo, order, go, accept, key, patience, reward)
-    assert_walks_equal(got, reference_walk(topo, order, go, accept, key, patience, reward))
-    # counting by arrival position alone would be wrong on tied trials only
-    _, by_position = simulate._walk(topo, order, go, accept, None, patience, reward)
-    wrong = (by_position != got[1]).any(axis=1)
-    assert wrong.any() and not wrong[1::3].any() and not wrong[2::3].any()
+    got = simulate._walk(topo, order, go, accept, patience, reward)
+    assert_walks_equal(got, reference_walk(topo, order, go, accept, patience, reward))
+    # RO coins: a realized edge with no realized earlier neighbour finds both
+    # endpoints free, so the r0 event implies a match on every trial
+    realized = go & accept
+    walk, q = simulate._walk(topo, order, realized, accept)
+    assert q[::3].any() and not (realized & (q == 0) & ~walk.matched).any()
+    # the same through the engine, whose arrival times tie on every third trial
+    _tie_every_third_trial(monkeypatch)
+    engine = simulate.RoOcrsEngine(gen.instance, gen.x, edge_stats(gen.x, gen.instance), A2)
+    det = engine.run_chunk(9, 0, count, detail=True)
+    assert det.q[::3].any() and not (det.realized & (det.q == 0) & ~det.matched).any()
 
 
 def rank_key_order(t_e, t_v, online):
