@@ -40,28 +40,47 @@ _S11 = np.uint64(11)
 _INV53 = 2.0**-53
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer (Stafford mix13)."""
-    z = (z ^ (z >> _S30)) * _MIX1
-    z = (z ^ (z >> _S27)) * _MIX2
-    return z ^ (z >> _S31)
+def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer (Stafford mix13), in place on `z`; `tmp` is scratch."""
+    for shift, mult in ((_S30, _MIX1), (_S27, _MIX2)):
+        np.right_shift(z, shift, out=tmp)
+        z ^= tmp
+        z *= mult
+    np.right_shift(z, _S31, out=tmp)
+    z ^= tmp
+    return z
 
 
 def _key(x) -> np.ndarray:
     return np.asarray(x, dtype=np.uint64)
 
 
-def hash_uniform(seed: int, trial, unit, purpose: int) -> np.ndarray:
+def hash_uniform(seed: int, trial, unit, purpose) -> np.ndarray:
     """Uniforms in [0, 1) for the keys (seed, trial, unit, purpose).
 
     `trial` and `unit` may be arrays; they broadcast, so
     ``hash_uniform(s, trials[:, None], units[None, :], p)`` fills a matrix.
     Returns a float64 array of the broadcast shape (0-d for scalar inputs).
+
+    `purpose` may also be a tuple of purposes.  The (seed, trial, unit)
+    prefix is then mixed once and each purpose finishes it with one more mix,
+    and the result stacks one array per purpose: shape
+    ``(len(purpose), *broadcast shape)``, each slice bit-identical to the
+    scalar-purpose call.
     """
+    purposes = purpose if isinstance(purpose, tuple) else (purpose,)
     # the hash wants plain mod-2^64 wraparound; stop numpy flagging it
     with np.errstate(over="ignore"):
-        h = _mix((_key(seed) + _GAMMA) ^ (_key(trial) * _MIX1))
-        h = _mix(h ^ (_key(unit) * _MIX2))
-        h = _mix(h ^ (_key(purpose) * _GAMMA))
-        return (h >> _S11).astype(np.float64) * _INV53
-
+        h = (_key(seed) + _GAMMA) ^ (_key(trial) * _MIX1)
+        h = _mix(h, np.empty_like(h)) ^ (_key(unit) * _MIX2)
+        tmp = np.empty_like(h)
+        h = _mix(h, tmp)
+        out = np.empty((len(purposes), *h.shape))
+        z = np.empty_like(h)
+        for k, p in enumerate(purposes):
+            np.bitwise_xor(h, _key(p) * _GAMMA, out=z)
+            z = _mix(z, tmp)
+            z >>= _S11
+            # a 53-bit integer times 2**-53 is exact
+            np.multiply(z, _INV53, out=out[k, ...])
+    return out if isinstance(purpose, tuple) else out[0, ...]

@@ -2,15 +2,18 @@
 
 The four online schemes are one attenuated greedy walk that differs only in
 its coins.  Each engine draws every random quantity of a chunk up front from
-the counter-based stream (so worker count can never change a trial), sets up
-its own coins and arrival order, and hands them to ``_walk``: an edge
-proposes when its coins allow and both endpoints are free (and patient), and
-is matched when the proposal is accepted.  The walk also counts Q(e), the
-realized neighbours that arrive before e in its own arrival order, as it
-goes; on multigraphs it recounts them from arrival positions.  Vertex
-arrival orders its edges with one ``lexsort``.  The per-chunk reduction is
-shared too.  ``monte_carlo`` aggregates chunks into a report, summing
-revenue in fixed blocks of trials; one trial replays as row 0 of
+the counter-based stream, in one call for all its edge purposes (so worker
+count can never change a trial), sets up its own coins and arrival order,
+and hands them to ``_walk``: an edge proposes when its coins allow and both
+endpoints are free (and patient), and is matched when the proposal is
+accepted.  The walk also counts Q(e), the realized neighbours that arrive
+before e in its own arrival order, as it goes; on multigraphs it recounts
+them from arrival positions.  Arrival order is a stable sort of the arrival
+times, taken as one sort of packed uint64 keys (53-bit time, 11-bit edge
+position) by ``_arrival_order``; vertex arrival sorts that order once more,
+stably by the arrival rank of each edge's online vertex.  The per-chunk
+reduction is shared too.  ``monte_carlo`` aggregates chunks into a report,
+summing revenue in fixed blocks of trials; one trial replays as row 0 of
 ``engine.run_chunk(seed, trial, 1, detail=True)``.
 
 The exact oracles (``exact_trivial_oracle``, ``optimal_policy_dp``,
@@ -42,12 +45,16 @@ from .lp import auto_objective, objective_coefficients
 # 99% two-sided normal quantile, used for every interval in the reports.
 Z99 = 2.5758293035489004
 
-# trials x edges cells per chunk: each float64 chunk array stays <= 64 MiB
+# trials x edges x purposes cells per chunk: a stacked draw of up to four
+# purposes, and so every float64 chunk array, stays <= 64 MiB
 _CHUNK_CELLS = 2**23
 
-# the default chunk, and the block of absolute trial indices whose revenues
-# are summed together, so that chunking never changes a revenue sum
+# the block of absolute trial indices whose revenues are summed together, so
+# that chunking never changes a revenue sum
 _BLOCK_TRIALS = 16384
+
+# edge positions take the low bits of an arrival-order sort key
+_POS_BITS = 11
 
 
 # --------------------------------------------------------------------------
@@ -253,6 +260,26 @@ def _walk(topo: _Topology, order, go, accept, patience=None, reward=None):
     return _Walk(matched, probed, revenue, probes), q
 
 
+def _arrival_order(t: np.ndarray) -> np.ndarray:
+    """``np.argsort(t, axis=1, kind="stable")`` for arrival times from the stream.
+
+    Each time is k * 2**-53 with k a 53-bit integer, so on rows of at most
+    2**11 edges it packs with its edge position into the unique uint64 key
+    (k << 11) | position.  One plain in-place sort of the keys then orders
+    by time, ties by position, and the low bits are the order.  Wider rows
+    take the stable argsort.
+    """
+    e = t.shape[1]
+    if e > 1 << _POS_BITS:
+        return np.argsort(t, axis=1, kind="stable")
+    key = (t * 2.0**53).astype(np.uint64)
+    key <<= np.uint64(_POS_BITS)
+    key |= np.arange(e, dtype=np.uint64)
+    key.sort(axis=1)
+    key &= np.uint64((1 << _POS_BITS) - 1)
+    return key.view(np.int64)
+
+
 def _chunk_result(walk: _Walk, active, realized, q, detail: bool):
     if detail:
         return _ChunkDetail(
@@ -290,16 +317,13 @@ class RoOcrsEngine:
         e = self.topo.n_edges
         trials = np.arange(start, start + count, dtype=np.uint64)[:, None]
         units = np.arange(e, dtype=np.uint64)[None, :]
-        t = hash_uniform(seed, trials, units, ARRIVAL)
-        active = hash_uniform(seed, trials, units, ACTIVE) < self.x[None, :]
-        # the coin is hashed before its profile is built and neither outlives
-        # the comparison, so fewer (trials, edges) floats are alive at once
+        t, u_active, u_coin = hash_uniform(seed, trials, units, (ARRIVAL, ACTIVE, COIN))
+        active = u_active < self.x[None, :]
         realized = active & (
-            hash_uniform(seed, trials, units, COIN)
-            < attenuation_profile(self.spec, t, self.x[None, :], self.s[None, :])
+            u_coin < attenuation_profile(self.spec, t, self.x[None, :], self.s[None, :])
         )
 
-        order = np.argsort(t, axis=1, kind="stable")
+        order = _arrival_order(t)
         walk, q = _walk(self.topo, order, realized, active)
         return _chunk_result(walk, active, realized, q, detail)
 
@@ -344,14 +368,14 @@ class StochasticOcrsEngine:
         e = self.topo.n_edges
         trials = np.arange(start, start + count, dtype=np.uint64)[:, None]
         units = np.arange(e, dtype=np.uint64)[None, :]
-        t = hash_uniform(seed, trials, units, ARRIVAL)
-        active = hash_uniform(seed, trials, units, ACTIVE) < self.p[None, :]
-        probe_ok = hash_uniform(seed, trials, units, COIN) < (
+        t, u_active, u_coin = hash_uniform(seed, trials, units, (ARRIVAL, ACTIVE, COIN))
+        active = u_active < self.p[None, :]
+        probe_ok = u_coin < (
             self.y[None, :] * attenuation_profile(self.spec, t, self.x[None, :], self.s[None, :])
         )
         realized = active & probe_ok
 
-        order = np.argsort(t, axis=1, kind="stable")
+        order = _arrival_order(t)
         walk, q = _walk(self.topo, order, probe_ok, active, self.topo.patience)
         return _chunk_result(walk, active, realized, q, detail)
 
@@ -360,10 +384,19 @@ def _vertex_order(t_e: np.ndarray, t_v: np.ndarray, online: np.ndarray) -> np.nd
     """Edge arrival order per trial when online vertices arrive.
 
     Sorts by the online endpoint's time, then its position, then the edge's
-    time, then (lexsort is stable) the edge's position.  As in every scheme,
-    the walk matches in this order and counts Q(e) by it.
+    time, then the edge's position.  The edges are put in arrival order, and
+    then stably in the arrival rank of their online endpoint, which breaks
+    vertex-time ties by position; that rank has the narrowest unsigned dtype,
+    so its stable sort is a radix sort.  As in every scheme, the walk
+    matches in this order and counts Q(e) by it.
     """
-    return np.lexsort((t_e, np.broadcast_to(online, t_e.shape), t_v[:, online]), axis=1)
+    nv = t_v.shape[1]
+    rank_dtype = np.min_scalar_type(max(nv - 1, 0))
+    rank = np.empty(t_v.shape, dtype=rank_dtype)
+    np.put_along_axis(rank, _arrival_order(t_v), np.arange(nv, dtype=rank_dtype)[None, :], axis=1)
+    by_edge = _arrival_order(t_e)
+    by_vertex = np.argsort(np.take_along_axis(rank, online[by_edge], axis=1), axis=1, kind="stable")
+    return np.take_along_axis(by_edge, by_vertex, axis=1)
 
 
 class VertexArrivalEngine:
@@ -382,13 +415,12 @@ class VertexArrivalEngine:
         for edg in inst.edges:
             if {sides[edg.u], sides[edg.v]} != {"offline", "online"}:
                 raise ValueError(f"edge {edg.id} does not cross the bipartition")
-        # the narrowest unsigned dtype, so lexsort sorts this key by radix
         self.online_of_edge = np.array(
             [
                 self.topo.inst.vertex_pos[edg.u if sides[edg.u] == "online" else edg.v]
                 for edg in inst.edges
             ],
-            dtype=np.min_scalar_type(max(self.topo.n_vertices - 1, 0)),
+            dtype=np.intp,
         )
         self.x = self.topo.x_vector(x)
 
@@ -397,11 +429,10 @@ class VertexArrivalEngine:
         trials = np.arange(start, start + count, dtype=np.uint64)[:, None]
         units = np.arange(e, dtype=np.uint64)[None, :]
         vunits = (np.arange(nv, dtype=np.uint64) + np.uint64(e))[None, :]
-        t_e = hash_uniform(seed, trials, units, ARRIVAL)
+        t_e, u_active, u_coin = hash_uniform(seed, trials, units, (ARRIVAL, ACTIVE, COIN))
         t_v = hash_uniform(seed, trials, vunits, ARRIVAL)
-        active = hash_uniform(seed, trials, units, ACTIVE) < self.x[None, :]
-        coin = hash_uniform(seed, trials, units, COIN) < np.exp(-self.x[None, :] * t_e)
-        realized = active & coin
+        active = u_active < self.x[None, :]
+        realized = active & (u_coin < np.exp(-self.x[None, :] * t_e))
 
         order = _vertex_order(t_e, t_v, self.online_of_edge)
         walk, q = _walk(self.topo, order, realized, active)
@@ -451,12 +482,10 @@ class SequentialPricingEngine:
         e = self.topo.n_edges
         trials = np.arange(start, start + count, dtype=np.uint64)[:, None]
         units = np.arange(e, dtype=np.uint64)[None, :]
-        t = hash_uniform(seed, trials, units, ARRIVAL)
-        u_price = hash_uniform(seed, trials, units, PRICE)
-        u_accept = hash_uniform(seed, trials, units, ACTIVE)
-        propose_ok = hash_uniform(seed, trials, units, COIN) < (
-            attenuation_profile(self.spec, t, self.x[None, :], self.s[None, :])
+        t, u_price, u_accept, u_coin = hash_uniform(
+            seed, trials, units, (ARRIVAL, PRICE, ACTIVE, COIN)
         )
+        propose_ok = u_coin < attenuation_profile(self.spec, t, self.x[None, :], self.s[None, :])
 
         # inverse-CDF menu draw; a draw at or beyond the total menu mass
         # means no offer this trial
@@ -474,7 +503,7 @@ class SequentialPricingEngine:
         go = have & propose_ok
         realized = go & would_accept
 
-        order = np.argsort(t, axis=1, kind="stable")
+        order = _arrival_order(t)
         walk, q = _walk(self.topo, order, go, would_accept, self.topo.patience, reward)
         return _chunk_result(walk, realized, realized, q, detail)
 
@@ -487,7 +516,7 @@ def monte_carlo(
     engine,
     trials: int,
     master_seed: int,
-    chunk_size: int = _BLOCK_TRIALS,
+    chunk_size: int = 2048,
     workers: int | None = None,
 ) -> SimulationReport:
     """Aggregate `trials` independent trials into a report.
@@ -496,14 +525,22 @@ def monte_carlo(
     walks chunks in index order with integer counters.  Revenue is summed
     over fixed blocks of `_BLOCK_TRIALS` trial indices (numpy's sum within a
     block, `math.fsum` across blocks), so the report is bit-identical for
-    any worker count or chunk size.  A chunk holds at most `chunk_size`
-    trials, and fewer on wide instances, so that no (trials, edges) float
-    array passes 64 MiB.  `workers=None` means 1.
+    any worker count or chunk size.  The sums are taken in units of a power
+    of two at or above the largest menu reward, which is exact and keeps
+    every square finite; a sum that still overflows raises ValueError.
+
+    A chunk holds at most `chunk_size` trials (2048 by default, which keeps
+    a chunk's arrays near the cache), and fewer on wide instances, so that
+    no stacked draw of four (trials, edges) float arrays passes 64 MiB.
+    `workers=None` means 1.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n_edges = len(engine.topo.edge_ids)
-    chunk = max(1, min(chunk_size, _CHUNK_CELLS // max(n_edges, 1)))
+    chunk = max(1, min(chunk_size, _CHUNK_CELLS // (4 * max(n_edges, 1))))
+    # revenue is summed in units of 2**shift, at or above the largest menu
+    # reward (only the pricing engine pays any)
+    shift = math.frexp(float(np.max(np.abs(getattr(engine, "menu_r", 0.0)), initial=0.0)))[1]
     jobs = [(s, min(chunk, trials - s)) for s in range(0, trials, chunk)]
 
     def work(job):
@@ -528,11 +565,13 @@ def monte_carlo(
                 block[filled : filled + take] = rev[:take]
                 filled, rev = filled + take, rev[take:]
                 if filled == size:
-                    full = block[:size]
+                    full = np.ldexp(block[:size], -shift)
                     sums.append(float(full.sum()))
                     sqsums.append(float((full * full).sum()))
                     filled = 0
     rev_sum, rev_sqsum = math.fsum(sums), math.fsum(sqsums)
+    if not (math.isfinite(rev_sum) and math.isfinite(rev_sqsum)):
+        raise ValueError("a trial's revenue is not a finite number")
 
     edges = []
     min_ratio = math.inf
@@ -564,6 +603,10 @@ def monte_carlo(
         rev_ci = Z99 * math.sqrt(var / trials)
     else:
         rev_ci = 0.0
+    try:
+        mean, rev_ci = math.ldexp(mean, shift), math.ldexp(rev_ci, shift)
+    except OverflowError:
+        raise ValueError("the revenue interval overflows the float range") from None
     return SimulationReport(
         trials=trials,
         master_seed=master_seed,

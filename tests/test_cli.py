@@ -209,6 +209,27 @@ def test_simulate_patience_beyond_int32(tmp_path):
                  "--trials", "200", "--out", str(tmp_path / "priced")]) == 0
 
 
+def test_simulate_revenue_near_the_float_limit(tmp_path, capsys):
+    # one menu value of 4.47e153 used to overflow the sum of squared revenues
+    # and report an interval of 0.0 with exit 0
+    doc = json.loads(_gen(tmp_path, "star", "--k", "3").read_text())
+    doc["edges"][0]["menu"][0]["c"] = 4.47e153
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["simulate", "--instance", str(path), "--scheme", "pricing",
+                 "--trials", "50", "--out", str(tmp_path / "run_huge")]) == 0
+    summary = json.loads((tmp_path / "run_huge.json").read_text())
+    assert 1e153 < summary["revenue_mean"] < 4.47e153 / 0.3
+    assert 1e152 < summary["revenue_ci"] < summary["revenue_mean"]
+    # a reward beyond the float range is an error, not a report
+    doc["edges"][0]["menu"][0]["c"] = 1.5e308
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["simulate", "--instance", str(path), "--scheme", "pricing",
+                 "--trials", "50", "--out", str(tmp_path / "run_beyond")]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # ---------------------------------------------------------------------------
 # malformed instance files: a clean error or a normal run, never a traceback
 

@@ -9,6 +9,24 @@ from hypothesis import strategies as st
 from ocrslab._rng import ACTIVE, ARRIVAL, COIN, PRICE, hash_uniform
 
 U64 = st.integers(min_value=0, max_value=2**64 - 1)
+PURPOSES = (ARRIVAL, ACTIVE, COIN, PRICE)
+
+
+def _mix(z):
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def reference_hash(seed, trial, unit, purpose):
+    """The hash written out once per purpose: three full splitmix64 mixes."""
+    gamma = np.uint64(0x9E3779B97F4A7C15)
+    key = lambda x: np.asarray(x, dtype=np.uint64)  # noqa: E731
+    with np.errstate(over="ignore"):
+        h = _mix((key(seed) + gamma) ^ (key(trial) * np.uint64(0xBF58476D1CE4E5B9)))
+        h = _mix(h ^ (key(unit) * np.uint64(0x94D049BB133111EB)))
+        h = _mix(h ^ (key(purpose) * gamma))
+        return (h >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
 @given(seed=U64, trial=U64, unit=U64, purpose=st.sampled_from([ARRIVAL, ACTIVE, COIN, PRICE]))
@@ -57,3 +75,32 @@ def test_uniformity_sanity():
     assert abs(np.mean(vals < 0.25) - 0.25) < 0.005
     assert vals.min() >= 0.0 and vals.max() < 1.0
 
+
+
+@given(
+    seed=U64,
+    trial=U64,
+    unit=U64,
+    purposes=st.permutations(PURPOSES).flatmap(lambda p: st.integers(1, 4).map(lambda k: tuple(p[:k]))),
+)
+def test_purpose_tuple_stacks_the_scalar_purpose_draws(seed, trial, unit, purposes):
+    stacked = hash_uniform(seed, trial, unit, purposes)
+    assert stacked.shape == (len(purposes),)
+    for k, p in enumerate(purposes):
+        want = float(reference_hash(seed, trial, unit, p))
+        assert stacked[k] == float(hash_uniform(seed, trial, unit, p)) == want
+
+
+def test_purpose_tuple_matches_the_reference_on_matrices_and_boundary_keys():
+    top = 2**64 - 1
+    trials = np.array([0, 1, 2**63, top - 1, top], dtype=np.uint64)[:, None]
+    units = np.array([*range(40), 2**32, top], dtype=np.uint64)[None, :]
+    for seed in (0, 5, top):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = hash_uniform(seed, trials, units, (ARRIVAL, PRICE, ACTIVE, COIN))
+        assert stacked.shape == (4, 5, 42) and stacked.dtype == np.float64
+        for k, p in enumerate((ARRIVAL, PRICE, ACTIVE, COIN)):
+            single = hash_uniform(seed, trials, units, p)
+            want = reference_hash(seed, trials, units, p)
+            assert np.array_equal(single, want) and np.array_equal(stacked[k], want)

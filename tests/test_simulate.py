@@ -5,6 +5,7 @@ fixed seeds below are not load-bearing: any seed passes with overwhelming
 probability, and the pinned ones make failures reproducible.
 """
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -23,7 +24,7 @@ from ocrslab.graphcore import (
     edge_stats,
     generate_family,
 )
-from ocrslab.lp import build_lp_pricing, solve_lp
+from ocrslab.lp import auto_objective, build_lp_pricing, solve_lp
 from ocrslab.simulate import (
     RoOcrsEngine,
     SequentialPricingEngine,
@@ -172,6 +173,50 @@ def test_chunking_and_workers_do_not_change_results():
     assert base.revenue_mean > 0.0
 
 
+def test_reports_agree_across_chunk_sizes_and_workers_for_every_engine():
+    gen = generate_family("random_bipartite", n=6, m=6, density=0.5, seed=4)
+    inst, x = gen.instance, gen.x
+    stats = edge_stats(x, inst)
+    patient = dataclasses.replace(
+        inst, vertices=tuple(dataclasses.replace(v, patience=1) for v in inst.vertices)
+    )
+    y, p = dict.fromkeys(x, 0.9), {k: v / 0.9 for k, v in x.items()}
+    engines = {
+        "ro": RoOcrsEngine(inst, x, stats, A2),
+        "stochastic": StochasticOcrsEngine(patient, y, p, stats, A1),
+        "vertex": VertexArrivalEngine(inst, x),
+        "pricing": SequentialPricingEngine(patient, solve_lp(build_lp_pricing(patient, "revenue")).point, A2),
+    }
+    for name, eng in engines.items():
+        base = monte_carlo(eng, 40_000, 6)
+        for chunk_size in (2048, 16384, 999):
+            for workers in (1, 2):
+                assert monte_carlo(eng, 40_000, 6, chunk_size=chunk_size, workers=workers) == base, name
+        assert base.min_ratio > 0
+    assert base.revenue_mean > 0.0
+
+
+def test_revenue_sums_scale_exactly_by_powers_of_two():
+    # the same draws with every reward scaled by 2**511: the sum of squared
+    # revenues would pass the float range, yet the report scales exactly
+    inst = generate_family("star", k=3).instance
+    objective = auto_objective(inst)
+    point = solve_lp(build_lp_pricing(inst, objective)).point
+    eng = SequentialPricingEngine(inst, point, A2, objective)
+    base = monte_carlo(eng, 300, 2)
+    eng.menu_r = np.ldexp(eng.menu_r, 511)
+    with np.errstate(over="raise"):
+        big = monte_carlo(eng, 300, 2, chunk_size=100)
+    assert 0.0 < base.revenue_ci < base.revenue_mean
+    assert big.revenue_mean == math.ldexp(base.revenue_mean, 511)
+    assert big.revenue_ci == math.ldexp(base.revenue_ci, 511)
+    assert big.edges == base.edges
+    # a revenue beyond the float range raises
+    eng.menu_r[0, 0] = math.inf
+    with pytest.raises(ValueError, match="not a finite number"), np.errstate(over="ignore"):
+        monte_carlo(eng, 300, 2)
+
+
 class _WideEngine:
     """Stands in for an engine on `n_edges` edges and records its chunk sizes."""
 
@@ -191,13 +236,13 @@ def test_chunks_are_capped_by_memory_on_wide_instances():
     rep = monte_carlo(eng, 200, 1)
     assert rep.trials == 200
     assert sum(eng.counts) == 200
-    # a (trials, edges) float64 array of any chunk stays at or below 64 MiB
-    assert max(eng.counts) * 100_000 * 8 <= 64 * 2**20
-    assert eng.counts == [83, 83, 34]
-    # a narrow instance keeps the requested chunk size
+    # a stacked draw of four (trials, edges) float64 arrays stays at or below 64 MiB
+    assert 4 * max(eng.counts) * 100_000 * 8 <= 64 * 2**20
+    assert eng.counts == [20] * 10
+    # a narrow instance keeps the default chunk size
     narrow = _WideEngine(479)
     monte_carlo(narrow, 40_000, 1)
-    assert narrow.counts == [16384, 16384, 7232]
+    assert narrow.counts == [2048] * 19 + [1088]
 
 
 @settings(max_examples=60, deadline=None)

@@ -191,7 +191,9 @@ def _tie_every_third_trial(monkeypatch):
 
     def tied(seed, trials, units, purpose):
         u = real(seed, trials, units, purpose)
-        return np.where(trials % 3 == 0, np.floor(u * 4) / 4, u) if purpose == ARRIVAL else u
+        k = purpose.index(ARRIVAL)
+        u[k] = np.where(trials % 3 == 0, np.floor(u[k] * 4) / 4, u[k])
+        return u
 
     monkeypatch.setattr(simulate, "hash_uniform", tied)
 
@@ -232,6 +234,12 @@ def rank_key_order(t_e, t_v, online):
     return np.argsort(key, axis=1, kind="stable")
 
 
+def lexsort_order(t_e, t_v, online):
+    """Vertex-arrival order as one lexsort: online endpoint's time, its
+    position, the edge's time, and (lexsort is stable) the edge's position."""
+    return np.lexsort((t_e, np.broadcast_to(online, t_e.shape), t_v[:, online]), axis=1)
+
+
 @pytest.mark.parametrize("dtype", [np.uint8, np.intp])
 def test_vertex_order_matches_the_rank_key_under_time_ties(dtype):
     rng = np.random.default_rng(11)
@@ -242,6 +250,47 @@ def test_vertex_order_matches_the_rank_key_under_time_ties(dtype):
     t_v[:, 3] = t_v[:, 1]  # two online vertices arrive together in every trial
     t_v[::2, 4] = t_v[::2, 1]
     assert np.array_equal(simulate._vertex_order(t_e, t_v, online), rank_key_order(t_e, t_v, online))
+
+
+@pytest.mark.parametrize("nv", [6, 300])  # one-byte and two-byte vertex ranks
+def test_vertex_order_matches_the_lexsort_under_time_ties(nv):
+    rng = np.random.default_rng(nv)
+    count, e = 300, 2 * nv
+    online = rng.integers(nv // 2, nv, size=e)
+    t_e = np.floor(rng.random((count, e)) * 8) / 8
+    t_v = np.floor(rng.random((count, nv)) * 4) / 4  # vertex-time ties in every trial
+    t_v[::3] = rng.random((len(t_v[::3]), nv))
+    order = simulate._vertex_order(t_e, t_v, online)
+    assert np.array_equal(order, lexsort_order(t_e, t_v, online))
+    # the engine's draws, with equal vertex and edge times forced in every
+    # other trial, keep the order a lexsort gives
+    engine = _vertex("bip_5x5")
+    e, nv = engine.topo.n_edges, engine.topo.n_vertices
+    units = np.arange(e + nv, dtype=np.uint64)[None, :]
+    draw = simulate.hash_uniform(3, np.arange(500, dtype=np.uint64)[:, None], units, ARRIVAL)
+    draw[::2] = np.floor(draw[::2] * 3) / 3
+    t_e, t_v = draw[:, :e], draw[:, e:]
+    online = engine.online_of_edge
+    assert np.array_equal(simulate._vertex_order(t_e, t_v, online), lexsort_order(t_e, t_v, online))
+
+
+@pytest.mark.parametrize("e", [1, 7, 479, 2048, 2049])  # 2048 edges is the widest packed key
+def test_arrival_order_is_the_stable_argsort(e):
+    rng = np.random.default_rng(e)
+    count = 64
+    t = simulate.hash_uniform(e, np.arange(count, dtype=np.uint64)[:, None],
+                              np.arange(e, dtype=np.uint64)[None, :], ARRIVAL)
+    t[::2] = np.floor(t[::2] * 5) / 5  # ties in every other trial
+    t[1, :] = 0.0  # a trial where every edge arrives at once
+    t[3, :] = t[3, :].max()
+    if e > 1:
+        t[5, -2:] = t[5, 0]  # a tie between the first and last positions
+    t[7] = rng.random(e)
+    t[9] = (2**40 + np.arange(e)[::-1]) * 2.0**-53  # times one step of 2**-53 apart
+    got = simulate._arrival_order(t)
+    want = np.argsort(t, axis=1, kind="stable")
+    assert got.dtype == np.int64 and got.shape == t.shape
+    assert np.array_equal(got, want)
 
 
 def test_q_dtype_follows_the_widest_neighbourhood(monkeypatch):
