@@ -29,6 +29,7 @@ from .graphcore import (
     check_polytope,
     edge_stats,
     generate_family,
+    marginals,
     validate_instance,
 )
 from .lp import (
@@ -214,10 +215,11 @@ def _point_to_doc(point: FractionalPoint, inst: PricingInstance, objective_value
             mass = point.y.get((e.id, entry.w), 0.0)
             if mass != 0.0:
                 triples.append({"edge": e.id, "weight": entry.w, "y": mass})
+    x, _, _ = marginals(point, inst)
     return {
         "objective": objective_value,
         "y": triples,
-        "x": [{"edge": e.id, "value": point.x.get(e.id, 0.0)} for e in inst.edges],
+        "x": [{"edge": eid, "value": val} for eid, val in x.items()],
     }
 
 

@@ -8,7 +8,8 @@ c_ew.  Vertices may carry a side tag (offline/online), a job value v_j, and a
 patience budget ℓ_v (None = unbounded).
 
 The polytope P(G) = {x ≥ 0 : Σ_{e∋v} x_e ≤ 1 ∀v} is the home of every
-fractional point the schemes consume.
+fractional point the schemes consume.  A menu point stores only its offer
+rates y_ew; ``marginals`` derives its x_e = Σ_w y_ew·p_ew.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "validate_instance",
     "check_polytope",
     "fractional_point_violations",
+    "marginals",
     "edge_stats",
     "generate_family",
     "FAMILIES",
@@ -113,15 +115,31 @@ class PricingInstance:
 
 @dataclass(frozen=True)
 class FractionalPoint:
-    """A point of the pricing relaxation.
-
-    y maps (edge id, price) to the rate at which that offer is made; x is the
-    induced marginal x_e = Σ_w y_ew · p_ew, the probability mass with which
-    edge e joins the matching in the fractional view.
-    """
+    """A point of the pricing relaxation: y maps (edge id, price) to the rate
+    at which that offer is made.  Everything else derives from y through
+    ``marginals``."""
 
     y: dict[tuple[str, float], float]
-    x: dict[str, float]
+
+
+def marginals(
+    point: FractionalPoint, inst: PricingInstance
+) -> tuple[dict[str, float], dict[str, float], dict[str, float]]:
+    """(x_e, y_e, p_e) per edge: x_e = Σ_w y_ew·p_ew, the mass with which e
+    joins the matching in the fractional view; y_e = Σ_w y_ew; p_e = x_e / y_e
+    (0 when the edge is never offered)."""
+    x: dict[str, float] = {}
+    y_e: dict[str, float] = {}
+    for e in inst.edges:
+        xe = ye = 0.0
+        for entry in e.menu:
+            val = point.y.get((e.id, entry.w), 0.0)
+            ye += val
+            xe += val * entry.p
+        x[e.id] = xe
+        y_e[e.id] = ye
+    p_e = {eid: (x[eid] / y_e[eid] if y_e[eid] > 0.0 else 0.0) for eid in x}
+    return x, y_e, p_e
 
 
 def fractional_point_violations(
@@ -129,34 +147,31 @@ def fractional_point_violations(
 ) -> list[str]:
     """Check the pricing-relaxation constraints at tolerance tol.
 
-    Offer budget Σ_w y_ew ≤ 1 per edge; marginal load Σ_{e∋v} x_e ≤ 1 and
-    offer load Σ_{e∋v} Σ_w y_ew ≤ ℓ_v per vertex (finite ℓ_v only);
-    nonnegativity of every entry.
+    Every y entry names a menu offer and is nonnegative; offer budget
+    Σ_w y_ew ≤ 1 per edge; marginal load Σ_{e∋v} x_e ≤ 1 and offer load
+    Σ_{e∋v} Σ_w y_ew ≤ ℓ_v per vertex (finite ℓ_v only), with x and the
+    offer sums derived from y by ``marginals``.
     """
     bad: list[str] = []
-    y_e: dict[str, float] = {e.id: 0.0 for e in inst.edges}
     for (eid, w), val in fp.y.items():
-        if eid not in y_e:
+        edge = inst.edge_by_id.get(eid)
+        if edge is None:
             bad.append(f"y[{eid},{w}]: unknown edge id")
-            continue
-        if val < -tol:
+        elif all(entry.w != w for entry in edge.menu):
+            bad.append(f"y[{eid},{w}]: price not on the edge's menu")
+        elif val < -tol:
             bad.append(f"y[{eid},{w}]: negative entry {val}")
-        y_e[eid] += val
+    x, y_e, _ = marginals(fp, inst)
     for eid, tot in y_e.items():
         if tot > 1.0 + tol:
             bad.append(f"edge {eid}: offer budget {tot} exceeds 1")
-    for eid, val in fp.x.items():
-        if eid not in y_e:
-            bad.append(f"x[{eid}]: unknown edge id")
-        if val < -tol:
-            bad.append(f"x[{eid}]: negative entry {val}")
     for v in inst.vertices:
-        inc = inst.incident[v.id]
-        load = sum(fp.x.get(inst.edges[i].id, 0.0) for i in inc)
+        inc = [inst.edges[i].id for i in inst.incident[v.id]]
+        load = sum(x[eid] for eid in inc)
         if load > 1.0 + tol:
             bad.append(f"vertex {v.id}: marginal load {load} exceeds 1")
         if v.patience is not None:
-            offers = sum(y_e[inst.edges[i].id] for i in inc)
+            offers = sum(y_e[eid] for eid in inc)
             if offers > v.patience + tol:
                 bad.append(f"vertex {v.id}: offer load {offers} exceeds patience {v.patience}")
     return bad

@@ -1,5 +1,5 @@
-"""The pricing relaxation: LP construction, a dense simplex solver, marginal
-extraction, and the menu-thinning reductions.
+"""The pricing relaxation: LP construction, a dense simplex solver, and the
+menu-thinning reductions.
 
 The LP has one variable y_ew per menu entry and maximizes the expected
 objective of making offer (e, w) at rate y_ew:
@@ -18,17 +18,10 @@ menu (which also covers welfare-style objectives).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .graphcore import (
-    Edge,
-    FractionalPoint,
-    PricingInstance,
-    Vertex,
-    fractional_point_violations,
-)
+from .graphcore import Edge, FractionalPoint, PricingInstance, Vertex, marginals
 
 __all__ = [
     "LinearProgram",
@@ -55,7 +48,6 @@ class LinearProgram:
     A: np.ndarray  # (m, n) dense
     b: np.ndarray  # (m,)
     var_keys: tuple[tuple[str, float], ...]  # (edge id, price) per column
-    var_p: tuple[float, ...]  # acceptance probability per column
 
 
 @dataclass(frozen=True)
@@ -101,54 +93,30 @@ def auto_objective(inst: PricingInstance) -> str:
 
 def build_lp_pricing(inst: PricingInstance, objective: str = "revenue") -> LinearProgram:
     coeffs = objective_coefficients(inst, objective)
-    var_keys: list[tuple[str, float]] = []
-    var_p: list[float] = []
-    col_of: dict[tuple[str, int], int] = {}
-    c: list[float] = []
-    for e in inst.edges:
-        for k, entry in enumerate(e.menu):
-            col_of[(e.id, k)] = len(var_keys)
-            var_keys.append((e.id, entry.w))
-            var_p.append(entry.p)
-            c.append(coeffs[e.id][k])
-
-    n = len(var_keys)
-    rows: list[np.ndarray] = []
-    b: list[float] = []
-
-    for e in inst.edges:
-        row = np.zeros(n)
-        for k in range(len(e.menu)):
-            row[col_of[(e.id, k)]] = 1.0
-        rows.append(row)
-        b.append(1.0)
-
-    for v in inst.vertices:
-        row = np.zeros(n)
-        for i in inst.incident[v.id]:
-            e = inst.edges[i]
-            for k, entry in enumerate(e.menu):
-                row[col_of[(e.id, k)]] += entry.p
-        rows.append(row)
-        b.append(1.0)
-
-    for v in inst.vertices:
-        if v.patience is None:
-            continue
-        row = np.zeros(n)
-        for i in inst.incident[v.id]:
-            e = inst.edges[i]
-            for k in range(len(e.menu)):
-                row[col_of[(e.id, k)]] += 1.0
-        rows.append(row)
-        b.append(float(v.patience))
-
+    # one column per menu entry, in edge and menu order
+    cols = [(i, e, k) for i, e in enumerate(inst.edges) for k in range(len(e.menu))]
+    n, n_e, n_v = len(cols), len(inst.edges), len(inst.vertices)
+    col = np.arange(n)
+    edge = np.array([i for i, _, _ in cols], dtype=np.intp)
+    p = np.array([e.menu[k].p for _, e, k in cols])
+    patient = [v for v in inst.vertices if v.patience is not None]
+    # rows: offer budget per edge, matching capacity per vertex, offer
+    # capacity per finite-patience vertex (-1: no such row)
+    patience_row = np.full(n_v, -1, dtype=np.intp)
+    patience_row[[inst.vertex_pos[v.id] for v in patient]] = n_e + n_v + np.arange(len(patient))
+    A = np.zeros((n_e + n_v + len(patient), n))
+    A[edge, col] = 1.0
+    for side in ("u", "v"):
+        end = np.array([inst.vertex_pos[getattr(e, side)] for _, e, _ in cols], dtype=np.intp)
+        np.add.at(A, (n_e + end, col), p)
+        has = patience_row[end] >= 0
+        np.add.at(A, (patience_row[end][has], col[has]), 1.0)
+    b = [1.0] * (n_e + n_v) + [float(v.patience) for v in patient]
     return LinearProgram(
-        c=np.array(c),
-        A=np.vstack(rows) if rows else np.zeros((0, n)),
+        c=np.array([coeffs[e.id][k] for _, e, k in cols]),
+        A=A,
         b=np.array(b),
-        var_keys=tuple(var_keys),
-        var_p=tuple(var_p),
+        var_keys=tuple((e.id, e.menu[k].w) for _, e, k in cols),
     )
 
 
@@ -156,11 +124,26 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = PIVOT
     """Primal simplex on max c·x, Ax ≤ b, x ≥ 0, with b ≥ 0 (slack start).
 
     Bland's rule on both the entering and the leaving choice, so the walk
-    terminates even on degenerate vertices.  Returns (x, objective).
+    terminates even on degenerate vertices.  Returns (x, objective).  Every
+    failure raises ValueError: a negative b or a non-finite coefficient, a pivot
+    or objective that overflows, and a walk that ends unbounded, at the
+    iteration limit, short of optimal or infeasible.
     """
-    m, n = A.shape
+    # menu values may be integers too wide for int64, which make object arrays
+    A, b, c = (np.asarray(v, dtype=float) for v in (A, b, c))
+    if not (np.isfinite(A).all() and np.isfinite(b).all() and np.isfinite(c).all()):
+        raise ValueError("simplex: non-finite coefficient")
     if np.any(b < 0):
         raise ValueError("simplex start requires b ≥ 0")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _bland_pivots(A, b, c, tol)
+    except FloatingPointError as exc:
+        raise ValueError(f"simplex: {exc} (coefficients too large)") from None
+
+
+def _bland_pivots(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float):
+    m, n = A.shape
     # tableau: columns = n structural + m slack + rhs
     T = np.zeros((m + 1, n + m + 1))
     T[:m, :n] = A
@@ -178,7 +161,7 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = PIVOT
         col = T[:m, entering]
         eligible = np.flatnonzero(col > tol)
         if eligible.size == 0:
-            raise RuntimeError("simplex: unbounded direction (malformed program)")
+            raise ValueError("simplex: unbounded direction (malformed program)")
         # Bland: among the (near-)minimum ratios, the smallest basic index
         ratio = T[eligible, -1] / col[eligible]
         tied = eligible[ratio <= ratio.min() + 1e-15]
@@ -193,7 +176,7 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = PIVOT
         np.subtract(T, np.outer(T[:, entering], T[leave]), out=T, where=rows[:, None])
         basis[leave] = entering
     else:
-        raise RuntimeError("simplex: iteration limit hit (malformed program)")
+        raise ValueError("simplex: iteration limit hit (malformed program)")
 
     x = np.zeros(n + m)
     x[basis] = T[:m, -1]
@@ -201,49 +184,24 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = PIVOT
 
     # optimality + feasibility certificate
     if np.any(T[m, : n + m] < -10 * tol):
-        raise RuntimeError("simplex: left with an improving pivot")
+        raise ValueError("simplex: left with an improving pivot")
     if np.any(sol < -1e-9) or np.any(A @ sol > b + 1e-9):
-        raise RuntimeError("simplex: infeasible output")
+        raise ValueError("simplex: infeasible output")
     return sol, float(c @ sol)
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     sol, obj = _simplex_max(lp.A, lp.b, lp.c)
     y: dict[tuple[str, float], float] = {}
-    x: dict[str, float] = {}
-    for key, p, val in zip(lp.var_keys, lp.var_p, sol):
-        y[key] = y.get(key, 0.0) + float(val)
-        x[key[0]] = x.get(key[0], 0.0) + float(val) * p
-    # drift guard: a clean pivot sequence keeps entries in [-1e-12, 1+1e-12]
-    y = {k: (0.0 if v < 0.0 else v) for k, v in y.items()}
-    x = {k: (0.0 if v < 0.0 else v) for k, v in x.items()}
-    return LpSolution(point=FractionalPoint(y=y, x=x), objective=obj)
-
-
-def marginals(
-    y: FractionalPoint | Mapping[tuple[str, float], float], inst: PricingInstance
-) -> tuple[dict[str, float], dict[str, float], dict[str, float]]:
-    """(x_e, y_e, p_e) per edge: x_e = Σ_w y_ew·p_ew, y_e = Σ_w y_ew,
-    p_e = x_e / y_e (0 when the edge is never offered)."""
-    ymap = y.y if isinstance(y, FractionalPoint) else y
-    x: dict[str, float] = {}
-    y_e: dict[str, float] = {}
-    for e in inst.edges:
-        xe = ye = 0.0
-        for entry in e.menu:
-            val = ymap.get((e.id, entry.w), 0.0)
-            ye += val
-            xe += val * entry.p
-        x[e.id] = xe
-        y_e[e.id] = ye
-    p_e = {eid: (x[eid] / y_e[eid] if y_e[eid] > 0.0 else 0.0) for eid in x}
-    return x, y_e, p_e
+    for key, val in zip(lp.var_keys, sol):
+        # drift guard: a clean pivot sequence keeps entries in [-1e-12, 1+1e-12];
+        # max keeps its first argument on a tie, so -0.0 becomes 0.0 too
+        y[key] = max(0.0, float(val))
+    return LpSolution(point=FractionalPoint(y=y), objective=obj)
 
 
 def two_weight_reduction(
-    y: FractionalPoint | Mapping[tuple[str, float], float],
-    inst: PricingInstance,
-    objective: str = "revenue",
+    point: FractionalPoint, inst: PricingInstance, objective: str = "revenue"
 ) -> FractionalPoint:
     """Thin each edge's offer distribution to at most two prices.
 
@@ -255,14 +213,12 @@ def two_weight_reduction(
     instances without patience limits: the unit budget may exceed the
     original per-vertex offer load when patience rows were binding.
     """
-    ymap = y.y if isinstance(y, FractionalPoint) else dict(y)
     coeffs = objective_coefficients(inst, objective)
-    x, _, _ = marginals(ymap, inst)
+    x, _, _ = marginals(point, inst)
 
     new_y: dict[tuple[str, float], float] = {}
-    new_x: dict[str, float] = {}
     for e in inst.edges:
-        cur = [ymap.get((e.id, entry.w), 0.0) for entry in e.menu]
+        cur = [point.y.get((e.id, entry.w), 0.0) for entry in e.menu]
         if sum(1 for v in cur if v > PIVOT_TOL) <= 2:
             kept = cur
         else:
@@ -270,18 +226,13 @@ def two_weight_reduction(
             b = np.array([1.0, x[e.id]])
             kept, _ = _simplex_max(A, b, np.array(coeffs[e.id]))
             kept = [0.0 if v < PIVOT_TOL else float(v) for v in kept]
-        xe = 0.0
         for entry, val in zip(e.menu, kept):
             new_y[(e.id, entry.w)] = val
-            xe += val * entry.p
-        new_x[e.id] = xe
-    return FractionalPoint(y=new_y, x=new_x)
+    return FractionalPoint(y=new_y)
 
 
 def single_weight_selection(
-    y: FractionalPoint | Mapping[tuple[str, float], float],
-    inst: PricingInstance,
-    objective: str = "revenue",
+    point: FractionalPoint, inst: PricingInstance, objective: str = "revenue"
 ) -> FractionalPoint:
     """Keep, per edge, only the price with the largest objective contribution.
 
@@ -289,13 +240,11 @@ def single_weight_selection(
     contribution is the max of at most two nonnegative terms, hence at least
     half their sum — the reduction loses no more than half the objective.
     """
-    ymap = y.y if isinstance(y, FractionalPoint) else dict(y)
     coeffs = objective_coefficients(inst, objective)
 
     new_y: dict[tuple[str, float], float] = {}
-    new_x: dict[str, float] = {}
     for e in inst.edges:
-        cur = [ymap.get((e.id, entry.w), 0.0) for entry in e.menu]
+        cur = [point.y.get((e.id, entry.w), 0.0) for entry in e.menu]
         support = [k for k, v in enumerate(cur) if v > PIVOT_TOL]
         if len(support) > 2:
             raise ValueError(
@@ -306,10 +255,6 @@ def single_weight_selection(
             contrib = cur[k] * coeffs[e.id][k]
             if contrib > best_contrib:
                 best, best_contrib = k, contrib
-        xe = 0.0
         for k, entry in enumerate(e.menu):
-            val = cur[k] if k == best else 0.0
-            new_y[(e.id, entry.w)] = val
-            xe += val * entry.p
-        new_x[e.id] = xe
-    return FractionalPoint(y=new_y, x=new_x)
+            new_y[(e.id, entry.w)] = cur[k] if k == best else 0.0
+    return FractionalPoint(y=new_y)

@@ -39,6 +39,7 @@ from .graphcore import (
     FractionalPoint,
     PricingInstance,
     fractional_point_violations,
+    marginals,
 )
 from .lp import auto_objective, objective_coefficients
 
@@ -472,7 +473,7 @@ class SequentialPricingEngine:
                 self.menu_p[i, k] = entry.p
                 c = coeffs[edg.id][k]
                 self.menu_r[i, k] = c / entry.p if entry.p > 0 else 0.0
-        self.x = (self.menu_y * self.menu_p).sum(axis=1)
+        self.x = self.topo.x_vector(marginals(point, inst)[0])
         self.spec = spec
         # s_e from the induced marginals, for the a2 profile
         d = np.array([self.x[nb].sum() if nb.size else 0.0 for nb in inst.neighbors])

@@ -1,11 +1,16 @@
-"""Independent scalar oracle for the special functions in ``ocrslab.bounds``.
+"""Independent scalar references for library code written in vector form.
 
 Adaptive Simpson quadrature and the integrals z and h1 evaluated with it, one
-point at a time.  The library computes these quantities in closed or
-vectorized form; the tests compare those against this reference.
+point at a time, for the special functions in ``ocrslab.bounds``; and the
+pricing LP built one constraint row at a time, for ``lp.build_lp_pricing``.
+The tests compare the library against these references.
 """
 
 import math
+
+import numpy as np
+
+from ocrslab.lp import objective_coefficients
 
 QUAD_TOL = 1e-10
 
@@ -71,3 +76,52 @@ def h1(a: float, x: float, tol: float = QUAD_TOL) -> float:
     return quadrature(
         lambda b: math.exp(-b * x) * (4.0 - (3.0 * b + 4.0) * math.exp(-3.0 * b)), 0.0, a, tol
     )
+
+
+def build_lp_rows(inst, objective="revenue"):
+    """(c, A, b, var_keys) of the pricing LP: one column per menu entry, and
+    rows for the edge budgets, the vertex capacities and the patience caps,
+    each built by a loop over the edges it touches."""
+    coeffs = objective_coefficients(inst, objective)
+    var_keys = []
+    col_of = {}
+    c = []
+    for e in inst.edges:
+        for k, entry in enumerate(e.menu):
+            col_of[(e.id, k)] = len(var_keys)
+            var_keys.append((e.id, entry.w))
+            c.append(coeffs[e.id][k])
+
+    n = len(var_keys)
+    rows = []
+    b = []
+
+    for e in inst.edges:
+        row = np.zeros(n)
+        for k in range(len(e.menu)):
+            row[col_of[(e.id, k)]] = 1.0
+        rows.append(row)
+        b.append(1.0)
+
+    for v in inst.vertices:
+        row = np.zeros(n)
+        for i in inst.incident[v.id]:
+            e = inst.edges[i]
+            for k, entry in enumerate(e.menu):
+                row[col_of[(e.id, k)]] += entry.p
+        rows.append(row)
+        b.append(1.0)
+
+    for v in inst.vertices:
+        if v.patience is None:
+            continue
+        row = np.zeros(n)
+        for i in inst.incident[v.id]:
+            e = inst.edges[i]
+            for k in range(len(e.menu)):
+                row[col_of[(e.id, k)]] += 1.0
+        rows.append(row)
+        b.append(float(v.patience))
+
+    A = np.vstack(rows) if rows else np.zeros((0, n))
+    return np.array(c), A, np.array(b), tuple(var_keys)

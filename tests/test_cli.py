@@ -121,6 +121,35 @@ def test_lp_default_out_and_reductions(tmp_path):
     assert len(doc["y"]) <= 1
 
 
+@pytest.mark.filterwarnings("error")
+def test_lp_overflow_is_a_clean_error(tmp_path, capsys):
+    # two menu values of 1.5e308 used to overflow the simplex pivots, print
+    # numpy warnings and write "objective": Infinity with exit 0
+    doc = json.loads(_gen(tmp_path, "star", "--k", "3").read_text())
+    for edge in doc["edges"][:2]:
+        edge["menu"][0]["c"] = 1.5e308
+    path = tmp_path / "beyond.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "p.json"
+    capsys.readouterr()
+    assert main(["lp", "--instance", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: simplex: overflow")
+    assert not out.exists()
+
+
+def test_lp_takes_integer_values_beyond_int64(tmp_path):
+    # an integer menu value is a float-range number like any other, even one
+    # too large for a 64-bit integer
+    doc = json.loads(_gen(tmp_path, "star", "--k", "3").read_text())
+    for c, objective in ((-(2**63) - 1, 2 / 3), (2**70, 2.0**70)):
+        doc["edges"][2]["menu"][0]["c"] = c
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "p.json"
+        assert main(["lp", "--instance", str(path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["objective"] == pytest.approx(objective)
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

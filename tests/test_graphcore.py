@@ -109,11 +109,21 @@ def test_polytope_flags_negative_mass_and_unknown_edge():
 
 
 def test_fractional_point_violations_roundtrip():
-    inst, x = _simple_path(0.4, 0.5)
-    fp = FractionalPoint(y={("e0", 0.0): 0.4, ("e1", 0.0): 0.5}, x=x)
+    inst, _ = _simple_path(0.4, 0.5)
+    fp = FractionalPoint(y={("e0", 0.0): 0.4, ("e1", 0.0): 0.5})
     assert fractional_point_violations(fp, inst) == []
-    over = FractionalPoint(y={("e0", 0.0): 1.4}, x={"e0": 1.4, "e1": 0.0})
+    over = FractionalPoint(y={("e0", 0.0): 1.4})
     assert fractional_point_violations(over, inst) != []
+
+
+def test_fractional_point_entries_must_name_menu_offers():
+    inst, _ = _simple_path(0.4, 0.5)
+    y = {("e0", 0.0): 0.4, ("e0", 0.5): -1.0, ("e9", 0.0): 0.1, ("e1", 0.0): -0.5}
+    assert fractional_point_violations(FractionalPoint(y), inst) == [
+        "y[e0,0.5]: price not on the edge's menu",
+        "y[e9,0.0]: unknown edge id",
+        "y[e1,0.0]: negative entry -0.5",
+    ]
 
 
 # ---------------------------------------------------------------------------

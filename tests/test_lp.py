@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+import reference as ref
 
 from ocrslab.graphcore import (
     Edge,
@@ -28,6 +29,7 @@ from ocrslab.lp import (
     solve_lp,
     two_weight_reduction,
 )
+from ocrslab.suite import build_suite
 
 
 def _single_edge(value=2.0, menu=((1.0, 1.0),)):
@@ -158,6 +160,44 @@ def test_simplex_pivots_like_the_row_loop_reference():
             assert x.tobytes() == x_ref.tobytes() and repr(obj) == repr(obj_ref)
 
 
+def _patient(inst, ell=2):
+    return dataclasses.replace(
+        inst, vertices=tuple(dataclasses.replace(v, patience=ell) for v in inst.vertices)
+    )
+
+
+def test_build_lp_matches_the_row_loop_reference():
+    pool = [e.instance for e in build_suite()]
+    pool += [
+        generate_family("random_bipartite", n=n, m=n, density=d, seed=7).instance
+        for n, d in ((20, 0.35), (25, 0.3))
+    ]
+    pool += [_patient(inst) for inst in pool]
+    pool += [
+        generate_family("greedy_counterexample_d1", eps=0.01).instance,
+        generate_family("greedy_counterexample_d2", N=10, k=3).instance,
+        generate_family("greedy_counterexample_d2", N=10, k=6).instance,
+        generate_family("single_edge_hard", k=10, grid=range(9)).instance,
+    ]
+    built = 0
+    for inst in pool:
+        for objective in ("revenue", "custom"):
+            try:
+                c, A, b, var_keys = ref.build_lp_rows(inst, objective)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    build_lp_pricing(inst, objective)
+                continue
+            lp = build_lp_pricing(inst, objective)
+            assert lp.c.tobytes() == c.tobytes()
+            assert lp.A.shape == A.shape and lp.A.tobytes() == A.tobytes()
+            assert lp.b.tobytes() == b.tobytes()
+            assert lp.var_keys == var_keys
+            built += 1
+    # the valued families build under revenue, the rest under custom
+    assert built == len(pool)
+
+
 def test_lp_dominates_feasible_grid_points():
     inst = generate_family(
         "random_bipartite", n=3, m=3, density=0.6, seed=11
@@ -176,10 +216,7 @@ def test_lp_dominates_feasible_grid_points():
             scale = rnd.random() / max(1e-9, sum(raw))
             for k, entry in enumerate(e.menu):
                 y[(e.id, entry.w)] = raw[k] * scale
-        x = {
-            e.id: sum(y[(e.id, en.w)] * en.p for en in e.menu) for e in inst.edges
-        }
-        fp = FractionalPoint(y=y, x=x)
+        fp = FractionalPoint(y=y)
         if fractional_point_violations(fp, inst):
             continue
         val = sum(
@@ -192,7 +229,7 @@ def test_lp_dominates_feasible_grid_points():
 
 def test_marginals_hand_check():
     inst = _single_edge(menu=((1.0, 1.0), (1.5, 0.4)))
-    x, y_e, p_e = marginals({("e0", 1.0): 0.3, ("e0", 1.5): 0.5}, inst)
+    x, y_e, p_e = marginals(FractionalPoint({("e0", 1.0): 0.3, ("e0", 1.5): 0.5}), inst)
     assert math.isclose(x["e0"], 0.3 + 0.5 * 0.4)
     assert math.isclose(y_e["e0"], 0.8)
     assert math.isclose(p_e["e0"], x["e0"] / 0.8)
@@ -231,8 +268,8 @@ def _edge_optimum_two_prices(inst, x, objective="revenue"):
 def test_two_weight_reduction_matches_enumeration():
     inst = _three_price_edge()
     y = {("e0", 1.0): 0.3, ("e0", 2.0): 0.3, ("e0", 3.0): 0.3}
-    x, _, _ = marginals(y, inst)
-    red = two_weight_reduction(y, inst, "revenue")
+    x, _, _ = marginals(FractionalPoint(y), inst)
+    red = two_weight_reduction(FractionalPoint(y), inst, "revenue")
     support = [k for k in red.y.values() if k > 1e-9]
     assert len(support) <= 2
     coeffs = objective_coefficients(inst, "revenue")["e0"]
@@ -245,13 +282,13 @@ def test_two_weight_reduction_matches_enumeration():
         y[("e0", en.w)] * coeffs[k] for k, en in enumerate(inst.edges[0].menu)
     )
     assert val >= orig - 1e-9
-    assert red.x["e0"] <= x["e0"] + 1e-9
+    assert marginals(red, inst)[0]["e0"] <= x["e0"] + 1e-9
 
 
 def test_two_weight_reduction_keeps_small_support_unchanged():
     inst = _three_price_edge()
     y = {("e0", 1.0): 0.4, ("e0", 3.0): 0.2}
-    red = two_weight_reduction(y, inst, "revenue")
+    red = two_weight_reduction(FractionalPoint(y), inst, "revenue")
     assert math.isclose(red.y[("e0", 1.0)], 0.4)
     assert math.isclose(red.y[("e0", 3.0)], 0.2)
     assert red.y[("e0", 2.0)] == 0.0
@@ -260,7 +297,7 @@ def test_two_weight_reduction_keeps_small_support_unchanged():
 def test_single_weight_selection_keeps_at_least_half():
     inst = _three_price_edge()
     y = {("e0", 1.0): 0.3, ("e0", 2.0): 0.3, ("e0", 3.0): 0.3}
-    red = two_weight_reduction(y, inst, "revenue")
+    red = two_weight_reduction(FractionalPoint(y), inst, "revenue")
     one = single_weight_selection(red, inst, "revenue")
     coeffs = objective_coefficients(inst, "revenue")["e0"]
 
@@ -278,4 +315,4 @@ def test_single_weight_selection_requires_thin_support():
     inst = _three_price_edge()
     y = {("e0", 1.0): 0.3, ("e0", 2.0): 0.3, ("e0", 3.0): 0.3}
     with pytest.raises(ValueError):
-        single_weight_selection(y, inst, "revenue")
+        single_weight_selection(FractionalPoint(y), inst, "revenue")

@@ -22,6 +22,7 @@ from ocrslab.graphcore import (
     PricingInstance,
     Vertex,
     edge_stats,
+    fractional_point_violations,
     generate_family,
 )
 from ocrslab.lp import auto_objective, build_lp_pricing, solve_lp
@@ -374,7 +375,7 @@ def test_pricing_deterministic_revenue():
     vs = (Vertex("w0"), Vertex("j0", value=2.0))
     es = (Edge("e0", "w0", "j0", (MenuEntry(1.0, 1.0),)),)
     inst = PricingInstance(vs, es)
-    point = FractionalPoint(y={("e0", 1.0): 1.0}, x={"e0": 1.0})
+    point = FractionalPoint(y={("e0", 1.0): 1.0})
     rep = monte_carlo(SequentialPricingEngine(inst, point, TRIV), 5_000, 6)
     assert rep.revenue_mean == 1.0
     assert rep.revenue_ci == 0.0
@@ -386,9 +387,24 @@ def test_pricing_rejects_infeasible_point():
     vs = (Vertex("w0"), Vertex("j0", value=2.0))
     es = (Edge("e0", "w0", "j0", (MenuEntry(1.0, 1.0),)),)
     inst = PricingInstance(vs, es)
-    bad = FractionalPoint(y={("e0", 1.0): 1.4}, x={"e0": 1.4})
+    bad = FractionalPoint(y={("e0", 1.0): 1.4})
     with pytest.raises(ValueError):
         SequentialPricingEngine(inst, bad, TRIV)
+
+
+def test_pricing_rejects_a_point_that_overloads_a_vertex():
+    # each edge is within its offer budget, but the sure offers put a
+    # marginal load of 2 on the centre
+    vs = (Vertex("c"), Vertex("a", value=2.0), Vertex("b", value=2.0))
+    es = (
+        Edge("e0", "c", "a", (MenuEntry(1.0, 1.0),)),
+        Edge("e1", "c", "b", (MenuEntry(1.0, 1.0),)),
+    )
+    inst = PricingInstance(vs, es)
+    point = FractionalPoint(y={("e0", 1.0): 1.0, ("e1", 1.0): 1.0})
+    assert fractional_point_violations(point, inst) == ["vertex c: marginal load 2.0 exceeds 1"]
+    with pytest.raises(ValueError, match="vertex c: marginal load 2.0 exceeds 1"):
+        SequentialPricingEngine(inst, point, TRIV)
 
 
 def test_pricing_respects_patience():
@@ -399,7 +415,7 @@ def test_pricing_respects_patience():
         Edge("e1", "hub", "b", (MenuEntry(0.5, 1.0),)),
     )
     inst = PricingInstance(vs, es)
-    point = FractionalPoint(y={("e0", 0.5): 0.5, ("e1", 0.5): 0.5}, x={"e0": 0.5, "e1": 0.5})
+    point = FractionalPoint(y={("e0", 0.5): 0.5, ("e1", 0.5): 0.5})
     eng = SequentialPricingEngine(inst, point, TRIV)
     rep = monte_carlo(eng, 20_000, 8)
     total_matched = sum(er.matched for er in rep.edges)
@@ -414,7 +430,7 @@ def test_pricing_offers_from_menus_wider_than_127_entries():
     # negative and read as "no offer", so the edge would never match
     inst = generate_family("single_edge_hard", k=400, grid=range(300)).instance
     w = inst.edges[0].menu[200].w
-    point = FractionalPoint(y={("e0", w): 1.0}, x={"e0": 0.005})
+    point = FractionalPoint(y={("e0", w): 1.0})
     rep = monte_carlo(SequentialPricingEngine(inst, point, TRIV), 200_000, 4)
     (er,) = rep.edges
     assert er.freq > 0
