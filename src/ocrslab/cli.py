@@ -176,9 +176,9 @@ def _json_default(o):
 
 
 def _write_json(path: str, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, default=_json_default)
-        fh.write("\n")
+    """Write strict JSON: a NaN or infinity is a ValueError, and no file is written."""
+    text = json.dumps(doc, indent=2, default=_json_default, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -193,9 +193,7 @@ def _cmd_gen(args) -> int:
         if val is not None:
             params[name] = val
     if args.k is not None:
-        # star and the greedy counterexamples take an integer count; the
-        # single-edge family takes a real weight scale
-        params["k"] = args.k if family.replace("-", "_") == "single_edge_hard" else int(args.k)
+        params["k"] = int(args.k) if args.k.is_integer() else args.k
     if args.x is not None:
         params["x"] = tuple(float(t) for t in args.x.split(","))
     if args.grid is not None:

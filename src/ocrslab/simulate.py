@@ -16,9 +16,11 @@ reduction is shared too.  ``monte_carlo`` aggregates chunks into a report,
 summing revenue in fixed blocks of trials; one trial replays as row 0 of
 ``engine.run_chunk(seed, trial, 1, detail=True)``.
 
-The exact oracles (``exact_trivial_oracle``, ``optimal_policy_dp``,
-``greedy_baseline``) are memoized bitmask recursions over tiny instances and
-serve as ground truth for the statistical engines.
+The exact oracles are memoized bitmask recursions over tiny instances and
+serve as ground truth for the statistical engines.  ``exact_trivial_oracle``
+sums over arrival orders.  ``optimal_policy_dp`` and ``greedy_baseline`` share
+one probe recursion, ``_probe_value``: the DP probes the best open option,
+greedy the first open one in its sorted order.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .graphcore import (
     EdgeStats,
     FractionalPoint,
     PricingInstance,
+    check_polytope,
     fractional_point_violations,
     marginals,
 )
@@ -118,7 +121,6 @@ class _Topology:
     """Index arrays shared by all chunk kernels."""
 
     def __init__(self, inst: PricingInstance):
-        self.inst = inst
         self.n_edges = len(inst.edges)
         self.n_vertices = len(inst.vertices)
         vpos = inst.vertex_pos
@@ -144,6 +146,15 @@ class _Topology:
 
     def x_vector(self, x: dict[str, float]) -> np.ndarray:
         return np.array([x.get(eid, 0.0) for eid in self.edge_ids], dtype=float)
+
+
+def _rewards(inst: PricingInstance, objective: str) -> list[list[float]]:
+    """What an accepted offer pays, c/p per menu entry of each edge (0 when p = 0)."""
+    coeffs = objective_coefficients(inst, objective)
+    return [
+        [c / entry.p if entry.p > 0 else 0.0 for c, entry in zip(coeffs[e.id], e.menu)]
+        for e in inst.edges
+    ]
 
 
 def _q_counts(realized: np.ndarray, position: np.ndarray, topo: _Topology) -> np.ndarray:
@@ -352,16 +363,14 @@ class StochasticOcrsEngine:
         self.p = self.topo.x_vector(p)
         if np.any(self.y < 0) or np.any(self.y > 1) or np.any(self.p < 0) or np.any(self.p > 1):
             raise ValueError("y and p must lie in [0, 1]")
-        loads_x = np.zeros(self.topo.n_vertices)
-        np.add.at(loads_x, self.topo.u_idx, self.y * self.p)
-        np.add.at(loads_x, self.topo.v_idx, self.y * self.p)
-        if np.any(loads_x > 1.0 + 1e-9):
-            raise ValueError("marginal load exceeds 1 at a vertex")
         # The per-vertex probe budget sum(y) <= patience is the analysis-side
         # feasibility condition, not a runtime requirement: the engine caps
         # probes dynamically, and overloaded inputs are legitimate ways to
         # exercise exactly that cap.  Only the marginal load is hard-checked.
         self.x = self.y * self.p
+        fit = check_polytope(dict(zip(self.topo.edge_ids, self.x.tolist())), inst)
+        if not fit.ok:
+            raise ValueError(f"vertex {fit.worst}: marginal load exceeds 1 by {fit.excess:.3g}")
         self.s = np.array([stats[eid].s for eid in self.topo.edge_ids], dtype=float)
         self.spec = spec
 
@@ -416,12 +425,9 @@ class VertexArrivalEngine:
         for edg in inst.edges:
             if {sides[edg.u], sides[edg.v]} != {"offline", "online"}:
                 raise ValueError(f"edge {edg.id} does not cross the bipartition")
+        vpos = inst.vertex_pos
         self.online_of_edge = np.array(
-            [
-                self.topo.inst.vertex_pos[edg.u if sides[edg.u] == "online" else edg.v]
-                for edg in inst.edges
-            ],
-            dtype=np.intp,
+            [vpos[edg.u if sides[edg.u] == "online" else edg.v] for edg in inst.edges], dtype=np.intp
         )
         self.x = self.topo.x_vector(x)
 
@@ -462,7 +468,7 @@ class SequentialPricingEngine:
             raise ValueError(f"infeasible menu solution: {bad[0]}")
         self.topo = _Topology(inst)
         e = self.topo.n_edges
-        coeffs = objective_coefficients(inst, objective)
+        rewards = _rewards(inst, objective)
         width = max((len(edg.menu) for edg in inst.edges), default=1)
         self.menu_y = np.zeros((e, width))
         self.menu_p = np.zeros((e, width))
@@ -471,8 +477,7 @@ class SequentialPricingEngine:
             for k, entry in enumerate(edg.menu):
                 self.menu_y[i, k] = point.y.get((edg.id, entry.w), 0.0)
                 self.menu_p[i, k] = entry.p
-                c = coeffs[edg.id][k]
-                self.menu_r[i, k] = c / entry.p if entry.p > 0 else 0.0
+                self.menu_r[i, k] = rewards[i][k]
         self.x = self.topo.x_vector(marginals(point, inst)[0])
         self.spec = spec
         # s_e from the induced marginals, for the a2 profile
@@ -533,10 +538,13 @@ def monte_carlo(
     A chunk holds at most `chunk_size` trials (2048 by default, which keeps
     a chunk's arrays near the cache), and fewer on wide instances, so that
     no stacked draw of four (trials, edges) float arrays passes 64 MiB.
-    `workers=None` means 1.
+    `workers=None` means 1.  The master seed is a uint64 stream key, so it
+    must lie in [0, 2**64).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not 0 <= master_seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {master_seed}")
     n_edges = len(engine.topo.edge_ids)
     chunk = max(1, min(chunk_size, _CHUNK_CELLS // (4 * max(n_edges, 1))))
     # revenue is summed in units of 2**shift, at or above the largest menu
@@ -629,14 +637,12 @@ def exact_trivial_oracle(x: dict[str, float], inst: PricingInstance) -> dict[str
     recursion draws the first arrival uniformly among remaining edges and
     branches on its activity.
     """
-    edges = inst.edges
-    m = len(edges)
+    m = len(inst.edges)
     if m > 10:
         raise ValueError(f"exact oracle supports at most 10 edges, got {m}")
-    vpos = inst.vertex_pos
-    uv = [(vpos[e.u], vpos[e.v]) for e in edges]
-    xs = [float(x.get(e.id, 0.0)) for e in edges]
-    full = (1 << m) - 1
+    topo = _Topology(inst)
+    uv = list(zip(topo.u_idx.tolist(), topo.v_idx.tolist()))
+    xs = topo.x_vector(x).tolist()
 
     @lru_cache(maxsize=None)
     def rec(rem: int, matched_v: int) -> tuple[float, ...]:
@@ -672,18 +678,56 @@ def exact_trivial_oracle(x: dict[str, float], inst: PricingInstance) -> dict[str
                         acc[j] += wa * sub[j]
         return tuple(acc)
 
-    probs = rec(full, 0)
+    probs = rec((1 << m) - 1, 0)
     rec.cache_clear()
-    return {e.id: probs[i] for i, e in enumerate(edges)}
+    return dict(zip(topo.edge_ids, probs))
+
+
+def _probe_value(inst: PricingInstance, objective: str, options: list, first_open: bool) -> float:
+    """Expected reward of a probe policy over (edge i, menu entry k) `options`.
+
+    The state is (probed edges, matched vertices), as bitmasks.  An option is
+    open when its edge is unprobed and both endpoints are unmatched with
+    patience left (one unit spent per probed incident edge).  A probe spends
+    the edge; with the entry's p it is accepted, pays c/p and matches both
+    endpoints.  The policy probes the best open option or stops for 0; with
+    `first_open` it probes the first open option in `options` order.  An
+    option that closes never reopens, so a walk down that order reaches the
+    same option next.
+    """
+    topo = _Topology(inst)
+    uv = list(zip(topo.u_idx.tolist(), topo.v_idx.tolist()))
+    # the incident-edge bitmask of each vertex
+    inc = [sum(1 << i for i in set(inst.incident[v.id])) for v in inst.vertices]
+    pat = topo.patience.tolist()
+    rewards = _rewards(inst, objective)
+    opts = [(i, *uv[i], inst.edges[i].menu[k].p, rewards[i][k]) for i, k in options]
+
+    @lru_cache(maxsize=None)
+    def value(probed: int, matched: int) -> float:
+        best = 0.0
+        for i, u, v, p, r in opts:
+            ends = 1 << u | 1 << v
+            if probed >> i & 1 or matched & ends:
+                continue
+            if bin(probed & inc[u]).count("1") >= pat[u] or bin(probed & inc[v]).count("1") >= pat[v]:
+                continue
+            nxt = probed | 1 << i
+            val = p * (r + value(nxt, matched | ends))
+            val += (1.0 - p) * value(nxt, matched)
+            if first_open:
+                return val
+            if val > best:
+                best = val
+        return best
+
+    out = value(0, 0)
+    value.cache_clear()
+    return out
 
 
 def optimal_policy_dp(inst: PricingInstance, objective: str | None = None) -> float:
-    """Exact optimum over adaptive probe policies (order, prices, stopping).
-
-    State is (set of probed edges, set of matched vertices); patience used
-    at a vertex equals its probed incident edges, since a policy only ever
-    probes edges whose endpoints are currently free.
-    """
+    """Exact optimum over adaptive probe policies (order, prices, stopping)."""
     if objective is None:
         objective = auto_objective(inst)
     options = [(i, k) for i, e in enumerate(inst.edges) for k in range(len(e.menu))]
@@ -693,98 +737,24 @@ def optimal_policy_dp(inst: PricingInstance, objective: str | None = None) -> fl
             f"instance too large for exact policy optimum: {len(options)} probe "
             f"options, state space on the order of {est}"
         )
-    coeffs = objective_coefficients(inst, objective)
-    vpos = inst.vertex_pos
-    edges = inst.edges
-    uv = [(vpos[e.u], vpos[e.v]) for e in edges]
-    inc_mask = [0] * len(inst.vertices)
-    for i, e in enumerate(edges):
-        inc_mask[vpos[e.u]] |= 1 << i
-        inc_mask[vpos[e.v]] |= 1 << i
-    pat = [v.patience for v in inst.vertices]
-
-    @lru_cache(maxsize=None)
-    def value(offered: int, matched_v: int) -> float:
-        best = 0.0
-        for i, e in enumerate(edges):
-            if offered >> i & 1:
-                continue
-            ui, vi = uv[i]
-            if matched_v >> ui & 1 or matched_v >> vi & 1:
-                continue
-            used_u = bin(offered & inc_mask[ui]).count("1")
-            used_v = bin(offered & inc_mask[vi]).count("1")
-            if pat[ui] is not None and used_u >= pat[ui]:
-                continue
-            if pat[vi] is not None and used_v >= pat[vi]:
-                continue
-            for k, entry in enumerate(e.menu):
-                c = coeffs[e.id][k]
-                r = c / entry.p if entry.p > 0 else 0.0
-                nxt_offered = offered | 1 << i
-                val = entry.p * (r + value(nxt_offered, matched_v | 1 << ui | 1 << vi))
-                val += (1.0 - entry.p) * value(nxt_offered, matched_v)
-                if val > best:
-                    best = val
-        return best
-
-    out = value(0, 0)
-    value.cache_clear()
-    return out
+    return _probe_value(inst, objective, options, first_open=False)
 
 
-def greedy_baseline(
-    inst: PricingInstance, rule: str, objective: str | None = None
-) -> float:
+def greedy_baseline(inst: PricingInstance, rule: str, objective: str | None = None) -> float:
     """Expected value of probing (edge, price) options in a fixed sorted order.
 
     ``by_weight`` sorts by price descending, ``by_expected_weight`` by
     price*probability descending; ties break on edge id then menu position.
-    A probe spends its edge — later options on the same edge are skipped.
+    Each step probes the first option still open, so a probe spends its
+    edge and later options on the same edge are skipped.
     """
     if rule not in ("by_weight", "by_expected_weight"):
         raise ValueError(f"unknown greedy rule: {rule!r}")
     if objective is None:
         objective = auto_objective(inst)
-    coeffs = objective_coefficients(inst, objective)
-    vpos = inst.vertex_pos
-    edges = inst.edges
-    options = []
-    for i, e in enumerate(edges):
-        for k, entry in enumerate(e.menu):
-            sort_key = entry.w if rule == "by_weight" else entry.w * entry.p
-            options.append((-sort_key, e.id, k, i))
-    options.sort()
-    inc_mask = [0] * len(inst.vertices)
-    for i, e in enumerate(edges):
-        inc_mask[vpos[e.u]] |= 1 << i
-        inc_mask[vpos[e.v]] |= 1 << i
-    pat = [v.patience for v in inst.vertices]
-    uv = [(vpos[e.u], vpos[e.v]) for e in edges]
-
-    @lru_cache(maxsize=None)
-    def walk(pos: int, spent: int, matched_v: int) -> float:
-        if pos == len(options):
-            return 0.0
-        _, _, k, i = options[pos]
-        e = edges[i]
-        ui, vi = uv[i]
-        feasible = not (spent >> i & 1)
-        feasible &= not (matched_v >> ui & 1) and not (matched_v >> vi & 1)
-        if feasible and pat[ui] is not None:
-            feasible &= bin(spent & inc_mask[ui]).count("1") < pat[ui]
-        if feasible and pat[vi] is not None:
-            feasible &= bin(spent & inc_mask[vi]).count("1") < pat[vi]
-        if not feasible:
-            return walk(pos + 1, spent, matched_v)
-        entry = e.menu[k]
-        c = coeffs[e.id][k]
-        r = c / entry.p if entry.p > 0 else 0.0
-        nxt = spent | 1 << i
-        val = entry.p * (r + walk(pos + 1, nxt, matched_v | 1 << ui | 1 << vi))
-        val += (1.0 - entry.p) * walk(pos + 1, nxt, matched_v)
-        return val
-
-    out = walk(0, 0, 0)
-    walk.cache_clear()
-    return out
+    ranked = sorted(
+        (-(entry.w if rule == "by_weight" else entry.w * entry.p), e.id, k, i)
+        for i, e in enumerate(inst.edges)
+        for k, entry in enumerate(e.menu)
+    )
+    return _probe_value(inst, objective, [(i, k) for _, _, k, i in ranked], first_open=True)

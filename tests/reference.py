@@ -2,15 +2,19 @@
 
 Adaptive Simpson quadrature and the integrals z and h1 evaluated with it, one
 point at a time, for the special functions in ``ocrslab.bounds``; and the
-pricing LP built one constraint row at a time, for ``lp.build_lp_pricing``.
-The tests compare the library against these references.
+pricing LP built one constraint row at a time, for ``lp.build_lp_pricing``;
+and the optimal-policy DP and the fixed-order greedy as two separate
+recursions, for ``simulate.optimal_policy_dp`` and ``greedy_baseline``.  The
+tests compare the library against these references.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from ocrslab.lp import objective_coefficients
+from ocrslab.graphcore import PricingInstance
+from ocrslab.lp import auto_objective, objective_coefficients
 
 QUAD_TOL = 1e-10
 
@@ -125,3 +129,116 @@ def build_lp_rows(inst, objective="revenue"):
 
     A = np.vstack(rows) if rows else np.zeros((0, n))
     return np.array(c), A, np.array(b), tuple(var_keys)
+
+
+def optimal_policy_dp(inst: PricingInstance, objective: str | None = None) -> float:
+    """Exact optimum over adaptive probe policies (order, prices, stopping).
+
+    State is (set of probed edges, set of matched vertices); patience used
+    at a vertex equals its probed incident edges, since a policy only ever
+    probes edges whose endpoints are currently free.
+    """
+    if objective is None:
+        objective = auto_objective(inst)
+    options = [(i, k) for i, e in enumerate(inst.edges) for k in range(len(e.menu))]
+    if len(options) > 12:
+        est = 2 ** len(inst.edges) * 2 ** len(inst.vertices)
+        raise ValueError(
+            f"instance too large for exact policy optimum: {len(options)} probe "
+            f"options, state space on the order of {est}"
+        )
+    coeffs = objective_coefficients(inst, objective)
+    vpos = inst.vertex_pos
+    edges = inst.edges
+    uv = [(vpos[e.u], vpos[e.v]) for e in edges]
+    inc_mask = [0] * len(inst.vertices)
+    for i, e in enumerate(edges):
+        inc_mask[vpos[e.u]] |= 1 << i
+        inc_mask[vpos[e.v]] |= 1 << i
+    pat = [v.patience for v in inst.vertices]
+
+    @lru_cache(maxsize=None)
+    def value(offered: int, matched_v: int) -> float:
+        best = 0.0
+        for i, e in enumerate(edges):
+            if offered >> i & 1:
+                continue
+            ui, vi = uv[i]
+            if matched_v >> ui & 1 or matched_v >> vi & 1:
+                continue
+            used_u = bin(offered & inc_mask[ui]).count("1")
+            used_v = bin(offered & inc_mask[vi]).count("1")
+            if pat[ui] is not None and used_u >= pat[ui]:
+                continue
+            if pat[vi] is not None and used_v >= pat[vi]:
+                continue
+            for k, entry in enumerate(e.menu):
+                c = coeffs[e.id][k]
+                r = c / entry.p if entry.p > 0 else 0.0
+                nxt_offered = offered | 1 << i
+                val = entry.p * (r + value(nxt_offered, matched_v | 1 << ui | 1 << vi))
+                val += (1.0 - entry.p) * value(nxt_offered, matched_v)
+                if val > best:
+                    best = val
+        return best
+
+    out = value(0, 0)
+    value.cache_clear()
+    return out
+
+
+def greedy_baseline(
+    inst: PricingInstance, rule: str, objective: str | None = None
+) -> float:
+    """Expected value of probing (edge, price) options in a fixed sorted order.
+
+    ``by_weight`` sorts by price descending, ``by_expected_weight`` by
+    price*probability descending; ties break on edge id then menu position.
+    A probe spends its edge — later options on the same edge are skipped.
+    """
+    if rule not in ("by_weight", "by_expected_weight"):
+        raise ValueError(f"unknown greedy rule: {rule!r}")
+    if objective is None:
+        objective = auto_objective(inst)
+    coeffs = objective_coefficients(inst, objective)
+    vpos = inst.vertex_pos
+    edges = inst.edges
+    options = []
+    for i, e in enumerate(edges):
+        for k, entry in enumerate(e.menu):
+            sort_key = entry.w if rule == "by_weight" else entry.w * entry.p
+            options.append((-sort_key, e.id, k, i))
+    options.sort()
+    inc_mask = [0] * len(inst.vertices)
+    for i, e in enumerate(edges):
+        inc_mask[vpos[e.u]] |= 1 << i
+        inc_mask[vpos[e.v]] |= 1 << i
+    pat = [v.patience for v in inst.vertices]
+    uv = [(vpos[e.u], vpos[e.v]) for e in edges]
+
+    @lru_cache(maxsize=None)
+    def walk(pos: int, spent: int, matched_v: int) -> float:
+        if pos == len(options):
+            return 0.0
+        _, _, k, i = options[pos]
+        e = edges[i]
+        ui, vi = uv[i]
+        feasible = not (spent >> i & 1)
+        feasible &= not (matched_v >> ui & 1) and not (matched_v >> vi & 1)
+        if feasible and pat[ui] is not None:
+            feasible &= bin(spent & inc_mask[ui]).count("1") < pat[ui]
+        if feasible and pat[vi] is not None:
+            feasible &= bin(spent & inc_mask[vi]).count("1") < pat[vi]
+        if not feasible:
+            return walk(pos + 1, spent, matched_v)
+        entry = e.menu[k]
+        c = coeffs[e.id][k]
+        r = c / entry.p if entry.p > 0 else 0.0
+        nxt = spent | 1 << i
+        val = entry.p * (r + walk(pos + 1, nxt, matched_v | 1 << ui | 1 << vi))
+        val += (1.0 - entry.p) * walk(pos + 1, nxt, matched_v)
+        return val
+
+    out = walk(0, 0, 0)
+    walk.cache_clear()
+    return out

@@ -46,6 +46,31 @@ def test_gen_families_and_aliases(tmp_path):
     _gen(tmp_path, "single-edge-hard", "--k", "6", "--grid", "0,1,2,3,4,5")
 
 
+@pytest.mark.parametrize("family, extra", [
+    ("star", ["--k", "2.5"]),
+    ("d2", ["--N", "10", "--k", "3.7"]),
+])
+def test_gen_refuses_a_fractional_count(tmp_path, family, extra):
+    # a fractional k used to be truncated to a 2-star or k = 3
+    out = tmp_path / "frac.json"
+    assert main(["gen", "--family", family, *extra, "--out", str(out)]) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [
+    ["--family", "single-edge-hard", "--k", "nan", "--grid", "0"],
+    ["--family", "single-edge-hard", "--k", "inf", "--grid", "0"],
+    ["--family", "triangle", "--x", "nan,0.1,0.1"],
+])
+def test_gen_writes_only_strict_json(tmp_path, capsys, extra):
+    # these wrote NaN or Infinity, which no strict JSON reader (ocrslab lp
+    # included) accepts
+    out = tmp_path / "bad.json"
+    assert main(["gen", *extra, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
 def test_gen_unknown_family(tmp_path):
     out = tmp_path / "nope.json"
     assert main(["gen", "--family", "moebius", "--out", str(out)]) == 1
@@ -213,6 +238,16 @@ def test_simulate_rejects_nonpositive_trials(tmp_path):
                  "--trials", "0"]) == 2
 
 
+@pytest.mark.parametrize("seed", ["-5", str(2**64)])
+def test_simulate_seed_outside_uint64(tmp_path, capsys, seed):
+    # the seed is a uint64 stream key; these used to end in an OverflowError
+    star = _gen(tmp_path, "star", "--k", "3")
+    capsys.readouterr()
+    assert main(["simulate", "--instance", str(star), "--scheme", "ro-ocrs",
+                 "--trials", "100", "--seed", seed, "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err.startswith("error: seed must lie in [0, 2**64)")
+
+
 def test_simulate_missing_file(tmp_path):
     assert main(["simulate", "--instance", str(tmp_path / "gone.json"),
                  "--scheme", "ro-ocrs"]) == 1
@@ -377,6 +412,11 @@ def test_suite_smoke(tmp_path, capsys):
         assert f"criterion {r['ident']}" in text
     all_pass = all(r["passed"] for r in results)
     assert code == (0 if all_pass else 1)
+
+
+def test_suite_seed_outside_uint64(capsys):
+    assert main(["suite", "--trials", "10", "--seed", "-5"]) == 1
+    assert capsys.readouterr().err.startswith("error: seed must lie in [0, 2**64)")
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,6 +39,7 @@ from ocrslab.simulate import (
     optimal_policy_dp,
     wilson_interval,
 )
+from ocrslab.suite import build_suite
 
 TRIV = AttenuationSpec("trivial")
 A1 = AttenuationSpec("a1")
@@ -302,7 +304,7 @@ def test_stochastic_validation():
         ["a", "b", "c"],
     )
     stats2 = edge_stats({"e0": 0.8, "e1": 0.8}, inst2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="vertex a: marginal load exceeds 1"):
         StochasticOcrsEngine(
             inst2, {"e0": 0.8, "e1": 0.8}, {"e0": 1.0, "e1": 1.0}, stats2, TRIV
         )
@@ -501,3 +503,54 @@ def test_dp_dominates_greedy_on_random_menus():
         dp = optimal_policy_dp(inst)
         for rule in ("by_weight", "by_expected_weight"):
             assert dp >= greedy_baseline(inst, rule) - 1e-12
+
+
+def _baseline_pool():
+    """Small instances with patience unbounded, 1 and 2 at every vertex."""
+    insts = [entry.instance for entry in build_suite()]
+    insts.append(generate_family("greedy_counterexample_d1", eps=0.01).instance)
+    insts += [generate_family("greedy_counterexample_d2", N=10, k=k).instance for k in range(1, 7)]
+    insts.append(generate_family("single_edge_hard", k=10, grid=range(9)).instance)
+    insts.append(generate_family("single_edge_hard", k=7.5, grid=(0, 1, 2.5)).instance)
+    for n in (2, 3):
+        for density in (0.5, 0.8, 1.0):
+            insts += [
+                generate_family("random_bipartite", n=n, m=n, density=density, seed=seed).instance
+                for seed in range(13)
+            ]
+    insts += [generate_family("random_general", n=5, density=0.5, seed=s).instance for s in range(19)]
+    for inst in insts:
+        for ell in (None, 1, 2):
+            verts = tuple(dataclasses.replace(v, patience=ell) for v in inst.vertices)
+            yield dataclasses.replace(inst, vertices=verts)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_baselines_match_the_separate_recursions():
+    # one probe recursion serves both baselines; it must give the same bits
+    # and the same errors as the optimal DP and the position-walking greedy
+    values = 0
+    for inst in _baseline_pool():
+        for objective in (None, "revenue", "custom"):
+            got = _outcome(optimal_policy_dp, inst, objective)
+            assert got == _outcome(ref.optimal_policy_dp, inst, objective)
+            values += isinstance(got, float)
+            for rule in ("by_weight", "by_expected_weight"):
+                got = _outcome(greedy_baseline, inst, rule, objective)
+                assert got == _outcome(ref.greedy_baseline, inst, rule, objective)
+                values += isinstance(got, float)
+    assert values > 2000  # most rows are values, not guard or objective errors
+
+
+@pytest.mark.parametrize("rule", ["by_weight", "by_expected_weight"])
+def test_greedy_on_a_long_menu(rule):
+    # 1500 prices on one edge: the first probe spends the edge and is worth 1
+    # in expectation, so no option after it may cost a level of recursion
+    inst = generate_family("single_edge_hard", k=3000, grid=range(1500)).instance
+    assert math.isclose(greedy_baseline(inst, rule), 1.0)
