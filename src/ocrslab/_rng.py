@@ -76,8 +76,11 @@ def hash_uniform(seed: int, trial, unit, purpose) -> np.ndarray:
         tmp = np.empty_like(h)
         h = _mix(h, tmp)
         out = np.empty((len(purposes), *h.shape))
-        z = np.empty_like(h)
         for k, p in enumerate(purposes):
+            # purpose k mixes in output slot k + 1, not yet written, and the
+            # last purpose in the prefix, no longer needed: the working set
+            # stays the prefix, the scratch and the output
+            z = out[k + 1, ...].view(np.uint64) if k + 1 < len(purposes) else np.asarray(h)
             np.bitwise_xor(h, _key(p) * _GAMMA, out=z)
             z = _mix(z, tmp)
             z >>= _S11

@@ -4,16 +4,22 @@ The four online schemes are one attenuated greedy walk that differs only in
 its coins.  Each engine draws every random quantity of a chunk up front from
 the counter-based stream, in one call for all its edge purposes (so worker
 count can never change a trial), sets up its own coins and arrival order,
-and hands them to ``_walk``: an edge proposes when its coins allow and both
-endpoints are free (and patient), and is matched when the proposal is
-accepted.  The walk also counts Q(e), the realized neighbours that arrive
-before e in its own arrival order, as it goes; on multigraphs it recounts
-them from arrival positions.  Arrival order is a stable sort of the arrival
-times, taken as one sort of packed uint64 keys (53-bit time, 11-bit edge
-position) by ``_arrival_order``; vertex arrival sorts that order once more,
-stably by the arrival rank of each edge's online vertex.  The per-chunk
-reduction is shared too.  ``monte_carlo`` aggregates chunks into a report,
-summing revenue in fixed blocks of trials; one trial replays as row 0 of
+and hands them to ``_walk``: an edge proposes when its coins allow ("go")
+and both endpoints are free (and patient), and is matched when the proposal
+is accepted.  Only go edges can change the walk, so when the busiest trial
+of a chunk has fewer than half its edges go, the walk steps through each
+trial's go edges alone, packed in arrival order; on dense chunks the packing
+would cost more than the steps it saves, and the walk takes every edge.  The
+walk also counts Q(e), the realized neighbours that arrive before e in its
+own arrival order, on go cells as it goes; on multigraphs, and on every cell
+of a detail chunk, ``_q_counts`` counts it from arrival positions (the
+reduction reads Q only on matched cells, which are go cells).  Arrival order
+is a stable sort of the arrival times, taken as one sort of packed uint64
+keys (53-bit time, 11-bit edge position) by ``_arrival_order``; vertex
+arrival sorts that order once more, stably by the arrival rank of each
+edge's online vertex.  The per-chunk reduction is shared too.
+``monte_carlo`` aggregates chunks into a report, summing revenue in fixed
+blocks of trials; one trial replays as row 0 of
 ``engine.run_chunk(seed, trial, 1, detail=True)``.
 
 The exact oracles are memoized bitmask recursions over tiny instances and
@@ -56,6 +62,10 @@ _CHUNK_CELLS = 2**23
 # the block of absolute trial indices whose revenues are summed together, so
 # that chunking never changes a revenue sum
 _BLOCK_TRIALS = 16384
+
+# cells per block when the walk gathers its go mask into arrival order, so
+# that the flat-index temporary stays at 1 MiB
+_GATHER_CELLS = 2**17
 
 # edge positions take the low bits of an arrival-order sort key
 _POS_BITS = 11
@@ -205,6 +215,38 @@ def _reduce_chunk(matched, q, revenue) -> _ChunkCounts:
     )
 
 
+def _arrival_q(realized: np.ndarray, order: np.ndarray, topo: _Topology) -> np.ndarray:
+    """Q(e) on every cell, counted from the arrival positions of `order`."""
+    position = np.empty_like(order)
+    np.put_along_axis(position, order, np.arange(order.shape[1]), axis=1)
+    return _q_counts(realized, position, topo)
+
+
+def _go_steps(order: np.ndarray, go: np.ndarray, n_go: np.ndarray, k: int) -> np.ndarray:
+    """Each trial's `go` edges in arrival order, as a (k, trials) array of edges.
+
+    A block of trials at a time, through flat indices that stay near 1 MiB,
+    the go mask is gathered into arrival order.  Its row-major nonzero cells
+    are then each trial's go cells in order, so a cell's step is its rank
+    within its row.  A trial with fewer than k go cells is padded with its
+    first non-go edge, which never proposes; every trial has one, as 2k < E.
+    """
+    count, e = order.shape
+    go_f = go.ravel()
+    steps = np.empty((k, count), dtype=order.dtype)
+    block = max(1, _GATHER_CELLS // e)
+    for s in range(0, count, block):
+        part = order[s : s + block]
+        n = part.shape[0]
+        go_ord = np.take(go_f, part + np.arange(s, s + n)[:, None] * e)
+        steps[:, s : s + n] = part[np.arange(n), np.argmin(go_ord, axis=1)]
+        cells = np.flatnonzero(go_ord)
+        rows = cells // e
+        rank = np.arange(cells.size) - (np.cumsum(n_go[s : s + n]) - n_go[s : s + n])[rows]
+        steps.ravel()[rank * count + s + rows] = part.ravel()[cells]
+    return steps
+
+
 def _walk(topo: _Topology, order, go, accept, patience=None, reward=None):
     """The greedy walk every scheme shares, over (trials, edges) coin arrays.
 
@@ -214,16 +256,30 @@ def _walk(topo: _Topology, order, go, accept, patience=None, reward=None):
     and is marked probed.  A proposal is matched when `accept` also holds,
     and a match adds its `reward` to the trial's revenue.
 
-    Also returns Q(e), the number of e's neighbours that arrive before e in
-    `order` and are realized (`go` and `accept` both hold).  A per-(trial,
-    vertex) counter of realized arrivals, read at both endpoints before e
-    adds its own, counts them as the walk goes.  With parallel edges or
-    self-loops an edge is not one neighbour per endpoint, so `_q_counts`
-    counts them from arrival positions instead.  Arrays are read and written
-    through flat (trial * width + column) indices.
+    An edge whose `go` fails never proposes, spends nothing and is never
+    realized, so only go edges can change the walk.  When the busiest trial
+    has k go edges and 2k < E, the walk takes k steps over each trial's go
+    edges in arrival order (`_go_steps`); otherwise it takes the E steps of
+    `order`.  Gathering and packing the go cells costs about as much as the
+    steps it saves once k nears E/2, and more beyond.  Both cases feed one
+    loop.
+
+    Also returns Q(e) on the go cells: the number of e's neighbours that
+    arrive before e in `order` and are realized (`go` and `accept` both
+    hold).  Realized edges are go edges, so a per-(trial, vertex) counter of
+    realized arrivals, read at both endpoints before e adds its own, counts
+    them as the walk goes; q on a non-go cell is unspecified.  With parallel
+    edges or self-loops an edge is not one neighbour per endpoint, so
+    `_arrival_q` counts them from arrival positions instead.  Arrays are read
+    and written through flat (trial * width + column) indices.
     """
     count, e = go.shape
     nv = topo.n_vertices
+    # go cells per trial; einsum sums short rows in half the time of
+    # count_nonzero, which the many narrow chunks of small instances pay
+    n_go = np.einsum("ij->i", go, dtype=np.intp)
+    k = int(n_go.max(initial=0))
+    steps = _go_steps(order, go, n_go, k) if 2 * k < e else order.T
     base_e = np.arange(count) * e
     base_v = np.arange(count) * nv
     go_f, accept_f = go.ravel(), accept.ravel()
@@ -237,8 +293,7 @@ def _walk(topo: _Topology, order, go, accept, patience=None, reward=None):
     arrived = np.zeros(count * nv, dtype=topo.q_dtype) if topo.simple else None
     if patience is not None:
         pat = np.tile(patience, count)
-    for j in range(e):
-        ep = order[:, j]
+    for ep in steps:
         fe = base_e + ep
         fu = base_v + topo.u_idx[ep]
         fv = base_v + topo.v_idx[ep]
@@ -262,9 +317,7 @@ def _walk(topo: _Topology, order, go, accept, patience=None, reward=None):
             revenue[win] += reward_f[fe[win]]
 
     if arrived is None:
-        positions = np.empty_like(order)
-        np.put_along_axis(positions, order, np.arange(e), axis=1)
-        q = _q_counts(go & accept, positions, topo)
+        q = _arrival_q(go & accept, order, topo)
     if patience is None:
         probes = np.zeros((count, nv), dtype=np.int32)
     else:
@@ -292,8 +345,15 @@ def _arrival_order(t: np.ndarray) -> np.ndarray:
     return key.view(np.int64)
 
 
-def _chunk_result(walk: _Walk, active, realized, q, detail: bool):
+def _chunk_result(topo: _Topology, order, walk: _Walk, q, active, realized, detail: bool):
+    """The chunk's reduction, or with `detail` its per-cell arrays.
+
+    The reduction reads q only on matched cells, which are go cells.  The
+    walk's q is exact only there, so the detail arrays count Q(e) on every
+    cell from arrival positions.
+    """
     if detail:
+        q = _arrival_q(realized, order, topo)
         return _ChunkDetail(
             active, realized, walk.probed, walk.matched, q, walk.revenue, walk.probes_used
         )
@@ -337,7 +397,7 @@ class RoOcrsEngine:
 
         order = _arrival_order(t)
         walk, q = _walk(self.topo, order, realized, active)
-        return _chunk_result(walk, active, realized, q, detail)
+        return _chunk_result(self.topo, order, walk, q, active, realized, detail)
 
 
 class StochasticOcrsEngine:
@@ -387,7 +447,7 @@ class StochasticOcrsEngine:
 
         order = _arrival_order(t)
         walk, q = _walk(self.topo, order, probe_ok, active, self.topo.patience)
-        return _chunk_result(walk, active, realized, q, detail)
+        return _chunk_result(self.topo, order, walk, q, active, realized, detail)
 
 
 def _vertex_order(t_e: np.ndarray, t_v: np.ndarray, online: np.ndarray) -> np.ndarray:
@@ -443,7 +503,7 @@ class VertexArrivalEngine:
 
         order = _vertex_order(t_e, t_v, self.online_of_edge)
         walk, q = _walk(self.topo, order, realized, active)
-        return _chunk_result(walk, active, realized, q, detail)
+        return _chunk_result(self.topo, order, walk, q, active, realized, detail)
 
 
 class SequentialPricingEngine:
@@ -511,7 +571,7 @@ class SequentialPricingEngine:
 
         order = _arrival_order(t)
         walk, q = _walk(self.topo, order, go, would_accept, self.topo.patience, reward)
-        return _chunk_result(walk, realized, realized, q, detail)
+        return _chunk_result(self.topo, order, walk, q, realized, realized, detail)
 
 
 # --------------------------------------------------------------------------

@@ -43,6 +43,12 @@ DEFAULT_TRIALS = 1_000_000
 # inside it; every other check has margins far wider than seed noise.
 DEFAULT_SEED = 2
 
+# The Monte-Carlo runs of `run_criteria` after criterion 3 take the seeds
+# master + _SEED_STRIDE * n for n = 1, ..., _DERIVED_SEEDS, in a fixed order;
+# a run added to the battery raises the count (the suite smoke test checks it).
+_SEED_STRIDE = 7919
+_DERIVED_SEEDS = 86
+
 _SUITE_SPECS = (
     ("tight_path3_2", "tight_path3", {"n": 2}),
     ("tight_path3_4", "tight_path3", {"n": 4}),
@@ -188,6 +194,12 @@ def run_criteria(
     because `perfbench/workloads.py` passes them, and will be removed together
     with those arguments there.
     """
+    top = 2**64 - 1 - _SEED_STRIDE * _DERIVED_SEEDS
+    if not 0 <= master_seed <= top:
+        raise ValueError(
+            f"seed must lie in [0, 2**64), and so must every seed derived from it: "
+            f"the largest master seed accepted is {top}, got {master_seed}"
+        )
     results: list[CriterionResult] = []
     suite = build_suite()
     a1 = AttenuationSpec("a1")
@@ -201,7 +213,7 @@ def run_criteria(
     def next_seed() -> int:
         nonlocal seed_counter
         seed_counter += 1
-        return master_seed + 7919 * seed_counter
+        return master_seed + _SEED_STRIDE * seed_counter
 
     def run(engine):
         return monte_carlo(engine, trials, next_seed(), workers=workers)

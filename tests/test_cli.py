@@ -7,12 +7,14 @@ import json
 import math
 import re
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ocrslab import suite
 from ocrslab.cli import instance_from_dict, instance_to_dict, load_instance, main
 from ocrslab.graphcore import check_polytope, generate_family
 
@@ -400,9 +402,19 @@ def test_verify_facts_csv(tmp_path, monkeypatch):
 # suite (smoke only: statistical criteria need large trial counts)
 
 
-def test_suite_smoke(tmp_path, capsys):
+def test_suite_smoke(tmp_path, capsys, monkeypatch):
+    seeds = []
+    real = suite.monte_carlo
+
+    def spy(engine, trials, master_seed, **kw):
+        seeds.append(master_seed)
+        return real(engine, trials, master_seed, **kw)
+
+    monkeypatch.setattr(suite, "monte_carlo", spy)
     out = tmp_path / "suite.json"
     code = main(["suite", "--trials", "400", "--seed", "0", "--out", str(out)])
+    # criterion 3 takes the master seed, every other run a derived one
+    assert sorted(seeds) == [suite._SEED_STRIDE * n for n in range(suite._DERIVED_SEEDS + 1)]
     text = capsys.readouterr().out
     results = json.loads(out.read_text())
     assert len(results) == 9
@@ -417,6 +429,18 @@ def test_suite_smoke(tmp_path, capsys):
 def test_suite_seed_outside_uint64(capsys):
     assert main(["suite", "--trials", "10", "--seed", "-5"]) == 1
     assert capsys.readouterr().err.startswith("error: seed must lie in [0, 2**64)")
+
+
+def test_suite_refuses_a_seed_whose_derived_seeds_overflow_up_front(capsys):
+    # these used to run criteria 1-3 and then fail on a derived seed
+    top = 2**64 - 1 - suite._SEED_STRIDE * suite._DERIVED_SEEDS
+    for seed in (top + 1, 2**64 - 1):
+        t0 = time.perf_counter()
+        assert main(["suite", "--trials", "10", "--seed", str(seed)]) == 1
+        assert time.perf_counter() - t0 < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must lie in [0, 2**64)") and "Traceback" not in err
+        assert f"the largest master seed accepted is {top}, got {seed}" in err
 
 
 # ---------------------------------------------------------------------------

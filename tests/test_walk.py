@@ -1,11 +1,14 @@
 """The shared walk kernel against a step-by-step reference.
 
 `reference_walk` is the walk written the plain way: one (trial, column) pair
-per array access, and Q-counts straight from their definition, with "before"
-meaning an earlier position in the walk's arrival order.  Every engine must
-hand `_walk` coins on which the kernel and the reference agree on every
-output, on suite instances, with patience, with rewards, with parallel edges
-and with tied arrival keys.
+per array access, over every edge in arrival order, and Q-counts straight
+from their definition, with "before" meaning an earlier position in the
+walk's arrival order.  Every engine must hand `_walk` coins on which the
+kernel and the reference agree on every output, on suite instances, with
+patience, with rewards, with parallel edges and with tied arrival keys.  The
+kernel steps through only the go cells when the busiest trial has fewer than
+half the edges go, so each of those cases is checked on both sides of that
+choice.
 """
 
 import dataclasses
@@ -69,12 +72,28 @@ def reference_walk(topo, order, go, accept, patience=None, reward=None):
     return simulate._Walk(matched_e, probed_e, revenue, probes), q
 
 
-def assert_walks_equal(got, want):
+def assert_walks_equal(got, want, go):
+    """The kernel's q is defined on go cells only; `run_against_reference`
+    checks the detail chunk's q on every cell."""
     (walk, q), (ref, ref_q) = got, want
     for field in simulate._Walk._fields:
         a, b = getattr(walk, field), getattr(ref, field)
         assert a.dtype == b.dtype and np.array_equal(a, b), field
-    assert np.array_equal(q, ref_q)
+    assert np.array_equal(q[go], ref_q[go])
+
+
+@pytest.fixture
+def compacted(monkeypatch):
+    """The k of every walk that steps through its go cells only."""
+    ks = []
+    real = simulate._go_steps
+
+    def spy(order, go, n_go, k):
+        ks.append(k)
+        return real(order, go, n_go, k)
+
+    monkeypatch.setattr(simulate, "_go_steps", spy)
+    return ks
 
 
 def run_against_reference(engine, monkeypatch, seed=7, count=1500):
@@ -90,11 +109,12 @@ def run_against_reference(engine, monkeypatch, seed=7, count=1500):
     monkeypatch.setattr(simulate, "_walk", spy)
     det = engine.run_chunk(seed, 100, count, detail=True)
     ((args, out),) = calls
-    assert_walks_equal(out, reference_walk(*args))
     _, _, go, accept = args[:4]
+    ref = reference_walk(*args)
+    assert_walks_equal(out, ref, go)
     # the walk counts `go & accept` as realized; every engine reports the same
     assert np.array_equal(det.realized, go & accept)
-    assert np.array_equal(det.matched, out[0].matched) and np.array_equal(det.q, out[1])
+    assert np.array_equal(det.matched, out[0].matched) and np.array_equal(det.q, ref[1])
     assert det.matched.any() and det.q.any()
     return det
 
@@ -185,6 +205,120 @@ def test_parallel_edges_count_once_in_q(scheme, monkeypatch):
     run_against_reference(engine, monkeypatch, count=4000)
 
 
+def _multigraph(pairs, patience=None):
+    """Bipartite multigraph on offline a, c, e and online b, d, f; edge i
+    joins `pairs[i]`."""
+    vs = tuple(
+        Vertex(v, side="offline" if v in "ace" else "online", patience=(patience or {}).get(v))
+        for v in "abcdef"
+    )
+    es = tuple(
+        Edge(f"e{i}", u, v, (MenuEntry(0.0, 0.3, c=0.3),)) for i, (u, v) in enumerate(pairs)
+    )
+    return PricingInstance(vs, es, mode="bipartite")
+
+
+@pytest.mark.parametrize("scheme", ["ro", "stochastic", "vertex"])
+def test_parallel_edges_on_the_compacted_walk(scheme, monkeypatch, compacted):
+    # every offline-online pair twice: 18 edges, 6 at each vertex
+    pairs = [(u, v) for u in "ace" for v in "bdf"] * 2
+    inst = _multigraph(pairs, patience={"a": 1, "d": 1})
+    assert not simulate._Topology(inst).simple
+    x = {e.id: 0.04 for e in inst.edges}
+    stats = edge_stats(x, inst)
+    engine = {
+        "ro": lambda: simulate.RoOcrsEngine(inst, x, stats, A2),
+        "stochastic": lambda: simulate.StochasticOcrsEngine(
+            inst, dict.fromkeys(x, 0.1), dict.fromkeys(x, 0.4), stats, A2
+        ),
+        "vertex": lambda: simulate.VertexArrivalEngine(inst, x),
+    }[scheme]()
+    det = run_against_reference(engine, monkeypatch, count=4000)
+    assert len(compacted) == 1 and 2 * compacted[0] < len(pairs)
+    if scheme == "stochastic":
+        assert det.probed.any() and (det.probes_used[:, [0, 3]] == 1).any()
+
+
+def _mc_large_engine(scheme):
+    """One of the four engines on the benchmark's E = 479 instance."""
+    gen = generate_family("random_bipartite", n=40, m=40, density=0.3, seed=7)
+    entry = suite.SuiteEntry("mc_large", gen.instance, gen.x, True)
+    stats = edge_stats(entry.x, entry.instance)
+    if scheme == "ro":
+        return simulate.RoOcrsEngine(entry.instance, entry.x, stats, A2)
+    if scheme == "vertex":
+        return simulate.VertexArrivalEngine(suite.vertex_variant(entry), entry.x)
+    variant = suite.stochastic_variant if scheme == "stochastic" else suite.one_sided_variant
+    inst, y, p = variant(entry)
+    return simulate.StochasticOcrsEngine(inst, y, p, stats, A2)
+
+
+@pytest.mark.parametrize("scheme", ["ro", "stochastic", "one-sided", "vertex"])
+def test_wide_engines_walk_only_their_go_cells(scheme, monkeypatch, compacted):
+    det = run_against_reference(_mc_large_engine(scheme), monkeypatch, seed=3, count=120)
+    assert det.matched.shape[1] == 479
+    # a few dozen go cells at most per trial, out of 479
+    assert len(compacted) == 1 and 0 < compacted[0] < 60
+    if scheme in ("stochastic", "one-sided"):
+        assert det.probed.any() and det.probes_used.any()
+
+
+def _walk_case(rng, n_edges, count, n_go):
+    """Topology of a random graph cut to `n_edges` edges, a random arrival
+    order and coins, and a go mask with `n_go[i]` go cells in trial i."""
+    inst = generate_family("random_general", n=9, density=0.8, seed=4).instance
+    inst = PricingInstance(
+        tuple(dataclasses.replace(v, patience=1) for v in inst.vertices),
+        inst.edges[:n_edges],
+        mode=inst.mode,
+    )
+    topo = simulate._Topology(inst)
+    assert topo.n_edges == n_edges and topo.simple
+    order = np.argsort(rng.random((count, n_edges)), axis=1)
+    go = np.argsort(rng.random((count, n_edges)), axis=1) < np.asarray(n_go)[:, None]
+    accept = rng.random((count, n_edges)) < 0.5
+    reward = rng.random((count, n_edges))
+    return topo, order, go, accept, reward
+
+
+def _check_walk(topo, order, go, accept, reward):
+    """The walk without patience, then with patience 1 and rewards; returns the second."""
+    for patience, pay in ((None, None), (topo.patience, reward)):
+        got = simulate._walk(topo, order, go, accept, patience, pay)
+        assert_walks_equal(got, reference_walk(topo, order, go, accept, patience, pay), go)
+    return got
+
+
+def test_a_chunk_without_go_cells_takes_no_step(compacted):
+    topo, order, go, accept, reward = _walk_case(np.random.default_rng(1), 20, 50, [0] * 50)
+    walk, _ = _check_walk(topo, order, go, accept, reward)
+    assert compacted == [0, 0]
+    assert not walk.matched.any() and not walk.probed.any() and not walk.revenue.any()
+
+
+@pytest.mark.parametrize("busy", [7, 20])  # compacted at 7 of 20 go cells, not at 20
+def test_trials_without_go_cells_beside_busy_trials(busy, compacted):
+    count = 300
+    n_go = np.where(np.arange(count) % 3 == 0, 0, busy)
+    n_go[1::3] = np.random.default_rng(busy).integers(0, busy + 1, len(n_go[1::3]))
+    case = _walk_case(np.random.default_rng(2), 20, count, n_go)
+    walk, q = _check_walk(*case)
+    assert bool(compacted) == (2 * busy < 20)
+    assert walk.matched[1::3].any() and walk.probed.any() and walk.revenue.any()
+    assert q[case[2]].any() and not walk.matched[::3].any()
+
+
+@pytest.mark.parametrize("n_edges,busy", [(21, 10), (20, 10), (21, 11)])  # 2k = E - 1, E, E + 1
+def test_both_sides_of_the_compaction_threshold(n_edges, busy, compacted):
+    count = 400
+    rng = np.random.default_rng(n_edges + busy)
+    n_go = rng.integers(0, busy + 1, count)
+    n_go[rng.integers(count)] = busy  # the busiest trial sets k
+    walk, q = _check_walk(*_walk_case(rng, n_edges, count, n_go))
+    assert bool(compacted) == (2 * busy < n_edges)
+    assert walk.probed.any() and q.any()
+
+
 def _tie_every_third_trial(monkeypatch):
     """Every third trial draws its arrival times from {0, 1/4, 1/2, 3/4}."""
     real = simulate.hash_uniform
@@ -211,7 +345,7 @@ def test_q_follows_the_arrival_order_under_tied_keys(monkeypatch):
     patience = np.full(topo.n_vertices, 2, dtype=np.int32)
     reward = rng.random((count, e))
     got = simulate._walk(topo, order, go, accept, patience, reward)
-    assert_walks_equal(got, reference_walk(topo, order, go, accept, patience, reward))
+    assert_walks_equal(got, reference_walk(topo, order, go, accept, patience, reward), go)
     # RO coins: a realized edge with no realized earlier neighbour finds both
     # endpoints free, so the r0 event implies a match on every trial
     realized = go & accept
