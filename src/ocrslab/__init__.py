@@ -5,7 +5,7 @@ schemes under random edge or vertex arrivals, exact small-instance baselines,
 and numerically certified balancedness constants.
 """
 
-from .attenuation import AttenuationSpec, attenuation_profile, attenuation_value
+from .attenuation import AttenuationSpec, attenuation_profile
 from .bounds import (
     BoundCertificate,
     FactCheck,
@@ -59,7 +59,6 @@ from .suite import CriterionResult, SuiteEntry, build_suite, run_criteria
 __all__ = [
     "AttenuationSpec",
     "attenuation_profile",
-    "attenuation_value",
     "BoundCertificate",
     "FactCheck",
     "five_var_minimize",

@@ -17,9 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphcore import EdgeStats
-
-__all__ = ["AttenuationSpec", "attenuation_value", "attenuation_profile"]
+__all__ = ["AttenuationSpec", "attenuation_profile"]
 
 KINDS = ("trivial", "a1", "a2")
 
@@ -34,18 +32,6 @@ class AttenuationSpec:
             raise ValueError(f"unknown attenuation kind {self.kind!r}; known: {KINDS}")
         if not (0.0 <= self.alpha <= 0.5):
             raise ValueError(f"alpha must lie in [0, 0.5], got {self.alpha}")
-
-
-def attenuation_value(spec: AttenuationSpec, t: float, stats: EdgeStats, x_e: float) -> float:
-    """Attenuation coin bias for one edge at arrival time t: the range-checked
-    scalar form of :func:`attenuation_profile`."""
-    if not (0.0 <= t <= 1.0):
-        raise ValueError(f"t must lie in [0, 1], got {t}")
-    if not (0.0 <= x_e <= 1.0):
-        raise ValueError(f"x_e must lie in [0, 1], got {x_e}")
-    if spec.kind != "trivial" and not (0.0 <= stats.s <= 2.0):
-        raise ValueError(f"s_e must lie in [0, 2], got {stats.s}")
-    return float(attenuation_profile(spec, t, x_e, stats.s))
 
 
 def attenuation_profile(

@@ -35,7 +35,6 @@ __all__ = [
     "BoundCertificate",
     "five_var_minimize",
     "FIVE_VAR_SETTINGS",
-    "synthetic_stats_at",
     "FactCheck",
     "verify_facts",
 ]
@@ -234,51 +233,6 @@ def five_var_minimize(setting: str, alpha: float) -> BoundCertificate:
             "neighbor_mass_squared_coefficient": ca - 2.0 * c2 * q,
         },
     )
-
-
-def synthetic_stats_at(
-    minimizer: tuple[float, float, float, float, float],
-    n_small: int = 1_000_000,
-) -> tuple[EdgeStats, float]:
-    """EdgeStats whose lemma-bound evaluation realizes a program point.
-
-    Returns (stats, x_e).  The neighborhood mirrors the substitutions behind
-    the program: a triangle partner (m, m) when m > 0; "big" pieces of size
-    ≥ (1−m)/2 with slack (1−m)/2 carrying mass dbig (their tail term vanishes
-    and x_f·s_f sums to dbig·(1−m)/2 exactly); and n_small light pieces
-    (ε, 0) carrying mass d − dbig, whose tail term approaches (d−dbig)(1−m)
-    with O(mass²/n_small) error.  Realizable when m = 0 or m ≥ 1/3 and when
-    dbig is 0 or ≥ (1−m)/2 — both hold at the certified minimizers.  The pair
-    list is synthetic (not derived from a graph); only the bound formulas
-    consume it.
-    """
-    s, d, dbig, x, m = minimizer
-    pairs: list[tuple[float, float]] = []
-    if m > 0.0:
-        if m < 1.0 / 3.0 - 1e-12:
-            raise ValueError("synthetic neighborhood needs m = 0 or m ≥ 1/3")
-        pairs.append((m, m))
-    if dbig > 0.0:
-        half = (1.0 - m) / 2.0
-        if half <= 0.0:
-            raise ValueError("dbig > 0 needs m < 1")
-        n_big = max(1, int(math.floor(dbig / half)))
-        if dbig / n_big < half - 1e-12:
-            raise ValueError("synthetic neighborhood needs dbig = 0 or ≥ (1−m)/2")
-        pairs.extend([(dbig / n_big, half)] * n_big)
-    light = d - dbig
-    if light > 1e-15:
-        eps = light / n_small
-        pairs.extend([(eps, 0.0)] * n_small)
-    x_e = x if x > 0.0 else 1e-9  # both bounds scale linearly in x_e
-    stats = EdgeStats(
-        d=d,
-        s=s,
-        m=m,
-        neighbors=tuple(f"n{i}" for i in range(len(pairs))),
-        neighbor_xs=tuple(pairs),
-    )
-    return stats, x_e
 
 
 # ---------------------------------------------------------------------------

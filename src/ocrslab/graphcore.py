@@ -296,6 +296,12 @@ def check_polytope(
 # neighborhood statistics
 
 
+def _neighbor_mass(xv: np.ndarray, inst: PricingInstance) -> tuple[np.ndarray, np.ndarray]:
+    """d_e = Σ_{f ∈ N_e} x_f and the slack s_e = 2 − d_e − x_e, per edge position."""
+    d = np.array([xv[nb].sum() if nb.size else 0.0 for nb in inst.neighbors])
+    return d, 2.0 - d - xv
+
+
 def edge_stats(x: Mapping[str, float], inst: PricingInstance) -> dict[str, EdgeStats]:
     """d, s, m and the neighbor lists of every edge under the point x.
 
@@ -306,9 +312,7 @@ def edge_stats(x: Mapping[str, float], inst: PricingInstance) -> dict[str, EdgeS
     edges = inst.edges
     xv = np.array([float(x.get(e.id, 0.0)) for e in edges])
     neighbor_idx = inst.neighbors
-
-    d = np.array([xv[idx].sum() if idx.size else 0.0 for idx in neighbor_idx])
-    s = 2.0 - d - xv
+    d, s = _neighbor_mass(xv, inst)
 
     pair_present = {frozenset((e.u, e.v)) for e in edges}
 

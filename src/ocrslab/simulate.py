@@ -1,23 +1,22 @@
 """Trial engines, Monte-Carlo aggregation, and exact small-instance oracles.
 
 The four online schemes are one attenuated greedy walk that differs only in
-its coins.  Each engine draws every random quantity of a chunk up front from
-the counter-based stream, in one call for all its edge purposes (so worker
-count can never change a trial), sets up its own coins and arrival order,
-and hands them to ``_walk``: an edge proposes when its coins allow ("go")
-and both endpoints are free (and patient), and is matched when the proposal
-is accepted.  Only go edges can change the walk, so when the busiest trial
-of a chunk has fewer than half its edges go, the walk steps through each
-trial's go edges alone, packed in arrival order; on dense chunks the packing
-would cost more than the steps it saves, and the walk takes every edge.  The
-walk also counts Q(e), the realized neighbours that arrive before e in its
-own arrival order, on go cells as it goes; on multigraphs, and on every cell
-of a detail chunk, ``_q_counts`` counts it from arrival positions (the
-reduction reads Q only on matched cells, which are go cells).  Arrival order
-is a stable sort of the arrival times, taken as one sort of packed uint64
-keys (53-bit time, 11-bit edge position) by ``_arrival_order``; vertex
-arrival sorts that order once more, stably by the arrival rank of each
-edge's online vertex.  The per-chunk reduction is shared too.
+its coins, and an engine only draws them: ``_draw`` takes every random
+quantity of a chunk from the counter-based stream up front, in one call for
+all the engine's edge purposes (so worker count can never change a trial),
+and the engine makes go and accept masks and an arrival order of them.  One
+tail, ``_finish``, walks them, marks the realized cells (go and accept) and
+reduces the chunk or returns its per-cell arrays.  In ``_walk`` an edge
+proposes when its coins allow ("go") and both endpoints are free (and
+patient), and is matched when the proposal is accepted.  When the busiest
+trial of a chunk has fewer than half its edges go, the walk steps through
+each trial's go edges alone, the only ones that can change it.  It also
+counts Q(e), the realized neighbours that arrive before e in its own arrival
+order, on go cells as it goes; on multigraphs, and on every cell of a detail
+chunk, ``_q_counts`` counts it from arrival positions.  Arrival order is a
+stable sort of the arrival times, taken as one sort of packed uint64 keys
+(53-bit time, 11-bit edge position) by ``_arrival_order``; vertex arrival
+re-sorts it stably by the arrival rank of each edge's online vertex.
 ``monte_carlo`` aggregates chunks into a report, summing revenue in fixed
 blocks of trials; one trial replays as row 0 of
 ``engine.run_chunk(seed, trial, 1, detail=True)``.
@@ -49,14 +48,15 @@ from .graphcore import (
     check_polytope,
     fractional_point_violations,
     marginals,
+    _neighbor_mass,
 )
 from .lp import auto_objective, objective_coefficients
 
 # 99% two-sided normal quantile, used for every interval in the reports.
 Z99 = 2.5758293035489004
 
-# trials x edges x purposes cells per chunk: a stacked draw of up to four
-# purposes, and so every float64 chunk array, stays <= 64 MiB
+# trials x (edges + vertices) x purposes cells per chunk: a stacked draw of up
+# to four purposes, and so every float64 chunk array, stays <= 64 MiB
 _CHUNK_CELLS = 2**23
 
 # the block of absolute trial indices whose revenues are summed together, so
@@ -345,19 +345,29 @@ def _arrival_order(t: np.ndarray) -> np.ndarray:
     return key.view(np.int64)
 
 
-def _chunk_result(topo: _Topology, order, walk: _Walk, q, active, realized, detail: bool):
-    """The chunk's reduction, or with `detail` its per-cell arrays.
+def _draw(seed: int, start: int, count: int, units: range, purposes):
+    """``hash_uniform`` over trials start .. start + count and `units`: a
+    (count, len(units)) array, stacked per purpose for a tuple of purposes."""
+    trials = np.arange(start, start + count, dtype=np.uint64)[:, None]
+    row = np.arange(units.start, units.stop, dtype=np.uint64)[None, :]
+    return hash_uniform(seed, trials, row, purposes)
 
-    The reduction reads q only on matched cells, which are go cells.  The
-    walk's q is exact only there, so the detail arrays count Q(e) on every
-    cell from arrival positions.
-    """
-    if detail:
-        q = _arrival_q(realized, order, topo)
-        return _ChunkDetail(
-            active, realized, walk.probed, walk.matched, q, walk.revenue, walk.probes_used
-        )
-    return _reduce_chunk(walk.matched, q, walk.revenue)
+
+def _finish(topo: _Topology, order, go, accept, active, detail: bool, patience=None, reward=None):
+    """Walks a chunk's coins into its reduction, or with `detail` its per-cell
+    arrays.  A cell is realized when `go` and `accept` both hold.  The walk's
+    q is exact on go cells only, which hold every matched cell the reduction
+    reads, so a detail chunk counts Q(e) on every cell.  `active` is the
+    detail's active mask; None means the realized mask."""
+    walk, q = _walk(topo, order, go, accept, patience, reward)
+    if not detail:
+        return _reduce_chunk(walk.matched, q, walk.revenue)
+    realized = go & accept
+    active = realized if active is None else active
+    q = _arrival_q(realized, order, topo)
+    return _ChunkDetail(
+        active, realized, walk.probed, walk.matched, q, walk.revenue, walk.probes_used
+    )
 
 
 # --------------------------------------------------------------------------
@@ -386,18 +396,13 @@ class RoOcrsEngine:
         self.spec = spec
 
     def run_chunk(self, seed: int, start: int, count: int, detail: bool = False):
-        e = self.topo.n_edges
-        trials = np.arange(start, start + count, dtype=np.uint64)[:, None]
-        units = np.arange(e, dtype=np.uint64)[None, :]
-        t, u_active, u_coin = hash_uniform(seed, trials, units, (ARRIVAL, ACTIVE, COIN))
+        units = range(self.topo.n_edges)
+        t, u_active, u_coin = _draw(seed, start, count, units, (ARRIVAL, ACTIVE, COIN))
         active = u_active < self.x[None, :]
         realized = active & (
             u_coin < attenuation_profile(self.spec, t, self.x[None, :], self.s[None, :])
         )
-
-        order = _arrival_order(t)
-        walk, q = _walk(self.topo, order, realized, active)
-        return _chunk_result(self.topo, order, walk, q, active, realized, detail)
+        return _finish(self.topo, _arrival_order(t), realized, active, active, detail)
 
 
 class StochasticOcrsEngine:
@@ -435,19 +440,14 @@ class StochasticOcrsEngine:
         self.spec = spec
 
     def run_chunk(self, seed: int, start: int, count: int, detail: bool = False):
-        e = self.topo.n_edges
-        trials = np.arange(start, start + count, dtype=np.uint64)[:, None]
-        units = np.arange(e, dtype=np.uint64)[None, :]
-        t, u_active, u_coin = hash_uniform(seed, trials, units, (ARRIVAL, ACTIVE, COIN))
+        units = range(self.topo.n_edges)
+        t, u_active, u_coin = _draw(seed, start, count, units, (ARRIVAL, ACTIVE, COIN))
         active = u_active < self.p[None, :]
         probe_ok = u_coin < (
             self.y[None, :] * attenuation_profile(self.spec, t, self.x[None, :], self.s[None, :])
         )
-        realized = active & probe_ok
-
         order = _arrival_order(t)
-        walk, q = _walk(self.topo, order, probe_ok, active, self.topo.patience)
-        return _chunk_result(self.topo, order, walk, q, active, realized, detail)
+        return _finish(self.topo, order, probe_ok, active, active, detail, self.topo.patience)
 
 
 def _vertex_order(t_e: np.ndarray, t_v: np.ndarray, online: np.ndarray) -> np.ndarray:
@@ -493,17 +493,12 @@ class VertexArrivalEngine:
 
     def run_chunk(self, seed: int, start: int, count: int, detail: bool = False):
         e, nv = self.topo.n_edges, self.topo.n_vertices
-        trials = np.arange(start, start + count, dtype=np.uint64)[:, None]
-        units = np.arange(e, dtype=np.uint64)[None, :]
-        vunits = (np.arange(nv, dtype=np.uint64) + np.uint64(e))[None, :]
-        t_e, u_active, u_coin = hash_uniform(seed, trials, units, (ARRIVAL, ACTIVE, COIN))
-        t_v = hash_uniform(seed, trials, vunits, ARRIVAL)
+        t_e, u_active, u_coin = _draw(seed, start, count, range(e), (ARRIVAL, ACTIVE, COIN))
+        t_v = _draw(seed, start, count, range(e, e + nv), ARRIVAL)
         active = u_active < self.x[None, :]
         realized = active & (u_coin < np.exp(-self.x[None, :] * t_e))
-
         order = _vertex_order(t_e, t_v, self.online_of_edge)
-        walk, q = _walk(self.topo, order, realized, active)
-        return _chunk_result(self.topo, order, walk, q, active, realized, detail)
+        return _finish(self.topo, order, realized, active, active, detail)
 
 
 class SequentialPricingEngine:
@@ -540,17 +535,12 @@ class SequentialPricingEngine:
                 self.menu_r[i, k] = rewards[i][k]
         self.x = self.topo.x_vector(marginals(point, inst)[0])
         self.spec = spec
-        # s_e from the induced marginals, for the a2 profile
-        d = np.array([self.x[nb].sum() if nb.size else 0.0 for nb in inst.neighbors])
-        self.s = 2.0 - d - self.x
+        self.s = _neighbor_mass(self.x, inst)[1]  # s_e from the induced marginals, for a2
 
     def run_chunk(self, seed: int, start: int, count: int, detail: bool = False):
         e = self.topo.n_edges
-        trials = np.arange(start, start + count, dtype=np.uint64)[:, None]
-        units = np.arange(e, dtype=np.uint64)[None, :]
-        t, u_price, u_accept, u_coin = hash_uniform(
-            seed, trials, units, (ARRIVAL, PRICE, ACTIVE, COIN)
-        )
+        purposes = (ARRIVAL, PRICE, ACTIVE, COIN)
+        t, u_price, u_accept, u_coin = _draw(seed, start, count, range(e), purposes)
         propose_ok = u_coin < attenuation_profile(self.spec, t, self.x[None, :], self.s[None, :])
 
         # inverse-CDF menu draw; a draw at or beyond the total menu mass
@@ -565,13 +555,10 @@ class SequentialPricingEngine:
             acc_p[:, i] = np.where(have[:, i], self.menu_p[i, pos], 0.0)
             reward[:, i] = np.where(have[:, i], self.menu_r[i, pos], 0.0)
 
-        would_accept = u_accept < acc_p
-        go = have & propose_ok
-        realized = go & would_accept
-
+        # no activity coin of its own: a detail chunk's active cells are the realized ones
+        go, accept = have & propose_ok, u_accept < acc_p
         order = _arrival_order(t)
-        walk, q = _walk(self.topo, order, go, would_accept, self.topo.patience, reward)
-        return _chunk_result(self.topo, order, walk, q, realized, realized, detail)
+        return _finish(self.topo, order, go, accept, None, detail, self.topo.patience, reward)
 
 
 # --------------------------------------------------------------------------
@@ -596,8 +583,10 @@ def monte_carlo(
     every square finite; a sum that still overflows raises ValueError.
 
     A chunk holds at most `chunk_size` trials (2048 by default, which keeps
-    a chunk's arrays near the cache), and fewer on wide instances, so that
-    no stacked draw of four (trials, edges) float arrays passes 64 MiB.
+    a chunk's arrays near the cache), and fewer on large instances, so that
+    no stacked draw of four (trials, edges + vertices) float arrays passes
+    64 MiB: the walk's per-(trial, vertex) arrays and the vertex arrival
+    draws grow with the vertices, the rest with the edges.
     `workers=None` means 1.  The master seed is a uint64 stream key, so it
     must lie in [0, 2**64).
     """
@@ -606,7 +595,8 @@ def monte_carlo(
     if not 0 <= master_seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {master_seed}")
     n_edges = len(engine.topo.edge_ids)
-    chunk = max(1, min(chunk_size, _CHUNK_CELLS // (4 * max(n_edges, 1))))
+    cells = 4 * max(n_edges + engine.topo.n_vertices, 1)
+    chunk = max(1, min(chunk_size, _CHUNK_CELLS // cells))
     # revenue is summed in units of 2**shift, at or above the largest menu
     # reward (only the pricing engine pays any)
     shift = math.frexp(float(np.max(np.abs(getattr(engine, "menu_r", 0.0)), initial=0.0)))[1]

@@ -194,6 +194,8 @@ def run_criteria(
     because `perfbench/workloads.py` passes them, and will be removed together
     with those arguments there.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     top = 2**64 - 1 - _SEED_STRIDE * _DERIVED_SEEDS
     if not 0 <= master_seed <= top:
         raise ValueError(

@@ -5,7 +5,10 @@ point at a time, for the special functions in ``ocrslab.bounds``; and the
 pricing LP built one constraint row at a time, for ``lp.build_lp_pricing``;
 and the optimal-policy DP and the fixed-order greedy as two separate
 recursions, for ``simulate.optimal_policy_dp`` and ``greedy_baseline``.  The
-tests compare the library against these references.
+tests compare the library against these references.  Two helpers only the
+tests need live here too: ``attenuation_value``, the range-checked scalar
+attenuation coin, and ``synthetic_stats_at``, a neighbourhood that realizes a
+certificate's minimizer in the lemma bounds.
 """
 
 import math
@@ -13,7 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from ocrslab.graphcore import PricingInstance
+from ocrslab.attenuation import AttenuationSpec, attenuation_profile
+from ocrslab.graphcore import EdgeStats, PricingInstance
 from ocrslab.lp import auto_objective, objective_coefficients
 
 QUAD_TOL = 1e-10
@@ -242,3 +246,60 @@ def greedy_baseline(
     out = walk(0, 0, 0)
     walk.cache_clear()
     return out
+
+
+def attenuation_value(spec: AttenuationSpec, t: float, stats: EdgeStats, x_e: float) -> float:
+    """Attenuation coin bias for one edge at arrival time t: the range-checked
+    scalar form of :func:`attenuation_profile`."""
+    if not (0.0 <= t <= 1.0):
+        raise ValueError(f"t must lie in [0, 1], got {t}")
+    if not (0.0 <= x_e <= 1.0):
+        raise ValueError(f"x_e must lie in [0, 1], got {x_e}")
+    if spec.kind != "trivial" and not (0.0 <= stats.s <= 2.0):
+        raise ValueError(f"s_e must lie in [0, 2], got {stats.s}")
+    return float(attenuation_profile(spec, t, x_e, stats.s))
+
+
+def synthetic_stats_at(
+    minimizer: tuple[float, float, float, float, float],
+    n_small: int = 1_000_000,
+) -> tuple[EdgeStats, float]:
+    """EdgeStats whose lemma-bound evaluation realizes a program point.
+
+    Returns (stats, x_e).  The neighborhood mirrors the substitutions behind
+    the program: a triangle partner (m, m) when m > 0; "big" pieces of size
+    ≥ (1−m)/2 with slack (1−m)/2 carrying mass dbig (their tail term vanishes
+    and x_f·s_f sums to dbig·(1−m)/2 exactly); and n_small light pieces
+    (ε, 0) carrying mass d − dbig, whose tail term approaches (d−dbig)(1−m)
+    with O(mass²/n_small) error.  Realizable when m = 0 or m ≥ 1/3 and when
+    dbig is 0 or ≥ (1−m)/2 — both hold at the certified minimizers.  The pair
+    list is synthetic (not derived from a graph); only the bound formulas
+    consume it.
+    """
+    s, d, dbig, x, m = minimizer
+    pairs: list[tuple[float, float]] = []
+    if m > 0.0:
+        if m < 1.0 / 3.0 - 1e-12:
+            raise ValueError("synthetic neighborhood needs m = 0 or m ≥ 1/3")
+        pairs.append((m, m))
+    if dbig > 0.0:
+        half = (1.0 - m) / 2.0
+        if half <= 0.0:
+            raise ValueError("dbig > 0 needs m < 1")
+        n_big = max(1, int(math.floor(dbig / half)))
+        if dbig / n_big < half - 1e-12:
+            raise ValueError("synthetic neighborhood needs dbig = 0 or ≥ (1−m)/2")
+        pairs.extend([(dbig / n_big, half)] * n_big)
+    light = d - dbig
+    if light > 1e-15:
+        eps = light / n_small
+        pairs.extend([(eps, 0.0)] * n_small)
+    x_e = x if x > 0.0 else 1e-9  # both bounds scale linearly in x_e
+    stats = EdgeStats(
+        d=d,
+        s=s,
+        m=m,
+        neighbors=tuple(f"n{i}" for i in range(len(pairs))),
+        neighbor_xs=tuple(pairs),
+    )
+    return stats, x_e

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from reference import attenuation_value
 
-from ocrslab.attenuation import AttenuationSpec, attenuation_profile, attenuation_value
+from ocrslab.attenuation import AttenuationSpec, attenuation_profile
 from ocrslab.graphcore import EdgeStats
 
 

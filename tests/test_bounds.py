@@ -297,7 +297,7 @@ def test_no_sampled_point_below_minimum(setting, alpha, minimum):
 
 def test_certificate_equality_invariant(certs):
     for setting, cert in certs.items():
-        st, x_e = bounds.synthetic_stats_at(cert.minimizer)
+        st, x_e = ref.synthetic_stats_at(cert.minimizer)
         r0 = bounds.r0_bound(setting, st, x_e, cert.alpha)
         r1 = bounds.r1_bound(setting, st, x_e, cert.alpha)
         assert abs((r0 + r1) / x_e - cert.minimum) < 1e-6, setting

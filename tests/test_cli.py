@@ -443,6 +443,22 @@ def test_suite_refuses_a_seed_whose_derived_seeds_overflow_up_front(capsys):
         assert f"the largest master seed accepted is {top}, got {seed}" in err
 
 
+def test_suite_refuses_nonpositive_trials_up_front(capsys, monkeypatch):
+    # this used to run the fact battery and the certificates first
+    facts = []
+    real = suite.bounds.verify_facts
+
+    def spy(*args, **kwargs):
+        facts.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(suite.bounds, "verify_facts", spy)
+    assert main(["suite", "--trials", "0"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: trials must be >= 1") and "Traceback" not in err
+    assert facts == []
+
+
 # ---------------------------------------------------------------------------
 # generated marginals stay feasible through the file format
 

@@ -221,10 +221,13 @@ def test_revenue_sums_scale_exactly_by_powers_of_two():
 
 
 class _WideEngine:
-    """Stands in for an engine on `n_edges` edges and records its chunk sizes."""
+    """Stands in for an engine on `n_edges` edges and `n_vertices` vertices
+    and records its chunk sizes."""
 
-    def __init__(self, n_edges: int):
-        self.topo = SimpleNamespace(edge_ids=tuple(f"e{i}" for i in range(n_edges)))
+    def __init__(self, n_edges: int, n_vertices: int = 0):
+        self.topo = SimpleNamespace(
+            edge_ids=tuple(f"e{i}" for i in range(n_edges)), n_vertices=n_vertices
+        )
         self.x = np.zeros(n_edges)
         self.counts = []
 
@@ -246,6 +249,15 @@ def test_chunks_are_capped_by_memory_on_wide_instances():
     narrow = _WideEngine(479)
     monte_carlo(narrow, 40_000, 1)
     assert narrow.counts == [2048] * 19 + [1088]
+
+
+def test_chunks_are_capped_by_memory_on_instances_with_many_vertices():
+    # one edge among a million vertices: the walk's per-(trial, vertex)
+    # arrays and the vertex arrival draws set the chunk, not the edge
+    eng = _WideEngine(1, 10**6)
+    monte_carlo(eng, 10, 1)
+    assert eng.counts == [2] * 5
+    assert 4 * max(eng.counts) * (1 + 10**6) * 8 <= 64 * 2**20
 
 
 @settings(max_examples=60, deadline=None)

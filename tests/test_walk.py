@@ -19,7 +19,15 @@ import pytest
 from ocrslab import simulate, suite
 from ocrslab._rng import ARRIVAL
 from ocrslab.attenuation import AttenuationSpec
-from ocrslab.graphcore import Edge, MenuEntry, PricingInstance, Vertex, edge_stats, generate_family
+from ocrslab.graphcore import (
+    Edge,
+    FractionalPoint,
+    MenuEntry,
+    PricingInstance,
+    Vertex,
+    edge_stats,
+    generate_family,
+)
 from ocrslab.lp import build_lp_pricing, solve_lp
 
 A1 = AttenuationSpec("a1")
@@ -248,6 +256,10 @@ def _mc_large_engine(scheme):
         return simulate.RoOcrsEngine(entry.instance, entry.x, stats, A2)
     if scheme == "vertex":
         return simulate.VertexArrivalEngine(suite.vertex_variant(entry), entry.x)
+    if scheme == "pricing":
+        # each edge's first menu price, offered at the rate x_e of the point
+        point = FractionalPoint({(e.id, e.menu[0].w): gen.x[e.id] for e in gen.instance.edges})
+        return simulate.SequentialPricingEngine(gen.instance, point, A2)
     variant = suite.stochastic_variant if scheme == "stochastic" else suite.one_sided_variant
     inst, y, p = variant(entry)
     return simulate.StochasticOcrsEngine(inst, y, p, stats, A2)
@@ -261,6 +273,35 @@ def test_wide_engines_walk_only_their_go_cells(scheme, monkeypatch, compacted):
     assert len(compacted) == 1 and 0 < compacted[0] < 60
     if scheme in ("stochastic", "one-sided"):
         assert det.probed.any() and det.probes_used.any()
+
+
+# one engine per scheme whose suite chunk walks every edge
+DENSE = {
+    "ro": "ro-gen_6d",
+    "stochastic": "stochastic-gen_7-patience2",
+    "vertex": "vertex-bip_5x5",
+    "pricing": "pricing-bip_3x3",
+}
+
+
+@pytest.mark.parametrize("wide", [False, True])
+@pytest.mark.parametrize("scheme", sorted(DENSE))
+def test_reduced_chunks_are_the_column_sums_of_detail_chunks(scheme, wide, compacted):
+    if not wide:
+        engine, seed, count = ENGINES[DENSE[scheme]](), 7, 1500
+    else:
+        engine, seed, count = _mc_large_engine(scheme), 3, 120
+    counts = engine.run_chunk(seed, 100, count)
+    det = engine.run_chunk(seed, 100, count, detail=True)
+    # both chunks walk the same coins: compacted on the wide instance only
+    assert len(compacted) == (2 if wide else 0)
+    m = det.matched
+    sums = (m, m & (det.q == 0), m & (det.q == 1))
+    for got, want in zip((counts.matched, counts.r0, counts.r1), sums):
+        assert got.dtype == np.int64 and np.array_equal(got, want.sum(axis=0, dtype=np.int64))
+    assert np.array_equal(counts.revenue, det.revenue)
+    assert counts.r0.any() and counts.r1.any()
+    assert counts.revenue.any() == (scheme == "pricing")
 
 
 def _walk_case(rng, n_edges, count, n_go):
