@@ -1,5 +1,5 @@
-"""The pricing relaxation: LP construction, a dense simplex solver, and the
-menu-thinning reductions.
+"""The pricing relaxation: LP construction, a simplex solver on a compact
+tableau, and the menu-thinning reductions.
 
 The LP has one variable y_ew per menu entry and maximizes the expected
 objective of making offer (e, w) at rate y_ew:
@@ -124,10 +124,17 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = PIVOT
     """Primal simplex on max c·x, Ax ≤ b, x ≥ 0, with b ≥ 0 (slack start).
 
     Bland's rule on both the entering and the leaving choice, so the walk
-    terminates even on degenerate vertices.  Returns (x, objective).  Every
-    failure raises ValueError: a negative b or a non-finite coefficient, a pivot
-    or objective that overflows, and a walk that ends unbounded, at the
-    iteration limit, short of optimal or infeasible.
+    terminates even on degenerate vertices.  The tableau is the compact
+    (dictionary) form: (m+1)×(n+1), one column per nonbasic variable plus the
+    rhs, with the variable of each column and of each row named by a label.
+    A basic column of the full (m+1)×(n+m+1) tableau stays a unit vector and
+    its update is a no-op, so it is left out.  Every kept entry goes through
+    the same float operations as in the full tableau, so x, the objective and
+    the pivot at which an overflow is raised are the full tableau's, bit for
+    bit.  Returns (x, objective).  Every failure raises ValueError: a negative
+    b or a non-finite coefficient, a pivot or objective that overflows, and a
+    walk that ends unbounded, at the iteration limit, short of optimal or
+    infeasible.
     """
     # menu values may be integers too wide for int64, which make object arrays
     A, b, c = (np.asarray(v, dtype=float) for v in (A, b, c))
@@ -144,37 +151,49 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = PIVOT
 
 def _bland_pivots(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float):
     m, n = A.shape
-    # tableau: columns = n structural + m slack + rhs
-    T = np.zeros((m + 1, n + m + 1))
+    # compact tableau: one column per nonbasic variable, then the rhs.  The
+    # variables are 0..n-1 structural and n..n+m-1 slack; label[j] names the
+    # variable of column j and basis[i] the variable basic in row i.
+    T = np.zeros((m + 1, n + 1))
     T[:m, :n] = A
-    T[:m, n : n + m] = np.eye(m)
     T[:m, -1] = b
     T[m, :n] = -c
+    label = np.arange(n)
     basis = np.arange(n, n + m)
 
     max_iter = 50 * (m + n + 10)
     for _ in range(max_iter):
-        improving = np.flatnonzero(T[m, : n + m] < -tol)
+        improving = np.flatnonzero(T[m, :n] < -tol)
         if improving.size == 0:
             break
-        entering = improving[0]  # Bland: first improving column
+        # Bland: the improving variable with the smallest label
+        entering = improving[np.argmin(label[improving])]
         col = T[:m, entering]
         eligible = np.flatnonzero(col > tol)
         if eligible.size == 0:
             raise ValueError("simplex: unbounded direction (malformed program)")
-        # Bland: among the (near-)minimum ratios, the smallest basic index
+        # Bland: among the (near-)minimum ratios, the smallest basic variable
         ratio = T[eligible, -1] / col[eligible]
         tied = eligible[ratio <= ratio.min() + 1e-15]
         leave = tied[np.argmin(basis[tied])]
         piv = T[leave, entering]
         T[leave] /= piv
+        # column `entering` becomes the leaving variable's.  Its full-tableau
+        # column is a unit vector at the pivot row, which the pivot turns into
+        # 1.0/piv there and 0.0 - a·(1.0/piv) on every row whose entering
+        # entry a is nonzero: zero those rows and the row update subtracts.
+        # `a` keeps the scaled pivot row's 1.0, as the full tableau does, so
+        # no product is formed that could overflow where it would not.
+        a = T[:, entering].copy()
+        rows = a != 0.0
+        rows[leave] = False
+        T[leave, entering] = 1.0 / piv
+        T[rows, entering] = 0.0
         # only rows with a nonzero entry change, so no other row's zeros flip
         # sign; the temporary keeps one shape for the whole solve, so the
         # allocator reuses it instead of mapping fresh pages every pivot
-        rows = T[:, entering] != 0.0
-        rows[leave] = False
-        np.subtract(T, np.outer(T[:, entering], T[leave]), out=T, where=rows[:, None])
-        basis[leave] = entering
+        np.subtract(T, np.outer(a, T[leave]), out=T, where=rows[:, None])
+        label[entering], basis[leave] = basis[leave], label[entering]
     else:
         raise ValueError("simplex: iteration limit hit (malformed program)")
 
@@ -182,8 +201,8 @@ def _bland_pivots(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float):
     x[basis] = T[:m, -1]
     sol = x[:n]
 
-    # optimality + feasibility certificate
-    if np.any(T[m, : n + m] < -10 * tol):
+    # optimality + feasibility certificate; a basic column's reduced cost is 0
+    if np.any(T[m, :n] < -10 * tol):
         raise ValueError("simplex: left with an improving pivot")
     if np.any(sol < -1e-9) or np.any(A @ sol > b + 1e-9):
         raise ValueError("simplex: infeasible output")

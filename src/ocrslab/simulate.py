@@ -355,16 +355,18 @@ def _draw(seed: int, start: int, count: int, units: range, purposes):
 
 def _finish(topo: _Topology, order, go, accept, active, detail: bool, patience=None, reward=None):
     """Walks a chunk's coins into its reduction, or with `detail` its per-cell
-    arrays.  A cell is realized when `go` and `accept` both hold.  The walk's
-    q is exact on go cells only, which hold every matched cell the reduction
-    reads, so a detail chunk counts Q(e) on every cell.  `active` is the
+    arrays.  A cell is realized when `go` and `accept` both hold.  On a simple
+    graph the walk's q is exact on go cells only, which hold every matched
+    cell the reduction reads, so a detail chunk counts Q(e) on every cell; on
+    a multigraph the walk has already counted it there.  `active` is the
     detail's active mask; None means the realized mask."""
     walk, q = _walk(topo, order, go, accept, patience, reward)
     if not detail:
         return _reduce_chunk(walk.matched, q, walk.revenue)
     realized = go & accept
     active = realized if active is None else active
-    q = _arrival_q(realized, order, topo)
+    if topo.simple:
+        q = _arrival_q(realized, order, topo)
     return _ChunkDetail(
         active, realized, walk.probed, walk.matched, q, walk.revenue, walk.probes_used
     )
@@ -543,17 +545,18 @@ class SequentialPricingEngine:
         t, u_price, u_accept, u_coin = _draw(seed, start, count, range(e), purposes)
         propose_ok = u_coin < attenuation_profile(self.spec, t, self.x[None, :], self.s[None, :])
 
-        # inverse-CDF menu draw; a draw at or beyond the total menu mass
-        # means no offer this trial
+        # inverse-CDF menu draw: a cell takes the first entry whose cumulative
+        # mass exceeds its draw, so a draw at or beyond the total menu mass
+        # takes none and means no offer this trial
         cum = np.cumsum(self.menu_y, axis=1)
-        have = u_price < cum[:, -1][None, :]
+        have = u_price < cum[:, -1]
         acc_p = np.zeros((count, e))
         reward = np.zeros((count, e))
-        for i in range(e):
-            pos = np.searchsorted(cum[i], u_price[:, i], side="right")
-            pos = np.minimum(pos, self.menu_y.shape[1] - 1)
-            acc_p[:, i] = np.where(have[:, i], self.menu_p[i, pos], 0.0)
-            reward[:, i] = np.where(have[:, i], self.menu_r[i, pos], 0.0)
+        for k in range(cum.shape[1] - 1, -1, -1):
+            below = u_price < cum[:, k]
+            np.copyto(acc_p, self.menu_p[:, k], where=below)
+            np.copyto(reward, self.menu_r[:, k], where=below)
+        del below  # a (trials × edges) mask the walk does not need
 
         # no activity coin of its own: a detail chunk's active cells are the realized ones
         go, accept = have & propose_ok, u_accept < acc_p

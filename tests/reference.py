@@ -1,10 +1,12 @@
 """Independent scalar references for library code written in vector form.
 
 Adaptive Simpson quadrature and the integrals z and h1 evaluated with it, one
-point at a time, for the special functions in ``ocrslab.bounds``; and the
+point at a time, for the special functions in ``ocrslab.bounds``; the
 pricing LP built one constraint row at a time, for ``lp.build_lp_pricing``;
-and the optimal-policy DP and the fixed-order greedy as two separate
-recursions, for ``simulate.optimal_policy_dp`` and ``greedy_baseline``.  The
+the simplex pivoted on the full tableau with its slack identity block, for
+the compact tableau of ``lp._bland_pivots``; and the optimal-policy DP and
+the fixed-order greedy as two separate recursions, for
+``simulate.optimal_policy_dp`` and ``greedy_baseline``.  The
 tests compare the library against these references.  Two helpers only the
 tests need live here too: ``attenuation_value``, the range-checked scalar
 attenuation coin, and ``synthetic_stats_at``, a neighbourhood that realizes a
@@ -133,6 +135,57 @@ def build_lp_rows(inst, objective="revenue"):
 
     A = np.vstack(rows) if rows else np.zeros((0, n))
     return np.array(c), A, np.array(b), tuple(var_keys)
+
+
+def full_tableau_pivots(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float):
+    """Bland's-rule simplex on the full (m+1)×(n+m+1) tableau, slack identity
+    block included, for ``lp._bland_pivots``'s compact tableau.  Returns
+    (x, objective)."""
+    m, n = A.shape
+    # tableau: columns = n structural + m slack + rhs
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n] = A
+    T[:m, n : n + m] = np.eye(m)
+    T[:m, -1] = b
+    T[m, :n] = -c
+    basis = np.arange(n, n + m)
+
+    max_iter = 50 * (m + n + 10)
+    for _ in range(max_iter):
+        improving = np.flatnonzero(T[m, : n + m] < -tol)
+        if improving.size == 0:
+            break
+        entering = improving[0]  # Bland: first improving column
+        col = T[:m, entering]
+        eligible = np.flatnonzero(col > tol)
+        if eligible.size == 0:
+            raise ValueError("simplex: unbounded direction (malformed program)")
+        # Bland: among the (near-)minimum ratios, the smallest basic index
+        ratio = T[eligible, -1] / col[eligible]
+        tied = eligible[ratio <= ratio.min() + 1e-15]
+        leave = tied[np.argmin(basis[tied])]
+        piv = T[leave, entering]
+        T[leave] /= piv
+        # only rows with a nonzero entry change, so no other row's zeros flip
+        # sign; the temporary keeps one shape for the whole solve, so the
+        # allocator reuses it instead of mapping fresh pages every pivot
+        rows = T[:, entering] != 0.0
+        rows[leave] = False
+        np.subtract(T, np.outer(T[:, entering], T[leave]), out=T, where=rows[:, None])
+        basis[leave] = entering
+    else:
+        raise ValueError("simplex: iteration limit hit (malformed program)")
+
+    x = np.zeros(n + m)
+    x[basis] = T[:m, -1]
+    sol = x[:n]
+
+    # optimality + feasibility certificate
+    if np.any(T[m, : n + m] < -10 * tol):
+        raise ValueError("simplex: left with an improving pivot")
+    if np.any(sol < -1e-9) or np.any(A @ sol > b + 1e-9):
+        raise ValueError("simplex: infeasible output")
+    return sol, float(c @ sol)
 
 
 def optimal_policy_dp(inst: PricingInstance, objective: str | None = None) -> float:

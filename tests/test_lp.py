@@ -166,6 +166,37 @@ def _patient(inst, ell=2):
     )
 
 
+def test_compact_tableau_pivots_like_the_full_tableau():
+    # the pricing benchmark's bip20 LP: 180×281, and 220×281 with patience
+    inst = generate_family("random_bipartite", n=20, m=20, density=0.35, seed=7).instance
+    for variant in (inst, _patient(inst)):
+        lp = build_lp_pricing(variant, "revenue")
+        x, obj = _simplex_max(lp.A, lp.b, lp.c)
+        x_ref, obj_ref = ref.full_tableau_pivots(lp.A, lp.b, lp.c, PIVOT_TOL)
+        # bit for bit, signed zeros included
+        assert x.tobytes() == x_ref.tobytes() and repr(obj) == repr(obj_ref)
+
+
+def test_simplex_refuses_a_negative_rhs():
+    with pytest.raises(ValueError, match="simplex start requires b ≥ 0"):
+        _simplex_max(np.array([[1.0]]), np.array([-1.0]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("where", ["A", "b", "c"])
+def test_simplex_refuses_a_non_finite_coefficient(where):
+    args = {"A": np.array([[1.0, 1.0]]), "b": np.array([1.0]), "c": np.array([1.0, 2.0])}
+    args[where] = args[where].copy()
+    args[where][0] = np.nan if where == "b" else np.inf
+    with pytest.raises(ValueError, match="^simplex: non-finite coefficient$"):
+        _simplex_max(args["A"], args["b"], args["c"])
+
+
+def test_simplex_refuses_an_unbounded_direction():
+    # x1 - x2 ≤ 1 leaves x2 free to grow, and c rewards it
+    with pytest.raises(ValueError, match=r"^simplex: unbounded direction \(malformed program\)$"):
+        _simplex_max(np.array([[1.0, -1.0]]), np.array([1.0]), np.array([0.0, 1.0]))
+
+
 def test_build_lp_matches_the_row_loop_reference():
     pool = [e.instance for e in build_suite()]
     pool += [

@@ -226,25 +226,48 @@ def _multigraph(pairs, patience=None):
     return PricingInstance(vs, es, mode="bipartite")
 
 
-@pytest.mark.parametrize("scheme", ["ro", "stochastic", "vertex"])
-def test_parallel_edges_on_the_compacted_walk(scheme, monkeypatch, compacted):
-    # every offline-online pair twice: 18 edges, 6 at each vertex
+def _multigraph_engine(scheme):
+    """One engine on every offline-online pair twice: 18 edges, 6 at each vertex."""
     pairs = [(u, v) for u in "ace" for v in "bdf"] * 2
     inst = _multigraph(pairs, patience={"a": 1, "d": 1})
-    assert not simulate._Topology(inst).simple
     x = {e.id: 0.04 for e in inst.edges}
     stats = edge_stats(x, inst)
-    engine = {
+    return {
         "ro": lambda: simulate.RoOcrsEngine(inst, x, stats, A2),
         "stochastic": lambda: simulate.StochasticOcrsEngine(
             inst, dict.fromkeys(x, 0.1), dict.fromkeys(x, 0.4), stats, A2
         ),
         "vertex": lambda: simulate.VertexArrivalEngine(inst, x),
     }[scheme]()
+
+
+@pytest.mark.parametrize("scheme", ["ro", "stochastic", "vertex"])
+def test_parallel_edges_on_the_compacted_walk(scheme, monkeypatch, compacted):
+    engine = _multigraph_engine(scheme)
+    assert not engine.topo.simple
     det = run_against_reference(engine, monkeypatch, count=4000)
-    assert len(compacted) == 1 and 2 * compacted[0] < len(pairs)
+    assert len(compacted) == 1 and 2 * compacted[0] < engine.topo.n_edges
     if scheme == "stochastic":
         assert det.probed.any() and (det.probes_used[:, [0, 3]] == 1).any()
+
+
+@pytest.mark.parametrize("scheme", ["ro", "stochastic", "vertex"])
+def test_a_multigraph_counts_q_once_per_chunk(scheme, monkeypatch):
+    # the walk already counts Q(e) on every cell of a multigraph, so a detail
+    # chunk reuses it instead of counting it again
+    engine = _multigraph_engine(scheme)
+    real = simulate._q_counts
+    calls = []
+
+    def spy(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(simulate, "_q_counts", spy)
+    for detail in (True, False):
+        calls.clear()
+        engine.run_chunk(7, 100, 500, detail=detail)
+        assert len(calls) == 1, detail
 
 
 def _mc_large_engine(scheme):
