@@ -147,7 +147,7 @@ def fractional_point_violations(
 ) -> list[str]:
     """Check the pricing-relaxation constraints at tolerance tol.
 
-    Every y entry names a menu offer and is nonnegative; offer budget
+    Every y entry names a menu offer and is finite and nonnegative; offer budget
     Σ_w y_ew ≤ 1 per edge; marginal load Σ_{e∋v} x_e ≤ 1 and offer load
     Σ_{e∋v} Σ_w y_ew ≤ ℓ_v per vertex (finite ℓ_v only), with x and the
     offer sums derived from y by ``marginals``.
@@ -159,6 +159,8 @@ def fractional_point_violations(
             bad.append(f"y[{eid},{w}]: unknown edge id")
         elif all(entry.w != w for entry in edge.menu):
             bad.append(f"y[{eid},{w}]: price not on the edge's menu")
+        elif not math.isfinite(val):
+            bad.append(f"y[{eid},{w}]: non-finite entry {val}")
         elif val < -tol:
             bad.append(f"y[{eid},{w}]: negative entry {val}")
     x, y_e, _ = marginals(fp, inst)
@@ -272,7 +274,10 @@ def validate_instance(inst: PricingInstance) -> list[str]:
 def check_polytope(
     x: Mapping[str, float], inst: PricingInstance, tol: float = POLYTOPE_TOL
 ) -> PolytopeCheck:
-    """Is x in P(G)?  Missing edges count as 0; unknown edge ids are an error."""
+    """Is x in P(G)?  Missing edges count as 0; unknown edge ids are an error.
+
+    A non-finite x_e is a violation of unbounded size at that edge.
+    """
     known = inst.edge_by_id
     for eid in x:
         if eid not in known:
@@ -281,8 +286,9 @@ def check_polytope(
     worst: str | None = None
     excess = 0.0
     for eid, val in x.items():
-        if -val > excess:
-            worst, excess = eid, -val
+        miss = -val if math.isfinite(val) else math.inf
+        if miss > excess:
+            worst, excess = eid, miss
     for v in inst.vertices:
         load = sum(x.get(inst.edges[i].id, 0.0) for i in inst.incident[v.id])
         if load - 1.0 > excess:

@@ -17,8 +17,11 @@ chunk, ``_q_counts`` counts it from arrival positions.  Arrival order is a
 stable sort of the arrival times, taken as one sort of packed uint64 keys
 (53-bit time, 11-bit edge position) by ``_arrival_order``; vertex arrival
 re-sorts it stably by the arrival rank of each edge's online vertex.
-``monte_carlo`` aggregates chunks into a report, summing revenue in fixed
-blocks of trials; one trial replays as row 0 of
+``monte_carlo`` aggregates chunks into a report.  It cuts its chunks at the
+boundaries of fixed blocks of trials and sums revenue block by block.  A
+report stores counts: each frequency, Wilson interval, half-width and ratio,
+and the report's ``min_ratio``, derives from them in ``EdgeReport`` and
+``SimulationReport``.  One trial replays as row 0 of
 ``engine.run_chunk(seed, trial, 1, detail=True)``.
 
 The exact oracles are memoized bitmask recursions over tiny instances and
@@ -34,7 +37,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -77,17 +80,51 @@ _POS_BITS = 11
 
 @dataclass(frozen=True)
 class EdgeReport:
+    """One edge's counts over `trials` trials: `matched`, and `r0` and `r1`,
+    the matches with no and with exactly one realized neighbour arriving
+    first.  Frequencies, the 99% Wilson interval and the ratio to `x_ref`
+    derive from the counts."""
+
     edge_id: str
     x_ref: float
+    trials: int
     matched: int
     r0: int
     r1: int
-    freq: float
-    ci_lo: float
-    ci_hi: float
-    freq_r0: float
-    freq_r1: float
-    ratio: float
+
+    @property
+    def freq(self) -> float:
+        return self.matched / self.trials
+
+    @property
+    def freq_r0(self) -> float:
+        return self.r0 / self.trials
+
+    @property
+    def freq_r1(self) -> float:
+        return self.r1 / self.trials
+
+    @cached_property
+    def _ci(self) -> tuple[float, float]:
+        return wilson_interval(self.matched, self.trials)
+
+    @property
+    def ci_lo(self) -> float:
+        return self._ci[0]
+
+    @property
+    def ci_hi(self) -> float:
+        return self._ci[1]
+
+    @property
+    def ratio(self) -> float:
+        """freq / x_ref; nan when x_ref is 0."""
+        return self.freq / self.x_ref if self.x_ref > 0 else math.nan
+
+    def half_width(self, field: str = "matched") -> float:
+        """Half the Wilson interval of the count `field`."""
+        lo, hi = self._ci if field == "matched" else wilson_interval(getattr(self, field), self.trials)
+        return (hi - lo) / 2.0
 
 
 @dataclass(frozen=True)
@@ -95,9 +132,13 @@ class SimulationReport:
     trials: int
     master_seed: int
     edges: tuple[EdgeReport, ...]
-    min_ratio: float
     revenue_mean: float
     revenue_ci: float
+
+    @property
+    def min_ratio(self) -> float:
+        """The least edge ratio over edges with x_ref > 0; nan when there are none."""
+        return min((er.ratio for er in self.edges if er.x_ref > 0), default=math.nan)
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z99) -> tuple[float, float]:
@@ -392,6 +433,9 @@ class RoOcrsEngine:
         stats: dict[str, EdgeStats],
         spec: AttenuationSpec,
     ):
+        fit = check_polytope(x, inst)
+        if not fit.ok:
+            raise ValueError(f"x lies outside the matching polytope at {fit.worst} (excess {fit.excess:.3g})")
         self.topo = _Topology(inst)
         self.x = self.topo.x_vector(x)
         self.s = np.array([stats[eid].s for eid in self.topo.edge_ids], dtype=float)
@@ -428,7 +472,7 @@ class StochasticOcrsEngine:
         self.topo = _Topology(inst)
         self.y = self.topo.x_vector(y)
         self.p = self.topo.x_vector(p)
-        if np.any(self.y < 0) or np.any(self.y > 1) or np.any(self.p < 0) or np.any(self.p > 1):
+        if not ((self.y >= 0) & (self.y <= 1) & (self.p >= 0) & (self.p <= 1)).all():
             raise ValueError("y and p must lie in [0, 1]")
         # The per-vertex probe budget sum(y) <= patience is the analysis-side
         # feasibility condition, not a runtime requirement: the engine caps
@@ -480,6 +524,9 @@ class VertexArrivalEngine:
     """
 
     def __init__(self, inst: PricingInstance, x: dict[str, float]):
+        fit = check_polytope(x, inst)
+        if not fit.ok:
+            raise ValueError(f"x lies outside the matching polytope at {fit.worst} (excess {fit.excess:.3g})")
         self.topo = _Topology(inst)
         sides = {v.id: v.side for v in inst.vertices}
         if any(s not in ("offline", "online") for s in sides.values()):
@@ -578,18 +625,22 @@ def monte_carlo(
     """Aggregate `trials` independent trials into a report.
 
     Per-trial streams are keyed by the absolute trial index, and reduction
-    walks chunks in index order with integer counters.  Revenue is summed
-    over fixed blocks of `_BLOCK_TRIALS` trial indices (numpy's sum within a
-    block, `math.fsum` across blocks), so the report is bit-identical for
-    any worker count or chunk size.  The sums are taken in units of a power
-    of two at or above the largest menu reward, which is exact and keeps
-    every square finite; a sum that still overflows raises ValueError.
+    walks chunks in index order with integer counters.  Chunks are cut at
+    the boundaries of fixed blocks of `_BLOCK_TRIALS` trial indices, and
+    revenue is summed block by block (numpy's sum over the concatenation of
+    a block's chunks, `math.fsum` across blocks), so the report is
+    bit-identical for any worker count or chunk size.  The sums are taken in
+    units of a power of two at or above the largest menu reward, which is
+    exact and keeps every square finite; a sum that still overflows raises
+    ValueError.  The report stores the counts, from which its frequencies,
+    intervals and ratios derive.
 
     A chunk holds at most `chunk_size` trials (2048 by default, which keeps
     a chunk's arrays near the cache), and fewer on large instances, so that
     no stacked draw of four (trials, edges + vertices) float arrays passes
     64 MiB: the walk's per-(trial, vertex) arrays and the vertex arrival
-    draws grow with the vertices, the rest with the edges.
+    draws grow with the vertices, the rest with the edges.  A block's last
+    chunk is cut short when `chunk` does not divide `_BLOCK_TRIALS`.
     `workers=None` means 1.  The master seed is a uint64 stream key, so it
     must lie in [0, 2**64).
     """
@@ -603,62 +654,31 @@ def monte_carlo(
     # revenue is summed in units of 2**shift, at or above the largest menu
     # reward (only the pricing engine pays any)
     shift = math.frexp(float(np.max(np.abs(getattr(engine, "menu_r", 0.0)), initial=0.0)))[1]
-    jobs = [(s, min(chunk, trials - s)) for s in range(0, trials, chunk)]
+    # no chunk crosses a block boundary, so a block's revenues are its chunks'
+    jobs = [
+        (s, min(chunk, trials - s, b + _BLOCK_TRIALS - s))
+        for b in range(0, trials, _BLOCK_TRIALS)
+        for s in range(b, min(b + _BLOCK_TRIALS, trials), chunk)
+    ]
 
     def work(job):
-        s, n = job
-        return engine.run_chunk(master_seed, s, n)
+        return engine.run_chunk(master_seed, *job)
 
-    matched = np.zeros(n_edges, dtype=np.int64)
-    r0 = np.zeros(n_edges, dtype=np.int64)
-    r1 = np.zeros(n_edges, dtype=np.int64)
-    block = np.empty(min(trials, _BLOCK_TRIALS))  # revenues of the block being filled
-    filled, sums, sqsums = 0, [], []
+    counts = np.zeros((3, n_edges), dtype=np.int64)  # matched, r0, r1 per edge
+    block, sums, sqsums = [], [], []  # block: revenues of the block being filled
     parallel = workers is not None and workers > 1 and len(jobs) > 1
     with ThreadPoolExecutor(max_workers=workers) if parallel else nullcontext() as pool:
-        for res in pool.map(work, jobs) if parallel else map(work, jobs):
-            matched += res.matched
-            r0 += res.r0
-            r1 += res.r1
-            rev = res.revenue
-            while rev.size:
-                size = min(block.size, trials - _BLOCK_TRIALS * len(sums))
-                take = min(size - filled, rev.size)
-                block[filled : filled + take] = rev[:take]
-                filled, rev = filled + take, rev[take:]
-                if filled == size:
-                    full = np.ldexp(block[:size], -shift)
-                    sums.append(float(full.sum()))
-                    sqsums.append(float((full * full).sum()))
-                    filled = 0
+        for (s, n), res in zip(jobs, pool.map(work, jobs) if parallel else map(work, jobs)):
+            counts += res[:3]
+            block.append(res.revenue)
+            if (s + n) % _BLOCK_TRIALS == 0 or s + n == trials:
+                full = np.ldexp(np.concatenate(block), -shift)
+                sums.append(float(full.sum()))
+                sqsums.append(float((full * full).sum()))
+                block = []
     rev_sum, rev_sqsum = math.fsum(sums), math.fsum(sqsums)
     if not (math.isfinite(rev_sum) and math.isfinite(rev_sqsum)):
         raise ValueError("a trial's revenue is not a finite number")
-
-    edges = []
-    min_ratio = math.inf
-    for i, eid in enumerate(engine.topo.edge_ids):
-        freq = matched[i] / trials
-        lo, hi = wilson_interval(int(matched[i]), trials)
-        xr = float(engine.x[i])
-        ratio = freq / xr if xr > 0 else math.nan
-        if xr > 0:
-            min_ratio = min(min_ratio, ratio)
-        edges.append(
-            EdgeReport(
-                edge_id=eid,
-                x_ref=xr,
-                matched=int(matched[i]),
-                r0=int(r0[i]),
-                r1=int(r1[i]),
-                freq=freq,
-                ci_lo=lo,
-                ci_hi=hi,
-                freq_r0=r0[i] / trials,
-                freq_r1=r1[i] / trials,
-                ratio=ratio,
-            )
-        )
     mean = rev_sum / trials
     if trials > 1:
         var = max(0.0, (rev_sqsum - trials * mean * mean) / (trials - 1))
@@ -672,8 +692,10 @@ def monte_carlo(
     return SimulationReport(
         trials=trials,
         master_seed=master_seed,
-        edges=tuple(edges),
-        min_ratio=min_ratio if min_ratio < math.inf else math.nan,
+        edges=tuple(
+            EdgeReport(eid, x, trials, m, a, b)
+            for eid, x, m, a, b in zip(engine.topo.edge_ids, engine.x.tolist(), *counts.tolist())
+        ),
         revenue_mean=mean,
         revenue_ci=rev_ci,
     )

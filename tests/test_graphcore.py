@@ -108,6 +108,12 @@ def test_polytope_flags_negative_mass_and_unknown_edge():
         check_polytope({"nope": 0.1}, inst)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_polytope_flags_a_non_finite_entry_at_its_edge(value):
+    inst, _ = _simple_path()
+    assert check_polytope({"e0": 0.2, "e1": value}, inst) == (False, "e1", math.inf)
+
+
 def test_fractional_point_violations_roundtrip():
     inst, _ = _simple_path(0.4, 0.5)
     fp = FractionalPoint(y={("e0", 0.0): 0.4, ("e1", 0.0): 0.5})

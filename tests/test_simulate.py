@@ -146,10 +146,24 @@ def test_report_bookkeeping():
         assert er.freq_r0 == er.r0 / rep.trials
         lo, hi = wilson_interval(er.matched, rep.trials)
         assert (er.ci_lo, er.ci_hi) == (lo, hi)
+        assert er.half_width() == er.half_width("matched") == (hi - lo) / 2.0
+        for field in ("r0", "r1"):
+            lo_k, hi_k = wilson_interval(getattr(er, field), rep.trials)
+            assert er.half_width(field) == (hi_k - lo_k) / 2.0
         assert math.isclose(er.ratio, er.freq / er.x_ref)
         ratios.append(er.ratio)
     assert rep.min_ratio == min(ratios)
     assert rep.revenue_mean == 0.0 and rep.revenue_ci == 0.0
+
+
+def test_min_ratio_skips_edges_without_mass():
+    inst, _ = _two_path()
+    x = {"e0": 0.0, "e1": 0.5}
+    rep = monte_carlo(RoOcrsEngine(inst, x, edge_stats(x, inst), TRIV), 2_000, 3)
+    assert math.isnan(rep.edges[0].ratio)
+    assert rep.min_ratio == rep.edges[1].ratio
+    x = {"e0": 0.0, "e1": 0.0}
+    assert math.isnan(monte_carlo(RoOcrsEngine(inst, x, edge_stats(x, inst), TRIV), 10, 3).min_ratio)
 
 
 def test_deterministic_and_seed_sensitive():
@@ -222,16 +236,18 @@ def test_revenue_sums_scale_exactly_by_powers_of_two():
 
 class _WideEngine:
     """Stands in for an engine on `n_edges` edges and `n_vertices` vertices
-    and records its chunk sizes."""
+    and records its chunk starts and sizes."""
 
     def __init__(self, n_edges: int, n_vertices: int = 0):
         self.topo = SimpleNamespace(
             edge_ids=tuple(f"e{i}" for i in range(n_edges)), n_vertices=n_vertices
         )
         self.x = np.zeros(n_edges)
+        self.starts = []
         self.counts = []
 
     def run_chunk(self, seed, start, count, detail=False):
+        self.starts.append(start)
         self.counts.append(count)
         zeros = np.zeros(len(self.x), dtype=np.int64)
         return _ChunkCounts(zeros, zeros, zeros, np.zeros(count))
@@ -249,6 +265,19 @@ def test_chunks_are_capped_by_memory_on_wide_instances():
     narrow = _WideEngine(479)
     monte_carlo(narrow, 40_000, 1)
     assert narrow.counts == [2048] * 19 + [1088]
+
+
+def test_chunks_tile_the_trials_and_never_straddle_a_revenue_block():
+    eng = _WideEngine(479)
+    monte_carlo(eng, 40_000, 1, chunk_size=999)
+    ends = [s + n for s, n in zip(eng.starts, eng.counts)]
+    # in order and without gaps or overlaps from 0 to 40000
+    assert eng.starts == [0] + ends[:-1]
+    assert ends[-1] == 40_000
+    assert max(eng.counts) == 999
+    # every multiple of the 16384-trial revenue block is a chunk boundary
+    assert all(s // 16384 == (e - 1) // 16384 for s, e in zip(eng.starts, ends))
+    assert {16384, 32768} <= set(ends)
 
 
 def test_chunks_are_capped_by_memory_on_instances_with_many_vertices():
@@ -320,6 +349,29 @@ def test_stochastic_validation():
         StochasticOcrsEngine(
             inst2, {"e0": 0.8, "e1": 0.8}, {"e0": 1.0, "e1": 1.0}, stats2, TRIV
         )
+
+
+def test_stochastic_refuses_a_nan_offer_rate():
+    gen = generate_family("star", k=3)
+    stats = edge_stats(gen.x, gen.instance)
+    y = {eid: 0.5 for eid in gen.x}
+    p = {eid: 0.5 for eid in gen.x}
+    with pytest.raises(ValueError, match=r"y and p must lie in \[0, 1\]"):
+        StochasticOcrsEngine(gen.instance, {**y, "e0": math.nan}, p, stats, A2)
+    with pytest.raises(ValueError, match=r"y and p must lie in \[0, 1\]"):
+        StochasticOcrsEngine(gen.instance, y, {**p, "e0": math.nan}, stats, A2)
+
+
+@pytest.mark.parametrize("value", [math.nan, 1.7])
+@pytest.mark.parametrize("scheme", ["ro", "vertex"])
+def test_ro_and_vertex_engines_refuse_points_outside_the_polytope(scheme, value):
+    gen = generate_family("star", k=3)
+    x = {**gen.x, "e0": value}
+    with pytest.raises(ValueError, match="x lies outside the matching polytope"):
+        if scheme == "ro":
+            RoOcrsEngine(gen.instance, x, edge_stats(gen.x, gen.instance), A2)
+        else:
+            VertexArrivalEngine(dataclasses.replace(gen.instance, mode="vertex-arrival"), x)
 
 
 @settings(max_examples=60, deadline=None)
@@ -419,6 +471,16 @@ def test_pricing_rejects_a_point_that_overloads_a_vertex():
     assert fractional_point_violations(point, inst) == ["vertex c: marginal load 2.0 exceeds 1"]
     with pytest.raises(ValueError, match="vertex c: marginal load 2.0 exceeds 1"):
         SequentialPricingEngine(inst, point, TRIV)
+
+
+def test_pricing_refuses_a_nan_offer_rate():
+    inst = generate_family("star", k=3).instance
+    point = solve_lp(build_lp_pricing(inst, auto_objective(inst))).point
+    key = ("e0", inst.edges[0].menu[0].w)
+    nan_point = FractionalPoint(y={**point.y, key: math.nan})
+    assert fractional_point_violations(nan_point, inst) == [f"y[e0,{key[1]}]: non-finite entry nan"]
+    with pytest.raises(ValueError, match="non-finite entry nan"):
+        SequentialPricingEngine(inst, nan_point, A2)
 
 
 def test_pricing_respects_patience():
