@@ -186,6 +186,8 @@ def run_criteria(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     top = 2**64 - 1 - _SEED_STRIDE * _DERIVED_SEEDS
     if not 0 <= master_seed <= top:
         raise ValueError(

@@ -250,6 +250,18 @@ def test_simulate_seed_outside_uint64(tmp_path, capsys, seed):
     assert capsys.readouterr().err.startswith("error: seed must lie in [0, 2**64)")
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_simulate_refuses_fewer_than_one_worker(tmp_path, capsys, workers):
+    # these used to run serially and exit 0
+    star = _gen(tmp_path, "star", "--k", "3")
+    capsys.readouterr()
+    assert main(["simulate", "--instance", str(star), "--scheme", "ro-ocrs", "--trials", "100",
+                 "--workers", workers, "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: workers must be >= 1, got {workers}") and "Traceback" not in err
+    assert not (tmp_path / "run.csv").exists()
+
+
 def test_simulate_missing_file(tmp_path):
     assert main(["simulate", "--instance", str(tmp_path / "gone.json"),
                  "--scheme", "ro-ocrs"]) == 1
@@ -456,6 +468,23 @@ def test_suite_refuses_nonpositive_trials_up_front(capsys, monkeypatch):
     assert main(["suite", "--trials", "0"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: trials must be >= 1") and "Traceback" not in err
+    assert facts == []
+
+
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_suite_refuses_fewer_than_one_worker_up_front(capsys, monkeypatch, workers):
+    # these used to run the whole battery serially
+    facts = []
+    real = suite.bounds.verify_facts
+
+    def spy(*args, **kwargs):
+        facts.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(suite.bounds, "verify_facts", spy)
+    assert main(["suite", "--trials", "10", "--workers", workers]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: workers must be >= 1, got {workers}") and "Traceback" not in err
     assert facts == []
 
 

@@ -176,6 +176,15 @@ def test_deterministic_and_seed_sensitive():
     assert a != c
 
 
+@pytest.mark.parametrize("workers", [0, -2])
+def test_monte_carlo_refuses_fewer_than_one_worker(workers):
+    # these used to run serially without a word
+    inst, x = _two_path()
+    eng = RoOcrsEngine(inst, x, edge_stats(x, inst), A2)
+    with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+        monte_carlo(eng, 100, 0, workers=workers)
+
+
 def test_chunking_and_workers_do_not_change_results():
     gen = generate_family("random_general", n=6, density=0.4, seed=22)
     ro = RoOcrsEngine(gen.instance, gen.x, edge_stats(gen.x, gen.instance), A2)

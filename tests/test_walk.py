@@ -8,7 +8,9 @@ kernel and the reference agree on every output, on suite instances, with
 patience, with rewards, with parallel edges and with tied arrival keys.  The
 kernel steps through only the go cells when the busiest trial has fewer than
 half the edges go, so each of those cases is checked on both sides of that
-choice.
+choice.  Instances of at most 64 edges walk on uint64 words and wider ones on
+per-vertex arrays; the walk cases at 64, 65 and 69 edges check both forms,
+each on both sides of the compaction threshold.
 """
 
 import dataclasses
@@ -102,6 +104,21 @@ def compacted(monkeypatch):
 
     monkeypatch.setattr(simulate, "_go_steps", spy)
     return ks
+
+
+@pytest.fixture
+def word_walks(monkeypatch):
+    """One entry per walk: True for the word walk, False for the array walk."""
+    forms = []
+    for name, word in (("_walk_bits", True), ("_walk_bools", False)):
+        real = getattr(simulate, name)
+
+        def spy(*args, _real=real, _word=word, **kwargs):
+            forms.append(_word)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(simulate, name, spy)
+    return forms
 
 
 def run_against_reference(engine, monkeypatch, seed=7, count=1500):
@@ -226,9 +243,10 @@ def _multigraph(pairs, patience=None):
     return PricingInstance(vs, es, mode="bipartite")
 
 
-def _multigraph_engine(scheme):
-    """One engine on every offline-online pair twice: 18 edges, 6 at each vertex."""
-    pairs = [(u, v) for u in "ace" for v in "bdf"] * 2
+def _multigraph_engine(scheme, copies=2):
+    """One engine on every offline-online pair `copies` times: 9 * copies
+    edges, 3 * copies at each vertex."""
+    pairs = [(u, v) for u in "ace" for v in "bdf"] * copies
     inst = _multigraph(pairs, patience={"a": 1, "d": 1})
     x = {e.id: 0.04 for e in inst.edges}
     stats = edge_stats(x, inst)
@@ -252,10 +270,11 @@ def test_parallel_edges_on_the_compacted_walk(scheme, monkeypatch, compacted):
 
 
 @pytest.mark.parametrize("scheme", ["ro", "stochastic", "vertex"])
-def test_a_multigraph_counts_q_once_per_chunk(scheme, monkeypatch):
-    # the walk already counts Q(e) on every cell of a multigraph, so a detail
-    # chunk reuses it instead of counting it again
-    engine = _multigraph_engine(scheme)
+def test_a_multigraph_counts_q_once_per_chunk(scheme, monkeypatch, word_walks):
+    # the word walk counts Q(e) itself on the cells it visits, so only a
+    # detail chunk counts it from arrival positions, on every cell; the array
+    # walk counts it that way on every cell of a multigraph already, and a
+    # detail chunk reuses it instead of counting it again
     real = simulate._q_counts
     calls = []
 
@@ -264,10 +283,15 @@ def test_a_multigraph_counts_q_once_per_chunk(scheme, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(simulate, "_q_counts", spy)
-    for detail in (True, False):
-        calls.clear()
-        engine.run_chunk(7, 100, 500, detail=detail)
-        assert len(calls) == 1, detail
+    for copies, word in ((2, True), (8, False)):  # 18 and 72 edges
+        engine = _multigraph_engine(scheme, copies)
+        assert not engine.topo.simple
+        for detail in (True, False):
+            calls.clear()
+            word_walks.clear()
+            engine.run_chunk(7, 100, 500, detail=detail)
+            assert word_walks == [word], (copies, detail)
+            assert len(calls) == (1 if detail or not word else 0), (copies, detail)
 
 
 def _mc_large_engine(scheme):
@@ -327,10 +351,11 @@ def test_reduced_chunks_are_the_column_sums_of_detail_chunks(scheme, wide, compa
     assert counts.revenue.any() == (scheme == "pricing")
 
 
-def _walk_case(rng, n_edges, count, n_go):
-    """Topology of a random graph cut to `n_edges` edges, a random arrival
-    order and coins, and a go mask with `n_go[i]` go cells in trial i."""
-    inst = generate_family("random_general", n=9, density=0.8, seed=4).instance
+def _walk_case(rng, n_edges, count, n_go, n=9):
+    """Topology of a random graph on `n` vertices cut to `n_edges` edges, a
+    random arrival order and coins, and a go mask with `n_go[i]` go cells in
+    trial i."""
+    inst = generate_family("random_general", n=n, density=0.8, seed=4).instance
     inst = PricingInstance(
         tuple(dataclasses.replace(v, patience=1) for v in inst.vertices),
         inst.edges[:n_edges],
@@ -381,6 +406,43 @@ def test_both_sides_of_the_compaction_threshold(n_edges, busy, compacted):
     walk, q = _check_walk(*_walk_case(rng, n_edges, count, n_go))
     assert bool(compacted) == (2 * busy < n_edges)
     assert walk.probed.any() and q.any()
+
+
+# the n = 14 graph has 69 edges: cut to 64 it walks on words, to 65 or more
+# on arrays; of each pair of busy values the first compacts and the second,
+# ceil(E / 2), walks every edge
+@pytest.mark.parametrize(
+    "n_edges,busy", [(64, 31), (64, 32), (65, 32), (65, 33), (69, 34), (69, 35)]
+)
+def test_words_and_arrays_on_both_sides_of_64_edges(n_edges, busy, compacted, word_walks):
+    count = 300
+    rng = np.random.default_rng(n_edges * busy)
+    n_go = rng.integers(0, busy + 1, count)
+    n_go[rng.integers(count)] = busy
+    walk, q = _check_walk(*_walk_case(rng, n_edges, count, n_go, n=14))
+    assert word_walks == [n_edges <= 64] * 2
+    assert bool(compacted) == (2 * busy < n_edges)
+    assert walk.matched.any() and walk.probed.any() and walk.revenue.any() and q.any()
+
+
+def test_a_self_loop_walks_on_arrays(word_walks):
+    # a loop spends its vertex's patience twice per proposal, which a set of
+    # probed edges cannot count; `validate_instance` refuses such an
+    # instance, but the walk stays exact on one
+    vs = tuple(Vertex(v, patience=3) for v in "abc")
+    es = tuple(
+        Edge(f"e{i}", u, v, (MenuEntry(0.0, 0.5),))
+        for i, (u, v) in enumerate([("a", "a"), ("a", "b"), ("b", "c"), ("a", "c"), ("c", "c")])
+    )
+    topo = simulate._Topology(PricingInstance(vs, es))
+    assert topo.nbr_bits is None and not topo.simple
+    rng = np.random.default_rng(5)
+    count, e = 400, topo.n_edges
+    order = np.argsort(rng.random((count, e)), axis=1)
+    go, accept = rng.random((count, e)) < 0.8, rng.random((count, e)) < 0.5
+    got = simulate._walk(topo, order, go, accept, topo.patience)
+    assert_walks_equal(got, reference_walk(topo, order, go, accept, topo.patience), go)
+    assert word_walks == [False] and (got[0].probes_used == 3).any()
 
 
 def _tie_every_third_trial(monkeypatch):
