@@ -1,12 +1,18 @@
 """Trial engines, Monte-Carlo aggregation, and exact small-instance oracles.
 
 The four online schemes are one attenuated greedy walk that differs only in
-its coins, and an engine only draws them: ``_draw`` takes every random
-quantity of a chunk from the counter-based stream up front, in one call for
-all the engine's edge purposes (so worker count can never change a trial),
-and the engine makes go and accept masks and an arrival order of them.  One
-tail, ``_finish``, walks them, marks the realized cells (go and accept) and
-reduces the chunk or returns its per-cell arrays.  In ``_walk`` an edge
+its coins, and an engine only draws them.  ``_draw`` is the one front end:
+it walks a chunk in row blocks of about ``_BLOCK_CELLS`` (trial, edge)
+cells, takes each block's random quantities from the counter-based stream in
+one call for all the engine's edge purposes (so worker count can never
+change a trial), and hands them to the engine's coin function, which makes
+the block's go and accept masks and arrival order (and, for pricing, its
+rewards).  Only those outputs are assembled into chunk arrays: the float
+draw and its hash, attenuation and sort-key temporaries exist for one block
+at a time.  Every stage of the front end is elementwise or row-wise, so no
+value depends on where the blocks are cut.  One tail, ``_finish``, walks the
+chunk's coins, marks the realized cells (go and accept) and reduces the
+chunk or returns its per-cell arrays.  In ``_walk`` an edge
 proposes when its coins allow ("go") and both endpoints are free (and
 patient), and is matched when the proposal is accepted.  When the busiest
 trial of a chunk has fewer than half its edges go, the walk steps through
@@ -64,9 +70,15 @@ from .lp import auto_objective, objective_coefficients
 # 99% two-sided normal quantile, used for every interval in the reports.
 Z99 = 2.5758293035489004
 
-# trials x (edges + vertices) x purposes cells per chunk: a stacked draw of up
-# to four purposes, and so every float64 chunk array, stays <= 64 MiB
+# trials x (edges + vertices) x 4 <= _CHUNK_CELLS: a chunk's (trials, edges)
+# arrays of 8-byte items, the arrival order and the pricing rewards, stay
+# <= 16 MiB, and its masks and per-(trial, vertex) walk arrays smaller
 _CHUNK_CELLS = 2**23
+
+# (trial, unit) cells per row block of the front end: a block's stacked
+# uniforms and their hash, attenuation and sort-key temporaries stay near
+# the L2 cache
+_BLOCK_CELLS = 2**16
 
 # the block of absolute trial indices whose revenues are summed together, so
 # that chunking never changes a revenue sum
@@ -528,12 +540,31 @@ def _arrival_order(t: np.ndarray) -> np.ndarray:
     return key.view(np.int64)
 
 
-def _draw(seed: int, start: int, count: int, units: range, purposes):
-    """``hash_uniform`` over trials start .. start + count and `units`: a
-    (count, len(units)) array, stacked per purpose for a tuple of purposes."""
-    trials = np.arange(start, start + count, dtype=np.uint64)[:, None]
+def _draw(seed: int, start: int, count: int, units: range, purposes, coins) -> tuple:
+    """The coin function's arrays for trials start .. start + count (count >= 1).
+
+    The chunk is walked in row blocks of ``_BLOCK_CELLS // len(units)``
+    trials.  A block's uniforms are ``hash_uniform`` over its trials and
+    `units`, stacked per purpose, and ``coins(seed, trials, u)`` turns them,
+    with the block's (rows, 1) uint64 trial column, into a tuple of per-cell
+    arrays with one row per trial.  Only those are assembled, block after
+    block, into the chunk's arrays; a chunk of one block returns the coin
+    function's own arrays, uncopied.  Coin functions are elementwise or
+    row-wise, so no value depends on where the blocks are cut.
+    """
     row = np.arange(units.start, units.stop, dtype=np.uint64)[None, :]
-    return hash_uniform(seed, trials, row, purposes)
+    block = max(1, _BLOCK_CELLS // max(len(units), 1))
+    out = None
+    for s in range(0, count, block):
+        trials = np.arange(start + s, start + min(s + block, count), dtype=np.uint64)[:, None]
+        part = coins(seed, trials, hash_uniform(seed, trials, row, purposes))
+        if count <= block:
+            return part
+        if out is None:
+            out = tuple(np.empty((count, *a.shape[1:]), dtype=a.dtype) for a in part)
+        for whole, a in zip(out, part):
+            whole[s : s + len(a)] = a
+    return out
 
 
 def _finish(topo: _Topology, order, go, accept, active, detail: bool, patience=None, reward=None):
@@ -588,12 +619,16 @@ class RoOcrsEngine:
 
     def run_chunk(self, seed: int, start: int, count: int, detail: bool = False):
         units = range(self.topo.n_edges)
-        t, u_active, u_coin = _draw(seed, start, count, units, (ARRIVAL, ACTIVE, COIN))
+        order, realized, active = _draw(seed, start, count, units, (ARRIVAL, ACTIVE, COIN), self._coins)
+        return _finish(self.topo, order, realized, active, active, detail)
+
+    def _coins(self, seed, trials, u):
+        t, u_active, u_coin = u
         active = u_active < self.x[None, :]
         realized = active & (
             u_coin < attenuation_profile(self.spec, t, self.x[None, :], self.s[None, :])
         )
-        return _finish(self.topo, _arrival_order(t), realized, active, active, detail)
+        return _arrival_order(t), realized, active
 
 
 class StochasticOcrsEngine:
@@ -632,13 +667,16 @@ class StochasticOcrsEngine:
 
     def run_chunk(self, seed: int, start: int, count: int, detail: bool = False):
         units = range(self.topo.n_edges)
-        t, u_active, u_coin = _draw(seed, start, count, units, (ARRIVAL, ACTIVE, COIN))
+        order, probe_ok, active = _draw(seed, start, count, units, (ARRIVAL, ACTIVE, COIN), self._coins)
+        return _finish(self.topo, order, probe_ok, active, active, detail, self.topo.patience)
+
+    def _coins(self, seed, trials, u):
+        t, u_active, u_coin = u
         active = u_active < self.p[None, :]
         probe_ok = u_coin < (
             self.y[None, :] * attenuation_profile(self.spec, t, self.x[None, :], self.s[None, :])
         )
-        order = _arrival_order(t)
-        return _finish(self.topo, order, probe_ok, active, active, detail, self.topo.patience)
+        return _arrival_order(t), probe_ok, active
 
 
 def _vertex_order(t_e: np.ndarray, t_v: np.ndarray, online: np.ndarray) -> np.ndarray:
@@ -686,13 +724,18 @@ class VertexArrivalEngine:
         self.x = self.topo.x_vector(x)
 
     def run_chunk(self, seed: int, start: int, count: int, detail: bool = False):
+        units = range(self.topo.n_edges)
+        order, realized, active = _draw(seed, start, count, units, (ARRIVAL, ACTIVE, COIN), self._coins)
+        return _finish(self.topo, order, realized, active, active, detail)
+
+    def _coins(self, seed, trials, u):
+        # online vertices arrive at the units after the edges
         e, nv = self.topo.n_edges, self.topo.n_vertices
-        t_e, u_active, u_coin = _draw(seed, start, count, range(e), (ARRIVAL, ACTIVE, COIN))
-        t_v = _draw(seed, start, count, range(e, e + nv), ARRIVAL)
+        t_e, u_active, u_coin = u
+        t_v = hash_uniform(seed, trials, np.arange(e, e + nv, dtype=np.uint64)[None, :], ARRIVAL)
         active = u_active < self.x[None, :]
         realized = active & (u_coin < np.exp(-self.x[None, :] * t_e))
-        order = _vertex_order(t_e, t_v, self.online_of_edge)
-        return _finish(self.topo, order, realized, active, active, detail)
+        return _vertex_order(t_e, t_v, self.online_of_edge), realized, active
 
 
 class SequentialPricingEngine:
@@ -727,33 +770,32 @@ class SequentialPricingEngine:
                 self.menu_y[i, k] = point.y.get((edg.id, entry.w), 0.0)
                 self.menu_p[i, k] = entry.p
                 self.menu_r[i, k] = rewards[i][k]
+        self.menu_cum = np.cumsum(self.menu_y, axis=1)
         self.x = self.topo.x_vector(marginals(point, inst)[0])
         self.spec = spec
         self.s = _neighbor_mass(self.x, inst)[1]  # s_e from the induced marginals, for a2
 
     def run_chunk(self, seed: int, start: int, count: int, detail: bool = False):
-        e = self.topo.n_edges
-        purposes = (ARRIVAL, PRICE, ACTIVE, COIN)
-        t, u_price, u_accept, u_coin = _draw(seed, start, count, range(e), purposes)
-        propose_ok = u_coin < attenuation_profile(self.spec, t, self.x[None, :], self.s[None, :])
+        units, purposes = range(self.topo.n_edges), (ARRIVAL, PRICE, ACTIVE, COIN)
+        order, go, accept, reward = _draw(seed, start, count, units, purposes, self._coins)
+        # no activity coin of its own: a detail chunk's active cells are the realized ones
+        return _finish(self.topo, order, go, accept, None, detail, self.topo.patience, reward)
 
+    def _coins(self, seed, trials, u):
+        t, u_price, u_accept, u_coin = u
+        propose_ok = u_coin < attenuation_profile(self.spec, t, self.x[None, :], self.s[None, :])
         # inverse-CDF menu draw: a cell takes the first entry whose cumulative
         # mass exceeds its draw, so a draw at or beyond the total menu mass
         # takes none and means no offer this trial
-        cum = np.cumsum(self.menu_y, axis=1)
-        have = u_price < cum[:, -1]
-        acc_p = np.zeros((count, e))
-        reward = np.zeros((count, e))
+        cum = self.menu_cum
+        acc_p = np.zeros(t.shape)
+        reward = np.zeros(t.shape)
         for k in range(cum.shape[1] - 1, -1, -1):
             below = u_price < cum[:, k]
             np.copyto(acc_p, self.menu_p[:, k], where=below)
             np.copyto(reward, self.menu_r[:, k], where=below)
-        del below  # a (trials × edges) mask the walk does not need
-
-        # no activity coin of its own: a detail chunk's active cells are the realized ones
-        go, accept = have & propose_ok, u_accept < acc_p
-        order = _arrival_order(t)
-        return _finish(self.topo, order, go, accept, None, detail, self.topo.patience, reward)
+        go = (u_price < cum[:, -1]) & propose_ok
+        return _arrival_order(t), go, u_accept < acc_p, reward
 
 
 # --------------------------------------------------------------------------
@@ -780,12 +822,13 @@ def monte_carlo(
     ValueError.  The report stores the counts, from which its frequencies,
     intervals and ratios derive.
 
-    A chunk holds at most `chunk_size` trials (2048 by default, which keeps
-    a chunk's arrays near the cache), and fewer on large instances, so that
-    no stacked draw of four (trials, edges + vertices) float arrays passes
-    64 MiB: the walk's per-(trial, vertex) arrays and the vertex arrival
-    draws grow with the vertices, the rest with the edges.  A block's last
-    chunk is cut short when `chunk` does not divide `_BLOCK_TRIALS`.
+    A chunk holds at most `chunk_size` trials (2048 by default), and fewer
+    on large instances, so that 4 * trials * (edges + vertices) stays within
+    `_CHUNK_CELLS`.  The cap bounds what a chunk holds whole: its go and
+    accept masks, its arrival order and the walk's per-(trial, vertex)
+    arrays, which grow with the vertices.  The random draw is held one row
+    block at a time (`_draw`).  A revenue block's last chunk is cut short
+    when `chunk` does not divide `_BLOCK_TRIALS`.
     `workers=None` means 1, and fewer than 1 is refused.  The master seed
     is a uint64 stream key, so it must lie in [0, 2**64).
     """

@@ -6,7 +6,9 @@ pricing LP built one constraint row at a time, for ``lp.build_lp_pricing``;
 the simplex pivoted on the full tableau with its slack identity block, for
 the compact tableau of ``lp._bland_pivots``; and the optimal-policy DP and
 the fixed-order greedy as two separate recursions, for
-``simulate.optimal_policy_dp`` and ``greedy_baseline``.  The
+``simulate.optimal_policy_dp`` and ``greedy_baseline``; and each engine's
+coins and arrival order from one draw over the whole chunk, for the row
+blocks of ``simulate._draw``.  The
 tests compare the library against these references.  Two helpers only the
 tests need live here too: ``attenuation_value``, the range-checked scalar
 attenuation coin, and ``synthetic_stats_at``, a neighbourhood that realizes a
@@ -18,9 +20,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from ocrslab._rng import ACTIVE, ARRIVAL, COIN, PRICE, hash_uniform
 from ocrslab.attenuation import AttenuationSpec, attenuation_profile
 from ocrslab.graphcore import EdgeStats, PricingInstance
 from ocrslab.lp import auto_objective, objective_coefficients
+from ocrslab.simulate import SequentialPricingEngine, StochasticOcrsEngine, VertexArrivalEngine
 
 QUAD_TOL = 1e-10
 
@@ -299,6 +303,50 @@ def greedy_baseline(
     out = walk(0, 0, 0)
     walk.cache_clear()
     return out
+
+
+def whole_chunk_coins(engine, seed: int, start: int, count: int):
+    """(order, go, accept, active, reward) of trials start .. start + count,
+    from one ``hash_uniform`` over every cell of the chunk.
+
+    `active` is what a detail chunk reports as active (the realized cells
+    for the pricing engine, which has no activity coin) and `reward` is None
+    but for the pricing engine.  The order is the stable argsort of the
+    arrival times; under vertex arrival, a lexsort by the online endpoint's
+    time, its position, then the edge's time and position.
+    """
+    e, nv = engine.topo.n_edges, engine.topo.n_vertices
+    trials = np.arange(start, start + count, dtype=np.uint64)[:, None]
+    units = np.arange(e + nv, dtype=np.uint64)[None, :]
+    x, reward = engine.x[None, :], None
+    if isinstance(engine, SequentialPricingEngine):
+        t, u_price, u_accept, u_coin = hash_uniform(seed, trials, units[:, :e], (ARRIVAL, PRICE, ACTIVE, COIN))
+        # each cell takes the first menu entry whose cumulative mass exceeds its draw
+        below = u_price[:, :, None] < np.cumsum(engine.menu_y, axis=1)[None, :, :]
+        have, k, edge = below[:, :, -1], below.argmax(axis=2), np.arange(e)
+        reward = np.where(have, engine.menu_r[edge, k], 0.0)
+        accept = u_accept < np.where(have, engine.menu_p[edge, k], 0.0)
+        go = have & (u_coin < attenuation_profile(engine.spec, t, x, engine.s[None, :]))
+        active = go & accept
+    else:
+        t, u_active, u_coin = hash_uniform(seed, trials, units[:, :e], (ARRIVAL, ACTIVE, COIN))
+        if isinstance(engine, StochasticOcrsEngine):
+            accept = u_active < engine.p[None, :]
+            go = u_coin < engine.y[None, :] * attenuation_profile(engine.spec, t, x, engine.s[None, :])
+        elif isinstance(engine, VertexArrivalEngine):
+            accept = u_active < x
+            go = accept & (u_coin < np.exp(-x * t))
+        else:
+            accept = u_active < x
+            go = accept & (u_coin < attenuation_profile(engine.spec, t, x, engine.s[None, :]))
+        active = accept
+    if isinstance(engine, VertexArrivalEngine):
+        t_v = hash_uniform(seed, trials, units[:, e:], ARRIVAL)
+        online = engine.online_of_edge
+        order = np.lexsort((t, np.broadcast_to(online, t.shape), t_v[:, online]), axis=1)
+    else:
+        order = np.argsort(t, axis=1, kind="stable")
+    return order, go, accept, active, reward
 
 
 def attenuation_value(spec: AttenuationSpec, t: float, stats: EdgeStats, x_e: float) -> float:

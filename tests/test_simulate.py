@@ -7,6 +7,7 @@ probability, and the pinned ones make failures reproducible.
 
 import dataclasses
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +16,8 @@ import reference as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ocrslab import simulate, suite
+from ocrslab._rng import ARRIVAL
 from ocrslab.attenuation import AttenuationSpec
 from ocrslab.graphcore import (
     Edge,
@@ -199,20 +202,25 @@ def test_chunking_and_workers_do_not_change_results():
     assert base.revenue_mean > 0.0
 
 
-def test_reports_agree_across_chunk_sizes_and_workers_for_every_engine():
-    gen = generate_family("random_bipartite", n=6, m=6, density=0.5, seed=4)
+def _four_engines(gen):
+    """The four engines on a generated bipartite instance; the stochastic and
+    pricing engines with patience 1 on every vertex."""
     inst, x = gen.instance, gen.x
     stats = edge_stats(x, inst)
     patient = dataclasses.replace(
         inst, vertices=tuple(dataclasses.replace(v, patience=1) for v in inst.vertices)
     )
     y, p = dict.fromkeys(x, 0.9), {k: v / 0.9 for k, v in x.items()}
-    engines = {
+    return {
         "ro": RoOcrsEngine(inst, x, stats, A2),
         "stochastic": StochasticOcrsEngine(patient, y, p, stats, A1),
         "vertex": VertexArrivalEngine(inst, x),
         "pricing": SequentialPricingEngine(patient, solve_lp(build_lp_pricing(patient, "revenue")).point, A2),
     }
+
+
+def test_reports_agree_across_chunk_sizes_and_workers_for_every_engine():
+    engines = _four_engines(generate_family("random_bipartite", n=6, m=6, density=0.5, seed=4))
     for name, eng in engines.items():
         base = monte_carlo(eng, 40_000, 6)
         for chunk_size in (2048, 16384, 999):
@@ -220,6 +228,105 @@ def test_reports_agree_across_chunk_sizes_and_workers_for_every_engine():
                 assert monte_carlo(eng, 40_000, 6, chunk_size=chunk_size, workers=workers) == base, name
         assert base.min_ratio > 0
     assert base.revenue_mean > 0.0
+
+
+def test_reports_agree_across_chunk_sizes_and_workers_on_a_wide_instance():
+    # E = 276: a 2048-trial chunk is drawn in nine row blocks of 237 trials,
+    # a 37-trial one in one
+    engines = _four_engines(generate_family("random_bipartite", n=30, m=30, density=0.3, seed=7))
+    assert engines["ro"].topo.n_edges == 276
+    assert 2048 > simulate._BLOCK_CELLS // 276 > 37
+    for name, eng in engines.items():
+        base = monte_carlo(eng, 5000, 6)
+        for chunk_size, workers in ((2048, 2), (999, 1), (999, 2), (37, 1), (37, 2)):
+            assert monte_carlo(eng, 5000, 6, chunk_size=chunk_size, workers=workers) == base, name
+        assert base.min_ratio > 0
+    assert base.revenue_mean > 0.0
+
+
+def _cut_engines(n_edges):
+    """The four engines on the first `n_edges` edges of a random bipartite
+    graph and their endpoints, the point scaled to load some vertex fully;
+    the stochastic and pricing engines with patience 2 on every vertex."""
+    gen = generate_family("random_bipartite", n=300, m=300, density=0.025, seed=7)
+    edges = gen.instance.edges[:n_edges]
+    ends = {v for e in edges for v in (e.u, e.v)}
+    load = dict.fromkeys(ends, 0.0)
+    for e in edges:
+        load[e.u] += gen.x[e.id]
+        load[e.v] += gen.x[e.id]
+    x = {e.id: gen.x[e.id] / max(load.values()) for e in edges}
+    inst = PricingInstance(tuple(v for v in gen.instance.vertices if v.id in ends), edges, mode="bipartite")
+    entry = suite.SuiteEntry("cut", inst, x, True)
+    patient, y, p = suite.stochastic_variant(entry)
+    point = FractionalPoint({(e.id, m.w): x[e.id] / len(e.menu) for e in edges for m in e.menu})
+    stats = edge_stats(x, inst)
+    return {
+        "ro": RoOcrsEngine(inst, x, stats, A2),
+        "stochastic": StochasticOcrsEngine(patient, y, p, stats, A1),
+        "vertex": VertexArrivalEngine(suite.vertex_variant(entry), x),
+        "pricing": SequentialPricingEngine(patient, point, A2),
+    }
+
+
+# 2049 edges take the stable argsort of _arrival_order, not its packed keys
+@pytest.mark.parametrize("n_edges", [1, 11, 64, 65, 479, 2049])
+def test_row_blocks_draw_what_one_whole_chunk_draw_does(n_edges, monkeypatch):
+    engines = _cut_engines(n_edges)
+    block = max(1, simulate._BLOCK_CELLS // n_edges)
+    seen = []
+    real = simulate._finish
+
+    def spy(topo, order, go, accept, active, detail, patience=None, reward=None):
+        seen.append((order, go, accept, go & accept if active is None else active, reward))
+        return real(topo, order, go, accept, active, detail, patience, reward)
+
+    monkeypatch.setattr(simulate, "_finish", spy)
+    for name, eng in engines.items():
+        assert eng.topo.n_edges == n_edges
+        # one trial and a ragged last block in detail, and a default chunk
+        # reduced, as monte_carlo runs it
+        for count, detail in ((1, True), (block + block // 2 + 1, True), (2048, False)):
+            order, go, accept, active, reward = want = ref.whole_chunk_coins(eng, 13, 5000, count)
+            res = eng.run_chunk(13, 5000, count, detail=detail)
+            for a, b in zip(seen.pop(), want):
+                assert (a is None) == (b is None), name
+                assert b is None or np.array_equal(a, b), (name, count)
+            if detail:
+                assert np.array_equal(res.active, active) and np.array_equal(res.realized, go & accept)
+        # the default chunk's coins are not all of one value
+        assert go.any() and accept.any() and not go.all(), name
+
+
+def test_a_chunk_of_one_block_is_the_coin_functions_own_arrays():
+    made = []
+
+    def coins(seed, trials, u):
+        made.append((u < 0.5, trials + np.uint64(0)))
+        return made[-1]
+
+    assert simulate._draw(3, 10, 2048, range(11), ARRIVAL, coins) is made[0]
+    # several blocks: each block's rows, stacked in trial order
+    made.clear()
+    go, trials = simulate._draw(3, 10, 2048, range(479), ARRIVAL, coins)
+    assert len(made) == -(-2048 // (simulate._BLOCK_CELLS // 479)) > 1
+    assert np.array_equal(trials[:, 0], np.arange(10, 2058))
+    assert np.array_equal(go, np.concatenate([g for g, _ in made]))
+
+
+def test_a_wide_chunk_never_holds_its_whole_draw():
+    # the mc-large benchmark instance (E = 479): the stacked (3, 2048, 479)
+    # float draw of a chunk alone would be 22.5 MiB
+    gen = generate_family("random_bipartite", n=40, m=40, density=0.3, seed=7)
+    eng = RoOcrsEngine(gen.instance, gen.x, edge_stats(gen.x, gen.instance), A2)
+    assert eng.topo.n_edges == 479
+    tracemalloc.start()
+    try:
+        eng.run_chunk(3, 0, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_revenue_sums_scale_exactly_by_powers_of_two():
@@ -267,8 +374,9 @@ def test_chunks_are_capped_by_memory_on_wide_instances():
     rep = monte_carlo(eng, 200, 1)
     assert rep.trials == 200
     assert sum(eng.counts) == 200
-    # a stacked draw of four (trials, edges) float64 arrays stays at or below 64 MiB
-    assert 4 * max(eng.counts) * 100_000 * 8 <= 64 * 2**20
+    # a (trials, edges) array of 8-byte items, such as the arrival order,
+    # stays at or below 16 MiB
+    assert max(eng.counts) * 100_000 * 8 <= 16 * 2**20
     assert eng.counts == [20] * 10
     # a narrow instance keeps the default chunk size
     narrow = _WideEngine(479)
