@@ -1,34 +1,33 @@
 """Trial engines, Monte-Carlo aggregation, and exact small-instance oracles.
 
 The four online schemes are one attenuated greedy walk that differs only in
-its coins, and an engine only draws them.  ``_draw`` is the one front end:
-it walks a chunk in row blocks of about ``_BLOCK_CELLS`` (trial, edge)
-cells, takes each block's random quantities from the counter-based stream in
-one call for all the engine's edge purposes (so worker count can never
-change a trial), and hands them to the engine's coin function, which makes
-the block's go and accept masks and arrival order (and, for pricing, its
-rewards).  Only those outputs are assembled into chunk arrays: the float
-draw and its hash, attenuation and sort-key temporaries exist for one block
-at a time.  Every stage of the front end is elementwise or row-wise, so no
-value depends on where the blocks are cut.  One tail, ``_finish``, walks the
-chunk's coins, marks the realized cells (go and accept) and reduces the
-chunk or returns its per-cell arrays.  In ``_walk`` an edge
-proposes when its coins allow ("go") and both endpoints are free (and
-patient), and is matched when the proposal is accepted.  When the busiest
-trial of a chunk has fewer than half its edges go, the walk steps through
-each trial's go edges alone, the only ones that can change it.  A trial's
-walk state takes one of two forms, fixed by the instance.  With E <= 64
-edges (and no self-loop) it is uint64 words, the trial's realized, matched
-and probed edge sets, tested against static per-edge neighbour masks and
-per-vertex incidence masks; a reduced chunk is binned from the walk's own
-records.  Wider instances keep per-(trial, vertex) arrays.  The walk also
-counts Q(e), the realized neighbours that arrive before e in its own arrival
-order, on go cells as it goes; on every cell of a detail chunk, and on
-multigraphs of more than 64 edges, ``_q_counts`` counts it from arrival
-positions.  Arrival order is a stable sort of the arrival times, taken as
-one sort of packed uint64 keys (53-bit time, 11-bit edge position) by
-``_arrival_order``; vertex arrival re-sorts it stably by the arrival rank of
-each edge's online vertex.
+its coins, and an engine only draws them.  ``_draw`` is the one front end.
+An engine names a gating coin and a per-edge bound that every go cell's
+gating draw lies below: the activity coin for RO and vertex arrival, the
+probe coin (below y * a(0)) for probing, the price draw (below the menu
+mass) for pricing.  A chunk is hashed in row blocks of about
+``_BLOCK_CELLS`` (trial, edge) cells; on every cell only the gating purpose
+is drawn, and the engine's other purposes, its coins and, for vertex
+arrival, the online vertex's time are drawn on the candidate cells alone.
+The counter-based stream keys every draw by (seed, trial, unit, purpose), so
+neither the blocks nor the worker count can change a trial.  A reduced chunk
+keeps its go cells, the only ones that can change the walk; a detail chunk
+gates every cell in, so the same code yields all its per-cell arrays.  The
+kept cells are sorted once by trial and arrival: a plain sort of packed
+uint64 keys (53-bit time, 11-bit edge position), then stable sorts of the
+online vertex's position and time for vertex arrival, and of the trial.
+One tail, ``_finish``, walks the sorted cells and reduces the chunk or
+returns its per-cell arrays.  In ``_walk`` each trial's cells are its
+steps: an edge proposes when its coins allow ("go") and both endpoints are
+free (and patient), and is matched when the proposal is accepted.  A
+trial's walk state takes one of two forms, fixed by the instance.  With
+E <= 64 edges (and no self-loop) it is uint64 words, the trial's realized,
+matched and probed edge sets, tested against static per-edge neighbour
+masks and per-vertex incidence masks; wider instances keep per-(trial,
+vertex) arrays.  The walk counts Q(e), the realized neighbours that arrive
+before e in its own order, on every cell it visits; ``_q_counts`` counts it
+from arrival positions on multigraphs of more than 64 edges.  Both walks
+reduce a chunk with one ``bincount`` of its matched steps.
 ``monte_carlo`` aggregates chunks into a report.  It cuts its chunks at the
 boundaries of fixed blocks of trials and sums revenue block by block.  A
 report stores counts: each frequency, Wilson interval, half-width and ratio,
@@ -70,25 +69,20 @@ from .lp import auto_objective, objective_coefficients
 # 99% two-sided normal quantile, used for every interval in the reports.
 Z99 = 2.5758293035489004
 
-# trials x (edges + vertices) x 4 <= _CHUNK_CELLS: a chunk's (trials, edges)
-# arrays of 8-byte items, the arrival order and the pricing rewards, stay
-# <= 16 MiB, and its masks and per-(trial, vertex) walk arrays smaller
+# trials x (edges + vertices) x 4 <= _CHUNK_CELLS: a detail chunk's (trials,
+# edges) arrays of 8-byte items stay <= 16 MiB, and the walk's per-(trial,
+# vertex) arrays smaller
 _CHUNK_CELLS = 2**23
 
-# (trial, unit) cells per row block of the front end: a block's stacked
-# uniforms and their hash, attenuation and sort-key temporaries stay near
-# the L2 cache
+# (trial, edge) cells per row block of the front end: a block's gating draw
+# and its hash temporaries stay near the L2 cache
 _BLOCK_CELLS = 2**16
 
 # the block of absolute trial indices whose revenues are summed together, so
 # that chunking never changes a revenue sum
 _BLOCK_TRIALS = 16384
 
-# cells per block when the walk gathers its go mask into arrival order, so
-# that the flat-index temporary stays at 1 MiB
-_GATHER_CELLS = 2**17
-
-# edge positions take the low bits of an arrival-order sort key
+# edge positions take the low bits of an arrival sort key
 _POS_BITS = 11
 
 
@@ -239,7 +233,6 @@ def _rewards(inst: PricingInstance, objective: str) -> list[list[float]]:
         for e in inst.edges
     ]
 
-
 def _q_counts(realized: np.ndarray, position: np.ndarray, topo: _Topology) -> np.ndarray:
     """|Q(e)| per trial: realized neighbors at an earlier arrival position."""
     t, e = realized.shape
@@ -251,6 +244,17 @@ def _q_counts(realized: np.ndarray, position: np.ndarray, topo: _Topology) -> np
         before = position[:, nb] < position[:, i : i + 1]
         q[:, i] = (realized[:, nb] & before).sum(axis=1)
     return q
+
+
+class _Cells(NamedTuple):
+    """A chunk's kept cells in walk order: by trial (its row in the chunk),
+    then by arrival."""
+
+    trial: np.ndarray
+    edge: np.ndarray
+    go: np.ndarray
+    accept: np.ndarray
+    reward: np.ndarray | None
 
 
 class _ChunkCounts(NamedTuple):
@@ -271,137 +275,102 @@ class _ChunkDetail(NamedTuple):
 
 
 class _Walk(NamedTuple):
+    q: np.ndarray  # q, matched and probed: per step, or per kept cell from `_walk`
     matched: np.ndarray
     probed: np.ndarray
     revenue: np.ndarray
     probes_used: np.ndarray  # per vertex
 
 
-def _reduce_chunk(matched, q, revenue) -> _ChunkCounts:
-    r0 = matched & (q == 0)
-    r1 = matched & (q == 1)
-    return _ChunkCounts(
-        matched.sum(axis=0, dtype=np.int64),
-        r0.sum(axis=0, dtype=np.int64),
-        r1.sum(axis=0, dtype=np.int64),
-        revenue,
-    )
+def _reduce_chunk(e: int, steps, q, matched, revenue) -> _ChunkCounts:
+    """A reduced chunk of `e` edges from its walk's (steps, trials) records:
+    each match counted under its edge and its class, r0, r1 or neither
+    (boolean indexing of 2-d arrays is slow)."""
+    cells = np.flatnonzero(matched)
+    key = steps.ravel().take(cells) + np.minimum(q.ravel().take(cells), 2).astype(np.intp) * e
+    r0, r1, rest = np.bincount(key, minlength=3 * e).reshape(3, e)
+    return _ChunkCounts(r0 + r1 + rest, r0, r1, revenue)
 
 
-def _arrival_q(realized: np.ndarray, order: np.ndarray, topo: _Topology) -> np.ndarray:
-    """Q(e) on every cell, counted from the arrival positions of `order`."""
-    position = np.empty_like(order)
-    np.put_along_axis(position, order, np.arange(order.shape[1]), axis=1)
-    return _q_counts(realized, position, topo)
+def _walk(topo: _Topology, cells: _Cells, count: int, patience=None, reduce: bool = False):
+    """The greedy walk every scheme shares, over a chunk's kept cells.
 
+    Trial i's cells are its steps, in order: an arriving edge proposes when
+    its `go` holds and both endpoints are free.  Given per-vertex
+    `patience`, it also needs patience left at both endpoints, and its
+    proposal spends one unit at each and is marked probed.  A proposal is
+    matched when `accept` also holds, and a match adds its `reward` to the
+    trial's revenue.  An edge whose go fails never proposes, spends nothing
+    and is never realized, so a reduced chunk keeps its go cells alone; a
+    trial with fewer than the busiest trial's k steps is padded with steps
+    whose go fails.
 
-def _go_steps(order: np.ndarray, go: np.ndarray, n_go: np.ndarray, k: int) -> np.ndarray:
-    """Each trial's `go` edges in arrival order, as a (k, trials) array of edges.
+    The walk also counts Q(e) on the cells it visits: the number of e's
+    neighbours that are realized (`go` and `accept` both hold) and visited
+    before e.  Realized cells are go cells, so Q is exact on every kept cell.
 
-    A block of trials at a time, through flat indices that stay near 1 MiB,
-    the go mask is gathered into arrival order.  Its row-major nonzero cells
-    are then each trial's go cells in order, so a cell's step is its rank
-    within its row.  A trial with fewer than k go cells is padded with its
-    first non-go edge, which never proposes; every trial has one, as 2k < E.
-    """
-    count, e = order.shape
-    go_f = go.ravel()
-    steps = np.empty((k, count), dtype=order.dtype)
-    block = max(1, _GATHER_CELLS // e)
-    for s in range(0, count, block):
-        part = order[s : s + block]
-        n = part.shape[0]
-        go_ord = np.take(go_f, part + np.arange(s, s + n)[:, None] * e)
-        steps[:, s : s + n] = part[np.arange(n), np.argmin(go_ord, axis=1)]
-        cells = np.flatnonzero(go_ord)
-        rows = cells // e
-        rank = np.arange(cells.size) - (np.cumsum(n_go[s : s + n]) - n_go[s : s + n])[rows]
-        steps.ravel()[rank * count + s + rows] = part.ravel()[cells]
-    return steps
-
-
-def _walk(topo: _Topology, order, go, accept, patience=None, reward=None):
-    """The greedy walk every scheme shares, over (trials, edges) coin arrays.
-
-    Edges arrive in `order`.  An arriving edge proposes when `go` holds and
-    both endpoints are free.  Given per-vertex `patience`, it also needs
-    patience left at both endpoints, and its proposal spends one unit at each
-    and is marked probed.  A proposal is matched when `accept` also holds,
-    and a match adds its `reward` to the trial's revenue.
-
-    Also returns Q(e) on the go cells: the number of e's neighbours that
-    arrive before e in `order` and are realized (`go` and `accept` both
-    hold).  Realized edges are go edges, so Q is counted on the cells the
-    walk visits; q on a non-go cell is unspecified.
-
-    A trial's state takes one of two forms, chosen by the instance alone.
-    With at most 64 edges and no self-loop, `_walk_bits` keeps each trial's
+    With `reduce`, returns the chunk's `_ChunkCounts`; otherwise a `_Walk`
+    whose q, matched and probed hold one entry per cell of `cells`.  A
+    trial's state takes one of two forms, chosen by the instance alone.  With
+    at most 64 edges and no self-loop, `_walk_bits` keeps each trial's
     realized, matched and probed edges as the bits of uint64 words;
-    otherwise `_walk_bools` keeps per-(trial, vertex) arrays.
+    otherwise `_walk_bools` keeps per-(trial, vertex) arrays.  Both walk
+    (k, trials) step arrays: step j of trial i is edge steps[j, i].
     """
-    steps = _walk_steps(order, go)
-    if topo.nbr_bits is None:
-        return _walk_bools(topo, order, steps, go, accept, patience, reward)
-    return _walk_bits(topo, steps, go, accept, patience, reward, reduce=False)
+    e = topo.n_edges
+    per = np.bincount(cells.trial, minlength=count)
+    k = int(per.max(initial=0))
+    rank = np.arange(cells.trial.size) - np.repeat(np.cumsum(per) - per, per)
+    at = rank * count + cells.trial
 
+    def steps_of(a):
+        s = np.zeros((k, count), dtype=a.dtype)
+        s.ravel()[at] = a
+        return s
 
-def _walk_steps(order, go) -> np.ndarray:
-    """The edges the walk visits, as a (steps, trials) array.
-
-    An edge whose `go` fails never proposes, spends nothing and is never
-    realized, so only go edges can change the walk.  When the busiest trial
-    has k go edges and 2k < E, the walk takes k steps over each trial's go
-    edges in arrival order (`_go_steps`); otherwise it takes the E steps of
-    `order`.  Gathering and packing the go cells costs about as much as the
-    steps it saves once k nears E/2, and more beyond.
-    """
-    # go cells per trial; einsum sums short rows in half the time of
-    # count_nonzero, which the many narrow chunks of small instances pay
-    n_go = np.einsum("ij->i", go, dtype=np.intp)
-    k = int(n_go.max(initial=0))
-    return _go_steps(order, go, n_go, k) if 2 * k < go.shape[1] else order.T
-
-
-def _words(mask: np.ndarray) -> np.ndarray:
-    """Each row of a (trials, at most 64) bool array as one uint64 word,
-    column f as bit f.  Rows are padded to 8, 16, 32 or 64 columns, so that
-    one flat packbits (fast, where a row-wise one is not) yields whole
-    little-endian words."""
-    count, e = mask.shape
-    width = 8
-    while width < e:
-        width *= 2
-    padded = np.zeros((count, width), dtype=bool)
-    padded[:, :e] = mask
-    return np.packbits(padded, bitorder="little").view(f"<u{width // 8}").astype(np.uint64)
+    steps, go, accept = steps_of(cells.edge), steps_of(cells.go), steps_of(cells.accept)
+    reward = None if cells.reward is None else steps_of(cells.reward)
+    if topo.nbr_bits is not None:
+        walk = _walk_bits(topo, steps, go, accept, patience, reward, reduce)
+    else:
+        q = None
+        if not topo.simple:
+            # with parallel edges an edge is not one neighbour per endpoint,
+            # so Q(e) counts from the kept cells' positions; a cell that is
+            # not kept is never realized, so it may sit after every step
+            flat = cells.trial * e + cells.edge
+            position = np.full(count * e, k)
+            position[flat] = rank
+            realized = np.zeros(count * e, dtype=bool)
+            realized[flat] = cells.go & cells.accept
+            q = steps_of(_q_counts(realized.reshape(count, e), position.reshape(count, e), topo).ravel().take(flat))
+        walk = _walk_bools(topo, steps, go, accept, patience, reward, reduce, q)
+    if reduce:
+        return walk
+    return walk._replace(q=walk.q.ravel().take(at), matched=walk.matched.ravel().take(at),
+                         probed=walk.probed.ravel().take(at))
 
 
 def _walk_bits(topo: _Topology, steps, go, accept, patience, reward, reduce: bool):
     """The walk over edge sets held as uint64 words, one word per trial.
 
-    Bit f of a word is edge f.  The coins become words too (`_words`), so a
-    step gathers only its edges' static masks.  An edge is free when none of
-    its neighbours is matched, ``matched_b & nbr_bits[e] == 0``, and a vertex
-    has patience left while fewer of its edges are probed than its budget,
+    Bit f of a word is edge f, so a step gathers only its edges' static
+    masks.  An edge is free when none of its neighbours is matched,
+    ``matched_b & nbr_bits[e] == 0``, and a vertex has patience left while
+    fewer of its edges are probed than its budget,
     ``bitwise_count(probed_b & inc_bits[v]) < patience[v]``.  A word takes a
     step's bit after the step's masks have cleared it (``bit *= mask``), a
     third of the cost of a ``where=`` ufunc (5 against 18 us per 2048 trials
     on a 2-vCPU x86-64 host).  Q(e) is
     ``bitwise_count(realized_b & nbr_bits[e])`` over the realized edges of
     the earlier steps; it is exact on every visited cell, parallel edges
-    included, since a neighbour is one bit.
-
-    With `reduce`, returns the chunk's `_ChunkCounts`, binned from the
-    matched cells of the (steps, trials) records; otherwise the `_walk`
-    outputs, unpacked from the words.  Each step gathers its masks afresh
-    rather than all of them up front: whole (steps, trials) uint64 arrays
-    grew the heap past glibc's trim threshold, and every chunk then paid its
-    page faults again.
+    included, since a neighbour is one bit.  Each step gathers its masks
+    afresh rather than all of them up front: whole (steps, trials) uint64
+    arrays grew the heap past glibc's trim threshold, and every chunk then
+    paid its page faults again.
     """
-    count, e = go.shape
-    steps = np.ascontiguousarray(steps)  # each step's edges in one run
-    base = np.arange(count) * e
-    bits = np.left_shift(np.uint64(1), np.arange(e, dtype=np.uint64))
+    count = steps.shape[1]
+    bits = np.left_shift(np.uint64(1), np.arange(topo.n_edges, dtype=np.uint64))
     # a budget of at least its vertex's degree never binds, so each endpoint
     # side is checked only if one of its budgets can; a reduced chunk needs
     # no probed edges, so without a binding budget it walks as if unbounded
@@ -410,11 +379,7 @@ def _walk_bits(topo: _Topology, steps, go, accept, patience, reward, reduce: boo
         binds = patience < topo.degree
         ends = [(topo.inc_bits[x], patience[x]) for x in (topo.u_idx, topo.v_idx) if binds[x].any()]
     probe = patience is not None and (ends or not reduce)
-    if probe:
-        go_w, acc_w = _words(go), _words(accept)
-        real_w = go_w & acc_w
-    else:
-        real_w = _words(go & accept)
+    real = go & accept
     realized_b, matched_b, probed_b = np.zeros((3, count), dtype=np.uint64)
     q_s = np.empty(steps.shape, dtype=np.uint8)
     win_s = np.empty(steps.shape, dtype=bool)
@@ -425,15 +390,14 @@ def _walk_bits(topo: _Topology, steps, go, accept, patience, reward, reduce: boo
         np.bitwise_count(realized_b & nb, out=q_s[j])
         free = (matched_b & nb) == 0  # both endpoints are
         if probe:
-            realized_b |= real_w & bit
+            realized_b |= bit * real[j]
             for inc, budget in ends:
                 free &= np.bitwise_count(probed_b & inc.take(ep)) < budget.take(ep)
-            bit &= go_w
-            bit *= free
+            bit *= free & go[j]
             probed_b |= bit
-            bit &= acc_w
+            bit *= accept[j]
         else:
-            bit &= real_w
+            bit *= real[j]
             realized_b |= bit
             bit *= free
         matched_b |= bit
@@ -443,149 +407,143 @@ def _walk_bits(topo: _Topology, steps, go, accept, patience, reward, reduce: boo
     if reward is not None:
         # adding 0.0 leaves every sum as it was, since one that starts at
         # +0.0 is never -0.0, so this is the walk's sum in arrival order
-        reward_f = reward.ravel()
-        for ep, win in zip(steps, win_s):
-            revenue += np.where(win, reward_f.take(base + ep), 0.0)
+        for win, r in zip(win_s, reward):
+            revenue += np.where(win, r, 0.0)
     if reduce:
-        # each match counted under its edge and its class: r0, r1 or neither
-        # (boolean indexing of 2-d arrays is slow)
-        cells = np.flatnonzero(win_s)
-        key = steps.ravel().take(cells) + np.minimum(q_s.ravel().take(cells), 2) * e
-        r0, r1, rest = np.bincount(key, minlength=3 * e).reshape(3, e)
-        return _ChunkCounts(r0 + r1 + rest, r0, r1, revenue)
-    matched = (matched_b[:, None] & bits) != 0
-    probed = (probed_b[:, None] & bits) != 0
-    q = np.zeros((count, e), dtype=topo.q_dtype)
-    q.ravel()[steps + base] = q_s
+        return _reduce_chunk(topo.n_edges, steps, q_s, win_s, revenue)
     if patience is None:
         probes = np.zeros((count, topo.n_vertices), dtype=np.int32)
     else:
         probes = np.bitwise_count(probed_b[:, None] & topo.inc_bits).astype(np.int32)
-    return _Walk(matched, probed, revenue, probes), q
+    return _Walk(q_s, win_s, (probed_b & bits.take(steps)) != 0, revenue, probes)
 
 
-def _walk_bools(topo: _Topology, order, steps, go, accept, patience, reward):
+def _walk_bools(topo: _Topology, steps, go, accept, patience, reward, reduce: bool, q=None):
     """The walk over per-(trial, vertex) arrays, for instances wider than a word.
 
     A per-(trial, vertex) counter of realized arrivals, read at both
-    endpoints before e adds its own, counts Q(e).  With parallel edges an
-    edge is not one neighbour per endpoint, so `_arrival_q` counts Q from
-    arrival positions instead, on every cell.  Arrays are read and written
-    through flat (trial * width + column) indices.
+    endpoints before e adds its own, counts Q(e); a multigraph's Q comes in
+    as `q`, counted from arrival positions.  Vertex arrays are read and
+    written through flat (trial * |V| + vertex) indices.
     """
-    count, e = go.shape
+    count = steps.shape[1]
     nv = topo.n_vertices
-    base_e = np.arange(count) * e
     base_v = np.arange(count) * nv
-    go_f, accept_f = go.ravel(), accept.ravel()
-    reward_f = None if reward is None else reward.ravel()
-    matched = np.zeros((count, e), dtype=bool)
-    probed = np.zeros((count, e), dtype=bool)
-    q = np.zeros((count, e), dtype=topo.q_dtype)
-    matched_f, probed_f, q_f = matched.ravel(), probed.ravel(), q.ravel()
+    win_s = np.zeros(steps.shape, dtype=bool)
+    probed_s = np.zeros(steps.shape, dtype=bool)
     revenue = np.zeros(count)
     taken = np.zeros(count * nv, dtype=bool)  # matched vertices
-    arrived = np.zeros(count * nv, dtype=topo.q_dtype) if topo.simple else None
+    arrived = None
+    if q is None:
+        q = np.empty(steps.shape, dtype=topo.q_dtype)
+        arrived = np.zeros(count * nv, dtype=topo.q_dtype)
     if patience is not None:
         pat = np.tile(patience, count)
-    for ep in steps:
-        fe = base_e + ep
+    for j, ep in enumerate(steps):
         fu = base_v + topo.u_idx[ep]
         fv = base_v + topo.v_idx[ep]
-        g, acc = go_f[fe], accept_f[fe]
+        g, acc = go[j], accept[j]
         if arrived is not None:
-            q_f[fe] = arrived[fu] + arrived[fv]
+            q[j] = arrived[fu] + arrived[fv]
             here = g & acc
             arrived[fu[here]] += 1
             arrived[fv[here]] += 1
         propose = g & ~taken[fu] & ~taken[fv]
         if patience is not None:
             propose &= (pat[fu] > 0) & (pat[fv] > 0)
-            probed_f[fe[propose]] = True
+            probed_s[j] = propose
             pat[fu[propose]] -= 1
             pat[fv[propose]] -= 1
-        win = propose & acc
-        matched_f[fe[win]] = True
+        win = np.logical_and(propose, acc, out=win_s[j])
         taken[fu[win]] = True
         taken[fv[win]] = True
         if reward is not None:
-            revenue[win] += reward_f[fe[win]]
+            revenue[win] += reward[j][win]
 
-    if arrived is None:
-        q = _arrival_q(go & accept, order, topo)
+    if reduce:
+        return _reduce_chunk(topo.n_edges, steps, q, win_s, revenue)
     if patience is None:
         probes = np.zeros((count, nv), dtype=np.int32)
     else:
         probes = (patience[None, :] - pat.reshape(count, nv)).astype(np.int32)
-    return _Walk(matched, probed, revenue, probes), q
+    return _Walk(q, win_s, probed_s, revenue, probes)
 
 
-def _arrival_order(t: np.ndarray) -> np.ndarray:
-    """``np.argsort(t, axis=1, kind="stable")`` for arrival times from the stream.
+def _draw(engine, seed: int, start: int, count: int, detail: bool) -> _Cells:
+    """The engine's go cells of trials start .. start + count (every cell,
+    with `detail`), sorted into walk order.
 
-    Each time is k * 2**-53 with k a 53-bit integer, so on rows of at most
-    2**11 edges it packs with its edge position into the unique uint64 key
-    (k << 11) | position.  One plain in-place sort of the keys then orders
-    by time, ties by position, and the low bits are the order.  Wider rows
-    take the stable argsort.
+    The chunk is hashed in row blocks of ``_BLOCK_CELLS // E`` trials.  On
+    every cell of a block only the gating purpose is drawn: with
+    ``engine.gate = (purpose, bound)``, a cell is a candidate when that
+    uniform lies below its edge's entry of `bound`.  Every cell of a detail
+    chunk is a candidate.  The engine's other `purposes` are drawn on the
+    candidate cells alone, and ``engine._coins(seed, trial, edge, u_gate,
+    *u)`` turns them, with each cell's absolute uint64 trial and its edge,
+    into ``(go, accept, reward, keys)`` per cell; reward may be None.  A gate
+    holds on every go cell, so a reduced chunk keeps its go cells and loses
+    none.  The kept cells are sorted once by trial and then by `keys`, most
+    significant first; the last key is the edge's arrival time, whose ties
+    break by edge position.
     """
-    e = t.shape[1]
-    if e > 1 << _POS_BITS:
-        return np.argsort(t, axis=1, kind="stable")
-    key = (t * 2.0**53).astype(np.uint64)
-    key <<= np.uint64(_POS_BITS)
-    key |= np.arange(e, dtype=np.uint64)
-    key.sort(axis=1)
-    key &= np.uint64((1 << _POS_BITS) - 1)
-    return key.view(np.int64)
-
-
-def _draw(seed: int, start: int, count: int, units: range, purposes, coins) -> tuple:
-    """The coin function's arrays for trials start .. start + count (count >= 1).
-
-    The chunk is walked in row blocks of ``_BLOCK_CELLS // len(units)``
-    trials.  A block's uniforms are ``hash_uniform`` over its trials and
-    `units`, stacked per purpose, and ``coins(seed, trials, u)`` turns them,
-    with the block's (rows, 1) uint64 trial column, into a tuple of per-cell
-    arrays with one row per trial.  Only those are assembled, block after
-    block, into the chunk's arrays; a chunk of one block returns the coin
-    function's own arrays, uncopied.  Coin functions are elementwise or
-    row-wise, so no value depends on where the blocks are cut.
-    """
-    row = np.arange(units.start, units.stop, dtype=np.uint64)[None, :]
-    block = max(1, _BLOCK_CELLS // max(len(units), 1))
-    out = None
+    n_edges = engine.topo.n_edges
+    purpose, bound = engine.gate
+    row = np.arange(n_edges, dtype=np.uint64)[None, :]
+    block = max(1, _BLOCK_CELLS // max(n_edges, 1))
+    parts = []
     for s in range(0, count, block):
-        trials = np.arange(start + s, start + min(s + block, count), dtype=np.uint64)[:, None]
-        part = coins(seed, trials, hash_uniform(seed, trials, row, purposes))
-        if count <= block:
-            return part
-        if out is None:
-            out = tuple(np.empty((count, *a.shape[1:]), dtype=a.dtype) for a in part)
-        for whole, a in zip(out, part):
-            whole[s : s + len(a)] = a
-    return out
+        trials = np.arange(start + s, start + min(s + block, count), dtype=np.uint64)
+        u = hash_uniform(seed, trials[:, None], row, purpose)
+        cells = np.arange(u.size) if detail else np.flatnonzero(u < bound)
+        rows, edge = np.divmod(cells, max(n_edges, 1))
+        trial = trials.take(rows)
+        go, accept, reward, keys = engine._coins(
+            seed, trial, edge, u.ravel().take(cells), *hash_uniform(seed, trial, edge, engine.purposes)
+        )
+        keep = slice(None) if detail else np.flatnonzero(go)
+        parts.append([a if a is None else a[keep] for a in (rows + s, edge, go, accept, reward, *keys)])
+    trial, edge, go, accept, reward, *keys = (
+        f[0] if f[0] is None or len(f) == 1 else np.concatenate(f) for f in zip(*parts)
+    )
+    *major, t = keys
+    if n_edges <= 1 << _POS_BITS:
+        # each time is k * 2**-53 with k a 53-bit integer, so it packs with
+        # its edge position into the key (k << 11) | position, unique within
+        # a trial: a plain sort of the keys orders by time, ties by position
+        key = (t * 2.0**53).astype(np.uint64)
+        key <<= np.uint64(_POS_BITS)
+        key |= edge.astype(np.uint64)
+        by = np.argsort(key)
+    else:
+        # the cells are listed by trial, then edge, so a stable sort breaks
+        # time ties by position
+        by = np.argsort(t, kind="stable")
+    for k in reversed(major):
+        by = by.take(np.argsort(k.take(by), kind="stable"))
+    # a stable sort of the trials in their narrowest dtype is a radix sort
+    narrow = trial.astype(np.min_scalar_type(max(count - 1, 0)))
+    by = by.take(np.argsort(narrow.take(by), kind="stable"))
+    return _Cells(*(a if a is None else a.take(by) for a in (trial, edge, go, accept, reward)))
 
 
-def _finish(topo: _Topology, order, go, accept, active, detail: bool, patience=None, reward=None):
-    """Walks a chunk's coins into its reduction, or with `detail` its per-cell
-    arrays.  A cell is realized when `go` and `accept` both hold.  The walk's
-    q is exact on go cells, which hold every matched cell the reduction
-    reads, so a detail chunk counts Q(e) on every cell; only the per-vertex
-    walk of a multigraph has already counted it there.  The word walk
-    reduces a chunk itself.  `active` is the detail's active mask; None
-    means the realized mask."""
-    if not detail and topo.nbr_bits is not None:
-        return _walk_bits(topo, _walk_steps(order, go), go, accept, patience, reward, reduce=True)
-    walk, q = _walk(topo, order, go, accept, patience, reward)
+def _finish(topo: _Topology, cells: _Cells, count: int, detail: bool, patience=None):
+    """Walks a chunk's kept cells into its reduction, or with `detail` its
+    per-cell arrays.  A detail chunk keeps every cell, so the walk counts
+    Q(e) on each; its active cells are its accepted ones, and its realized
+    cells those where `go` and `accept` both hold."""
+    walk = _walk(topo, cells, count, patience, reduce=not detail)
     if not detail:
-        return _reduce_chunk(walk.matched, q, walk.revenue)
-    realized = go & accept
-    active = realized if active is None else active
-    if topo.simple or topo.nbr_bits is not None:
-        q = _arrival_q(realized, order, topo)
+        return walk
+    flat = cells.trial * topo.n_edges + cells.edge
+
+    def dense(a, dtype=None):
+        out = np.empty(count * topo.n_edges, dtype=dtype or a.dtype)
+        out[flat] = a
+        return out.reshape(count, topo.n_edges)
+
     return _ChunkDetail(
-        active, realized, walk.probed, walk.matched, q, walk.revenue, walk.probes_used
+        dense(cells.accept), dense(cells.go & cells.accept), dense(walk.probed),
+        dense(walk.matched), dense(walk.q, topo.q_dtype), walk.revenue, walk.probes_used,
     )
 
 
@@ -616,19 +574,19 @@ class RoOcrsEngine:
         self.x = self.topo.x_vector(x)
         self.s = np.array([stats[eid].s for eid in self.topo.edge_ids], dtype=float)
         self.spec = spec
+        # a go cell is active: its activity coin gates it
+        self.gate = (ACTIVE, self.x)
+
+    purposes = (ARRIVAL, COIN)
 
     def run_chunk(self, seed: int, start: int, count: int, detail: bool = False):
-        units = range(self.topo.n_edges)
-        order, realized, active = _draw(seed, start, count, units, (ARRIVAL, ACTIVE, COIN), self._coins)
-        return _finish(self.topo, order, realized, active, active, detail)
+        return _finish(self.topo, _draw(self, seed, start, count, detail), count, detail)
 
-    def _coins(self, seed, trials, u):
-        t, u_active, u_coin = u
-        active = u_active < self.x[None, :]
-        realized = active & (
-            u_coin < attenuation_profile(self.spec, t, self.x[None, :], self.s[None, :])
-        )
-        return _arrival_order(t), realized, active
+    def _coins(self, seed, trial, edge, u_active, t, u_coin):
+        x = self.x.take(edge)
+        active = u_active < x
+        realized = active & (u_coin < attenuation_profile(self.spec, t, x, self.s.take(edge)))
+        return realized, active, None, (t,)
 
 
 class StochasticOcrsEngine:
@@ -664,46 +622,31 @@ class StochasticOcrsEngine:
             raise ValueError(f"vertex {fit.worst}: marginal load exceeds 1 by {fit.excess:.3g}")
         self.s = np.array([stats[eid].s for eid in self.topo.edge_ids], dtype=float)
         self.spec = spec
+        # a go cell's probe coin lies below y * a(t) <= y * a(0): exp(-t*x)
+        # is at most 1.0 = exp(-0*x), and rounding a product is monotone in
+        # each non-negative factor, so every factor and product at t keeps
+        # at or below its value at t = 0
+        self.gate = (COIN, self.y * attenuation_profile(spec, np.zeros_like(self.x), self.x, self.s))
+
+    purposes = (ARRIVAL, ACTIVE)
 
     def run_chunk(self, seed: int, start: int, count: int, detail: bool = False):
-        units = range(self.topo.n_edges)
-        order, probe_ok, active = _draw(seed, start, count, units, (ARRIVAL, ACTIVE, COIN), self._coins)
-        return _finish(self.topo, order, probe_ok, active, active, detail, self.topo.patience)
+        cells = _draw(self, seed, start, count, detail)
+        return _finish(self.topo, cells, count, detail, self.topo.patience)
 
-    def _coins(self, seed, trials, u):
-        t, u_active, u_coin = u
-        active = u_active < self.p[None, :]
+    def _coins(self, seed, trial, edge, u_coin, t, u_active):
         probe_ok = u_coin < (
-            self.y[None, :] * attenuation_profile(self.spec, t, self.x[None, :], self.s[None, :])
+            self.y.take(edge) * attenuation_profile(self.spec, t, self.x.take(edge), self.s.take(edge))
         )
-        return _arrival_order(t), probe_ok, active
-
-
-def _vertex_order(t_e: np.ndarray, t_v: np.ndarray, online: np.ndarray) -> np.ndarray:
-    """Edge arrival order per trial when online vertices arrive.
-
-    Sorts by the online endpoint's time, then its position, then the edge's
-    time, then the edge's position.  The edges are put in arrival order, and
-    then stably in the arrival rank of their online endpoint, which breaks
-    vertex-time ties by position; that rank has the narrowest unsigned dtype,
-    so its stable sort is a radix sort.  As in every scheme, the walk
-    matches in this order and counts Q(e) by it.
-    """
-    nv = t_v.shape[1]
-    rank_dtype = np.min_scalar_type(max(nv - 1, 0))
-    rank = np.empty(t_v.shape, dtype=rank_dtype)
-    np.put_along_axis(rank, _arrival_order(t_v), np.arange(nv, dtype=rank_dtype)[None, :], axis=1)
-    by_edge = _arrival_order(t_e)
-    by_vertex = np.argsort(np.take_along_axis(rank, online[by_edge], axis=1), axis=1, kind="stable")
-    return np.take_along_axis(by_edge, by_vertex, axis=1)
+        return probe_ok, u_active < self.p.take(edge), None, (t,)
 
 
 class VertexArrivalEngine:
     """Edge arrivals grouped by online-vertex arrival.
 
     Processes edges in lexicographic order of (online endpoint's arrival
-    time, edge arrival time); the acceptance coin uses exp(-x_e * t_e),
-    independent of the vertex time.
+    time, its position, edge arrival time, edge position); the acceptance
+    coin uses exp(-x_e * t_e), independent of the vertex time.
     """
 
     def __init__(self, inst: PricingInstance, x: dict[str, float]):
@@ -718,24 +661,28 @@ class VertexArrivalEngine:
             if {sides[edg.u], sides[edg.v]} != {"offline", "online"}:
                 raise ValueError(f"edge {edg.id} does not cross the bipartition")
         vpos = inst.vertex_pos
+        # in the narrowest dtype, whose stable sort is a radix sort
         self.online_of_edge = np.array(
-            [vpos[edg.u if sides[edg.u] == "online" else edg.v] for edg in inst.edges], dtype=np.intp
+            [vpos[edg.u if sides[edg.u] == "online" else edg.v] for edg in inst.edges],
+            dtype=np.min_scalar_type(max(len(inst.vertices) - 1, 0)),
         )
         self.x = self.topo.x_vector(x)
+        # a go cell is active: its activity coin gates it
+        self.gate = (ACTIVE, self.x)
+
+    purposes = (ARRIVAL, COIN)
 
     def run_chunk(self, seed: int, start: int, count: int, detail: bool = False):
-        units = range(self.topo.n_edges)
-        order, realized, active = _draw(seed, start, count, units, (ARRIVAL, ACTIVE, COIN), self._coins)
-        return _finish(self.topo, order, realized, active, active, detail)
+        return _finish(self.topo, _draw(self, seed, start, count, detail), count, detail)
 
-    def _coins(self, seed, trials, u):
+    def _coins(self, seed, trial, edge, u_active, t_e, u_coin):
+        x = self.x.take(edge)
+        active = u_active < x
+        realized = active & (u_coin < np.exp(-x * t_e))
         # online vertices arrive at the units after the edges
-        e, nv = self.topo.n_edges, self.topo.n_vertices
-        t_e, u_active, u_coin = u
-        t_v = hash_uniform(seed, trials, np.arange(e, e + nv, dtype=np.uint64)[None, :], ARRIVAL)
-        active = u_active < self.x[None, :]
-        realized = active & (u_coin < np.exp(-self.x[None, :] * t_e))
-        return _vertex_order(t_e, t_v, self.online_of_edge), realized, active
+        online = self.online_of_edge.take(edge)
+        t_v = hash_uniform(seed, trial, online + np.uint64(self.topo.n_edges), ARRIVAL)
+        return realized, active, None, (t_v, online, t_e)
 
 
 class SequentialPricingEngine:
@@ -774,16 +721,18 @@ class SequentialPricingEngine:
         self.x = self.topo.x_vector(marginals(point, inst)[0])
         self.spec = spec
         self.s = _neighbor_mass(self.x, inst)[1]  # s_e from the induced marginals, for a2
+        # a go cell has an offer: its price draw lies below the menu mass
+        self.gate = (PRICE, self.menu_cum[:, -1])
+
+    purposes = (ARRIVAL, ACTIVE, COIN)
 
     def run_chunk(self, seed: int, start: int, count: int, detail: bool = False):
-        units, purposes = range(self.topo.n_edges), (ARRIVAL, PRICE, ACTIVE, COIN)
-        order, go, accept, reward = _draw(seed, start, count, units, purposes, self._coins)
+        res = _finish(self.topo, _draw(self, seed, start, count, detail), count, detail, self.topo.patience)
         # no activity coin of its own: a detail chunk's active cells are the realized ones
-        return _finish(self.topo, order, go, accept, None, detail, self.topo.patience, reward)
+        return res._replace(active=res.realized) if detail else res
 
-    def _coins(self, seed, trials, u):
-        t, u_price, u_accept, u_coin = u
-        propose_ok = u_coin < attenuation_profile(self.spec, t, self.x[None, :], self.s[None, :])
+    def _coins(self, seed, trial, edge, u_price, t, u_accept, u_coin):
+        propose_ok = u_coin < attenuation_profile(self.spec, t, self.x.take(edge), self.s.take(edge))
         # inverse-CDF menu draw: a cell takes the first entry whose cumulative
         # mass exceeds its draw, so a draw at or beyond the total menu mass
         # takes none and means no offer this trial
@@ -791,12 +740,11 @@ class SequentialPricingEngine:
         acc_p = np.zeros(t.shape)
         reward = np.zeros(t.shape)
         for k in range(cum.shape[1] - 1, -1, -1):
-            below = u_price < cum[:, k]
-            np.copyto(acc_p, self.menu_p[:, k], where=below)
-            np.copyto(reward, self.menu_r[:, k], where=below)
-        go = (u_price < cum[:, -1]) & propose_ok
-        return _arrival_order(t), go, u_accept < acc_p, reward
-
+            below = u_price < cum[:, k].take(edge)
+            np.copyto(acc_p, self.menu_p[:, k].take(edge), where=below)
+            np.copyto(reward, self.menu_r[:, k].take(edge), where=below)
+        go = (u_price < cum[:, -1].take(edge)) & propose_ok
+        return go, u_accept < acc_p, reward, (t,)
 
 # --------------------------------------------------------------------------
 # Monte-Carlo aggregation
@@ -824,11 +772,12 @@ def monte_carlo(
 
     A chunk holds at most `chunk_size` trials (2048 by default), and fewer
     on large instances, so that 4 * trials * (edges + vertices) stays within
-    `_CHUNK_CELLS`.  The cap bounds what a chunk holds whole: its go and
-    accept masks, its arrival order and the walk's per-(trial, vertex)
-    arrays, which grow with the vertices.  The random draw is held one row
-    block at a time (`_draw`).  A revenue block's last chunk is cut short
-    when `chunk` does not divide `_BLOCK_TRIALS`.
+    `_CHUNK_CELLS`.  The cap bounds what a chunk holds whole: the walk's
+    per-(trial, vertex) arrays, which grow with the vertices, and a detail
+    chunk's per-cell arrays.  A reduced chunk holds its go cells and their
+    walk steps; every draw on other cells is held one row block at a time
+    (`_draw`).  A revenue block's last chunk is cut short when `chunk` does
+    not divide `_BLOCK_TRIALS`.
     `workers=None` means 1, and fewer than 1 is refused.  The master seed
     is a uint64 stream key, so it must lie in [0, 2**64).
     """

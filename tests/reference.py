@@ -6,9 +6,11 @@ pricing LP built one constraint row at a time, for ``lp.build_lp_pricing``;
 the simplex pivoted on the full tableau with its slack identity block, for
 the compact tableau of ``lp._bland_pivots``; and the optimal-policy DP and
 the fixed-order greedy as two separate recursions, for
-``simulate.optimal_policy_dp`` and ``greedy_baseline``; and each engine's
-coins and arrival order from one draw over the whole chunk, for the row
-blocks of ``simulate._draw``.  The
+``simulate.optimal_policy_dp`` and ``greedy_baseline``; each engine's coins
+and arrival order from one draw over every cell of the whole chunk, for the
+gated row blocks of ``simulate._draw``; and each trial's go edges gathered
+out of that arrival order, for the walk steps that ``simulate._walk`` lays
+out from the sorted go cells.  The
 tests compare the library against these references.  Two helpers only the
 tests need live here too: ``attenuation_value``, the range-checked scalar
 attenuation coin, and ``synthetic_stats_at``, a neighbourhood that realizes a
@@ -347,6 +349,26 @@ def whole_chunk_coins(engine, seed: int, start: int, count: int):
     else:
         order = np.argsort(t, axis=1, kind="stable")
     return order, go, accept, active, reward
+
+
+def reference_steps(order: np.ndarray, go: np.ndarray) -> np.ndarray:
+    """Each trial's `go` edges in arrival order, as a (k, trials) array of
+    edges, k the busiest trial's go count.
+
+    The go mask is gathered into arrival order; its row-major nonzero cells
+    are then each trial's go cells in order, so a cell's step is its rank
+    within its row.  A trial with fewer than k go cells is padded with its
+    first non-go edge, which never proposes.
+    """
+    count = order.shape[0]
+    go_ord = np.take_along_axis(go, order, axis=1)
+    n_go = go_ord.sum(axis=1)
+    k = int(n_go.max(initial=0))
+    steps = np.repeat(order[np.arange(count), np.argmin(go_ord, axis=1)][None, :], k, axis=0)
+    rows, cols = np.nonzero(go_ord)
+    rank = np.arange(rows.size) - (np.cumsum(n_go) - n_go)[rows]
+    steps[rank, rows] = order[rows, cols]
+    return steps
 
 
 def attenuation_value(spec: AttenuationSpec, t: float, stats: EdgeStats, x_e: float) -> float:

@@ -269,49 +269,78 @@ def _cut_engines(n_edges):
     }
 
 
-# 2049 edges take the stable argsort of _arrival_order, not its packed keys
+def _dense(cells, count, e, a):
+    """A per-cell array of a chunk that keeps every cell, at (trial, edge)."""
+    out = np.zeros((count, e), dtype=a.dtype)
+    out[cells.trial, cells.edge] = a
+    return out
+
+
+# 2049 edges sort by time stably, not by packed (time, position) keys
 @pytest.mark.parametrize("n_edges", [1, 11, 64, 65, 479, 2049])
 def test_row_blocks_draw_what_one_whole_chunk_draw_does(n_edges, monkeypatch):
     engines = _cut_engines(n_edges)
     block = max(1, simulate._BLOCK_CELLS // n_edges)
-    seen = []
+    cells_seen, steps_seen = [], []
     real = simulate._finish
 
-    def spy(topo, order, go, accept, active, detail, patience=None, reward=None):
-        seen.append((order, go, accept, go & accept if active is None else active, reward))
-        return real(topo, order, go, accept, active, detail, patience, reward)
+    def spy(topo, cells, *args):
+        cells_seen.append(cells)
+        return real(topo, cells, *args)
 
     monkeypatch.setattr(simulate, "_finish", spy)
+    for name in ("_walk_bits", "_walk_bools"):
+        walk = getattr(simulate, name)
+
+        def walk_spy(topo, steps, go, accept, patience, reward, *args, _walk=walk):
+            steps_seen.append((steps, go, accept, reward))
+            return _walk(topo, steps, go, accept, patience, reward, *args)
+
+        monkeypatch.setattr(simulate, name, walk_spy)
     for name, eng in engines.items():
         assert eng.topo.n_edges == n_edges
         # one trial and a ragged last block in detail, and a default chunk
         # reduced, as monte_carlo runs it
         for count, detail in ((1, True), (block + block // 2 + 1, True), (2048, False)):
-            order, go, accept, active, reward = want = ref.whole_chunk_coins(eng, 13, 5000, count)
+            order, go, accept, active, reward = ref.whole_chunk_coins(eng, 13, 5000, count)
             res = eng.run_chunk(13, 5000, count, detail=detail)
-            for a, b in zip(seen.pop(), want):
-                assert (a is None) == (b is None), name
-                assert b is None or np.array_equal(a, b), (name, count)
+            cells = cells_seen.pop()
+            steps, go_s, accept_s, reward_s = steps_seen.pop()
+            assert (reward is None) == (cells.reward is None) == (reward_s is None), name
             if detail:
+                # every cell, in the reference's arrival order
+                assert np.array_equal(cells.edge.reshape(count, n_edges), order), (name, count)
+                for a, b in ((cells.go, go), (cells.accept, accept), (cells.reward, reward)):
+                    assert b is None or np.array_equal(_dense(cells, count, n_edges, a), b), (name, count)
                 assert np.array_equal(res.active, active) and np.array_equal(res.realized, go & accept)
+                continue
+            # the reduced chunk walks each trial's go cells in arrival order
+            want = ref.reference_steps(order, go)
+            rows = np.arange(count)
+            assert steps.shape == want.shape, name
+            assert np.array_equal(go_s, go[rows, want]), name
+            assert np.array_equal(go_s & accept_s, (go & accept)[rows, want]), name
+            assert np.array_equal(steps[go_s], want[go_s]), name
+            if reward is not None:
+                assert np.array_equal(reward_s[go_s], reward[rows, want][go_s]), name
         # the default chunk's coins are not all of one value
         assert go.any() and accept.any() and not go.all(), name
 
 
-def test_a_chunk_of_one_block_is_the_coin_functions_own_arrays():
-    made = []
-
-    def coins(seed, trials, u):
-        made.append((u < 0.5, trials + np.uint64(0)))
-        return made[-1]
-
-    assert simulate._draw(3, 10, 2048, range(11), ARRIVAL, coins) is made[0]
-    # several blocks: each block's rows, stacked in trial order
-    made.clear()
-    go, trials = simulate._draw(3, 10, 2048, range(479), ARRIVAL, coins)
-    assert len(made) == -(-2048 // (simulate._BLOCK_CELLS // 479)) > 1
-    assert np.array_equal(trials[:, 0], np.arange(10, 2058))
-    assert np.array_equal(go, np.concatenate([g for g, _ in made]))
+def test_row_blocks_cut_anywhere_keep_the_same_cells(monkeypatch):
+    # E = 479: a 2048-trial chunk is hashed in 16 row blocks, or in one
+    engines = _cut_engines(479)
+    for name, eng in engines.items():
+        for detail, count in ((False, 2048), (True, 300)):
+            many = simulate._draw(eng, 5, 77, count, detail)
+            monkeypatch.setattr(simulate, "_BLOCK_CELLS", 2**30)
+            one = simulate._draw(eng, 5, 77, count, detail)
+            monkeypatch.undo()
+            assert count > simulate._BLOCK_CELLS // 479, name
+            for a, b in zip(many, one):
+                assert (a is None) == (b is None) and (a is None or np.array_equal(a, b)), name
+            assert (np.diff(many.trial) >= 0).all(), name
+            assert many.go.all() != detail, name
 
 
 def test_a_wide_chunk_never_holds_its_whole_draw():
@@ -327,6 +356,24 @@ def test_a_wide_chunk_never_holds_its_whole_draw():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
+
+
+def test_a_vertex_chunk_draws_online_times_on_its_candidate_cells_alone():
+    # E = 45 edges among |V| = 5002 vertices: a (415, 5002) float draw of
+    # every online vertex's time would be 15.8 MiB on its own
+    gen = generate_family("random_bipartite", n=2, m=5000, density=0.004, seed=1)
+    eng = VertexArrivalEngine(gen.instance, gen.x)
+    assert (eng.topo.n_edges, eng.topo.n_vertices) == (45, 5002)
+    count = simulate._CHUNK_CELLS // (4 * (45 + 5002))
+    assert count == 415
+    eng.run_chunk(3, 0, count)
+    tracemalloc.start()
+    try:
+        eng.run_chunk(3, count, count)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 def test_revenue_sums_scale_exactly_by_powers_of_two():
@@ -628,6 +675,46 @@ def test_pricing_offers_from_menus_wider_than_127_entries():
     (er,) = rep.edges
     assert er.freq > 0
     assert er.ci_lo <= 0.005 <= er.ci_hi
+
+
+# ---------------------------------------------------------------------------
+# gates: a reduced chunk draws its other coins only where the gate holds
+
+
+def _one_edge_engines(x, y, s, spec):
+    """The four engines on one edge whose attenuation slack is `s`: RO and
+    vertex at x, stochastic offering at y with success x, pricing offering
+    its one price (accepted with 1/2) at y."""
+    vs = (Vertex("a", side="offline"), Vertex("b", side="online"))
+    inst = PricingInstance(vs, (Edge("e0", "a", "b", (MenuEntry(1.0, 0.5, c=0.5),)),), mode="bipartite")
+    stats = {"e0": SimpleNamespace(s=s)}
+    pricing = SequentialPricingEngine(inst, FractionalPoint({("e0", 1.0): y}), spec, "custom")
+    pricing.s = np.array([s])  # its slack is the graph's; the gate ignores it
+    return {
+        "ro": RoOcrsEngine(inst, {"e0": x}, stats, spec),
+        "stochastic": StochasticOcrsEngine(inst, {"e0": y}, {"e0": x}, stats, spec),
+        "vertex": VertexArrivalEngine(inst, {"e0": x}),
+        "pricing": pricing,
+    }
+
+
+HALF = st.floats(0.0, 0.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=HALF, y=HALF, s=HALF, alpha=HALF, kind=st.sampled_from(["trivial", "a1", "a2"]))
+def test_a_cell_that_goes_passes_its_gate(x, y, s, alpha, kind):
+    # arrival at 0, at the smallest positive draw and at the largest draw;
+    # every other coin at 0.0, where it holds whenever it can
+    t = np.array([0.0, 2.0**-53, 1.0 - 2.0**-53])
+    zeros, edge, trial = np.zeros(3), np.zeros(3, dtype=np.intp), np.arange(3, dtype=np.uint64)
+    for name, eng in _one_edge_engines(x, y, s, AttenuationSpec(kind, alpha=alpha)).items():
+        bound = eng.gate[1][0]
+        rest = [t if p == ARRIVAL else zeros for p in eng.purposes]
+        # gate draws just below the bound, at it and just above it
+        for u in (np.nextafter(bound, 0.0), bound, np.nextafter(bound, 1.0)):
+            go = eng._coins(7, trial, edge, np.full(3, u), *rest)[0]
+            assert u < bound or not go.any(), (name, u, bound)
 
 
 # ---------------------------------------------------------------------------

@@ -3,17 +3,18 @@
 `reference_walk` is the walk written the plain way: one (trial, column) pair
 per array access, over every edge in arrival order, and Q-counts straight
 from their definition, with "before" meaning an earlier position in the
-walk's arrival order.  Every engine must hand `_walk` coins on which the
+walk's arrival order.  Every engine must hand `_walk` cells on which the
 kernel and the reference agree on every output, on suite instances, with
-patience, with rewards, with parallel edges and with tied arrival keys.  The
-kernel steps through only the go cells when the busiest trial has fewer than
-half the edges go, so each of those cases is checked on both sides of that
-choice.  Instances of at most 64 edges walk on uint64 words and wider ones on
-per-vertex arrays; the walk cases at 64, 65 and 69 edges check both forms,
-each on both sides of the compaction threshold.
+patience, with rewards, with parallel edges and with tied arrival keys.  A
+detail chunk walks every cell and a reduced chunk its go cells alone, padded
+to the busiest trial's count, so each case is checked both ways: the reduced
+chunk must keep exactly the detail chunk's go cells, in the same order.
+Instances of at most 64 edges walk on uint64 words and wider ones on
+per-vertex arrays; the walk cases at 64, 65 and 69 edges check both forms.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -79,30 +80,71 @@ def reference_walk(topo, order, go, accept, patience=None, reward=None):
     position = np.empty_like(order)
     np.put_along_axis(position, order, np.arange(e), axis=1)
     q = reference_q(topo, go & accept, position)
-    return simulate._Walk(matched_e, probed_e, revenue, probes), q
+    return simulate._Walk(q, matched_e, probed_e, revenue, probes)
 
 
-def assert_walks_equal(got, want, go):
-    """The kernel's q is defined on go cells only; `run_against_reference`
-    checks the detail chunk's q on every cell."""
-    (walk, q), (ref, ref_q) = got, want
-    for field in simulate._Walk._fields:
-        a, b = getattr(walk, field), getattr(ref, field)
+def kept_cells(order, go, accept, reward=None, every=False):
+    """The `_Cells` of dense coins: each trial's go cells (every cell, with
+    `every`) in `order`."""
+    rows, cols = np.nonzero(np.take_along_axis(go, order, axis=1) | every)
+    edge = order[rows, cols]
+    pick = (rows, edge)
+    return simulate._Cells(rows, edge, go[pick], accept[pick], None if reward is None else reward[pick])
+
+
+def dense_coins(cells, count, e):
+    """(order, go, accept, reward) of a chunk whose cells are all kept."""
+    order = cells.edge.reshape(count, e)
+    dense = []
+    for a in (cells.go, cells.accept, cells.reward):
+        if a is not None:
+            d = np.zeros((count, e), dtype=a.dtype)
+            d[cells.trial, cells.edge] = a
+            a = d
+        dense.append(a)
+    return (order, *dense)
+
+
+def assert_walk_is_the_reference(got, cells, want):
+    """`_walk`'s per-cell records against the reference's dense outputs.  A
+    cell's q is defined when it is kept and its go holds: on every go cell
+    of a reduced chunk and on every cell of a detail chunk, which the
+    detail arrays check."""
+    at = (cells.trial, cells.edge)
+    for field in ("matched", "probed"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)[at]), field
+        # a matched or probed cell is a go cell, so the kept cells hold them all
+        assert getattr(got, field).sum() == getattr(want, field).sum(), field
+    for field in ("revenue", "probes_used"):
+        a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and np.array_equal(a, b), field
-    assert np.array_equal(q[go], ref_q[go])
+    assert np.array_equal(got.q[cells.go], want.q[at][cells.go])
+
+
+def check_walk(topo, order, go, accept, patience=None, reward=None):
+    """Walks the go cells of dense coins, then every cell, each against the
+    reference; returns the reference outputs and the go-cell walk."""
+    want = reference_walk(topo, order, go, accept, patience, reward)
+    walks = []
+    for every in (False, True):
+        cells = kept_cells(order, go, accept, reward, every)
+        walks.append(simulate._walk(topo, cells, go.shape[0], patience))
+        assert_walk_is_the_reference(walks[-1], cells, want)
+    return want, walks[0]
 
 
 @pytest.fixture
-def compacted(monkeypatch):
-    """The k of every walk that steps through its go cells only."""
+def walk_steps(monkeypatch):
+    """The step count k of every walk."""
     ks = []
-    real = simulate._go_steps
+    for name in ("_walk_bits", "_walk_bools"):
+        real = getattr(simulate, name)
 
-    def spy(order, go, n_go, k):
-        ks.append(k)
-        return real(order, go, n_go, k)
+        def spy(topo, steps, *args, _real=real, **kwargs):
+            ks.append(steps.shape[0])
+            return _real(topo, steps, *args, **kwargs)
 
-    monkeypatch.setattr(simulate, "_go_steps", spy)
+        monkeypatch.setattr(simulate, name, spy)
     return ks
 
 
@@ -122,26 +164,36 @@ def word_walks(monkeypatch):
 
 
 def run_against_reference(engine, monkeypatch, seed=7, count=1500):
-    """Runs one detail chunk, checking every `_walk` call against the reference."""
-    real = simulate._walk
-    calls = []
+    """Runs a detail chunk and a reduced chunk of the same trials.
 
-    def spy(*args):
-        out = real(*args)
-        calls.append((args, out))
-        return out
+    The detail chunk's arrays must be the reference walk's on every cell, the
+    reduced chunk must keep the detail chunk's go cells in the same order,
+    and the walk over those cells alone must be the reference's on them.
+    Returns the detail chunk and the reduced walk's step count."""
+    real = simulate._walk
+    seen = []
+
+    def spy(topo, cells, n, *args, **kwargs):
+        seen.append((topo, cells, args[0] if args else None))
+        return real(topo, cells, n, *args, **kwargs)
 
     monkeypatch.setattr(simulate, "_walk", spy)
     det = engine.run_chunk(seed, 100, count, detail=True)
-    ((args, out),) = calls
-    _, _, go, accept = args[:4]
-    ref = reference_walk(*args)
-    assert_walks_equal(out, ref, go)
+    engine.run_chunk(seed, 100, count)
+    (topo, every, patience), (_, kept, _) = seen
+    assert every.trial.size == count * topo.n_edges
+    for a, b in zip(kept, every):
+        assert (a is None) == (b is None) and (a is None or np.array_equal(a, b[every.go]))
+    order, go, accept, reward = dense_coins(every, count, topo.n_edges)
+    want = reference_walk(topo, order, go, accept, patience, reward)
+    for field in ("matched", "probed", "q", "revenue", "probes_used"):
+        assert np.array_equal(getattr(det, field), getattr(want, field)), field
     # the walk counts `go & accept` as realized; every engine reports the same
     assert np.array_equal(det.realized, go & accept)
-    assert np.array_equal(det.matched, out[0].matched) and np.array_equal(det.q, ref[1])
     assert det.matched.any() and det.q.any()
-    return det
+    assert_walk_is_the_reference(real(topo, kept, count, patience), kept, want)
+    per = np.bincount(kept.trial, minlength=count)
+    return det, int(per.max(initial=0))
 
 
 def _entry(name):
@@ -194,7 +246,7 @@ ENGINES = {
 
 @pytest.mark.parametrize("name", sorted(ENGINES))
 def test_engines_walk_like_the_reference(name, monkeypatch):
-    det = run_against_reference(ENGINES[name](), monkeypatch)
+    det, _ = run_against_reference(ENGINES[name](), monkeypatch)
     if name.startswith("pricing"):
         assert det.revenue.any()
     if "patience" in name or name.startswith("one-sided"):
@@ -260,21 +312,21 @@ def _multigraph_engine(scheme, copies=2):
 
 
 @pytest.mark.parametrize("scheme", ["ro", "stochastic", "vertex"])
-def test_parallel_edges_on_the_compacted_walk(scheme, monkeypatch, compacted):
+def test_parallel_edges_on_the_compacted_walk(scheme, monkeypatch):
     engine = _multigraph_engine(scheme)
     assert not engine.topo.simple
-    det = run_against_reference(engine, monkeypatch, count=4000)
-    assert len(compacted) == 1 and 2 * compacted[0] < engine.topo.n_edges
+    det, k = run_against_reference(engine, monkeypatch, count=4000)
+    assert 0 < k < engine.topo.n_edges
     if scheme == "stochastic":
         assert det.probed.any() and (det.probes_used[:, [0, 3]] == 1).any()
 
 
 @pytest.mark.parametrize("scheme", ["ro", "stochastic", "vertex"])
 def test_a_multigraph_counts_q_once_per_chunk(scheme, monkeypatch, word_walks):
-    # the word walk counts Q(e) itself on the cells it visits, so only a
-    # detail chunk counts it from arrival positions, on every cell; the array
-    # walk counts it that way on every cell of a multigraph already, and a
-    # detail chunk reuses it instead of counting it again
+    # the word walk counts Q(e) itself on the cells it visits, and a detail
+    # chunk visits every cell, so it never counts from arrival positions; the
+    # array walk counts a multigraph's Q that way once per chunk, on the
+    # kept cells
     real = simulate._q_counts
     calls = []
 
@@ -291,7 +343,7 @@ def test_a_multigraph_counts_q_once_per_chunk(scheme, monkeypatch, word_walks):
             word_walks.clear()
             engine.run_chunk(7, 100, 500, detail=detail)
             assert word_walks == [word], (copies, detail)
-            assert len(calls) == (1 if detail or not word else 0), (copies, detail)
+            assert len(calls) == (0 if word else 1), (copies, detail)
 
 
 def _mc_large_engine(scheme):
@@ -313,11 +365,11 @@ def _mc_large_engine(scheme):
 
 
 @pytest.mark.parametrize("scheme", ["ro", "stochastic", "one-sided", "vertex"])
-def test_wide_engines_walk_only_their_go_cells(scheme, monkeypatch, compacted):
-    det = run_against_reference(_mc_large_engine(scheme), monkeypatch, seed=3, count=120)
+def test_wide_engines_walk_only_their_go_cells(scheme, monkeypatch):
+    det, k = run_against_reference(_mc_large_engine(scheme), monkeypatch, seed=3, count=120)
     assert det.matched.shape[1] == 479
     # a few dozen go cells at most per trial, out of 479
-    assert len(compacted) == 1 and 0 < compacted[0] < 60
+    assert 0 < k < 60
     if scheme in ("stochastic", "one-sided"):
         assert det.probed.any() and det.probes_used.any()
 
@@ -333,15 +385,15 @@ DENSE = {
 
 @pytest.mark.parametrize("wide", [False, True])
 @pytest.mark.parametrize("scheme", sorted(DENSE))
-def test_reduced_chunks_are_the_column_sums_of_detail_chunks(scheme, wide, compacted):
+def test_reduced_chunks_are_the_column_sums_of_detail_chunks(scheme, wide, walk_steps):
     if not wide:
         engine, seed, count = ENGINES[DENSE[scheme]](), 7, 1500
     else:
         engine, seed, count = _mc_large_engine(scheme), 3, 120
     counts = engine.run_chunk(seed, 100, count)
     det = engine.run_chunk(seed, 100, count, detail=True)
-    # both chunks walk the same coins: compacted on the wide instance only
-    assert len(compacted) == (2 if wide else 0)
+    # the reduced chunk walks its go cells alone, the detail chunk every cell
+    assert walk_steps[0] < walk_steps[1] == engine.topo.n_edges
     m = det.matched
     sums = (m, m & (det.q == 0), m & (det.q == 1))
     for got, want in zip((counts.matched, counts.r0, counts.r1), sums):
@@ -371,58 +423,58 @@ def _walk_case(rng, n_edges, count, n_go, n=9):
 
 
 def _check_walk(topo, order, go, accept, reward):
-    """The walk without patience, then with patience 1 and rewards; returns the second."""
+    """The walk without patience, then with patience 1 and rewards, each on
+    the go cells and on every cell; returns the second reference walk."""
     for patience, pay in ((None, None), (topo.patience, reward)):
-        got = simulate._walk(topo, order, go, accept, patience, pay)
-        assert_walks_equal(got, reference_walk(topo, order, go, accept, patience, pay), go)
-    return got
+        want, _ = check_walk(topo, order, go, accept, patience, pay)
+    return want
 
 
-def test_a_chunk_without_go_cells_takes_no_step(compacted):
+def test_a_chunk_without_go_cells_takes_no_step(walk_steps):
     topo, order, go, accept, reward = _walk_case(np.random.default_rng(1), 20, 50, [0] * 50)
-    walk, _ = _check_walk(topo, order, go, accept, reward)
-    assert compacted == [0, 0]
+    walk = _check_walk(topo, order, go, accept, reward)
+    # the go cells alone take no step; every cell takes all 20
+    assert walk_steps == [0, 20, 0, 20]
     assert not walk.matched.any() and not walk.probed.any() and not walk.revenue.any()
 
 
-@pytest.mark.parametrize("busy", [7, 20])  # compacted at 7 of 20 go cells, not at 20
-def test_trials_without_go_cells_beside_busy_trials(busy, compacted):
+@pytest.mark.parametrize("busy", [7, 20])  # of 20 edges
+def test_trials_without_go_cells_beside_busy_trials(busy, walk_steps):
     count = 300
     n_go = np.where(np.arange(count) % 3 == 0, 0, busy)
     n_go[1::3] = np.random.default_rng(busy).integers(0, busy + 1, len(n_go[1::3]))
     case = _walk_case(np.random.default_rng(2), 20, count, n_go)
-    walk, q = _check_walk(*case)
-    assert bool(compacted) == (2 * busy < 20)
+    walk = _check_walk(*case)
+    assert walk_steps[::2] == [busy, busy]
     assert walk.matched[1::3].any() and walk.probed.any() and walk.revenue.any()
-    assert q[case[2]].any() and not walk.matched[::3].any()
+    assert walk.q[case[2]].any() and not walk.matched[::3].any()
 
 
-@pytest.mark.parametrize("n_edges,busy", [(21, 10), (20, 10), (21, 11)])  # 2k = E - 1, E, E + 1
-def test_both_sides_of_the_compaction_threshold(n_edges, busy, compacted):
+# the busiest trial has about half its edges go: 2k = E - 1, E, E + 1
+@pytest.mark.parametrize("n_edges,busy", [(21, 10), (20, 10), (21, 11)])
+def test_both_sides_of_the_compaction_threshold(n_edges, busy, walk_steps):
     count = 400
     rng = np.random.default_rng(n_edges + busy)
     n_go = rng.integers(0, busy + 1, count)
     n_go[rng.integers(count)] = busy  # the busiest trial sets k
-    walk, q = _check_walk(*_walk_case(rng, n_edges, count, n_go))
-    assert bool(compacted) == (2 * busy < n_edges)
-    assert walk.probed.any() and q.any()
+    walk = _check_walk(*_walk_case(rng, n_edges, count, n_go))
+    assert walk_steps[::2] == [busy, busy]
+    assert walk.probed.any() and walk.q.any()
 
 
 # the n = 14 graph has 69 edges: cut to 64 it walks on words, to 65 or more
-# on arrays; of each pair of busy values the first compacts and the second,
-# ceil(E / 2), walks every edge
+# on arrays; the busiest trial has about half its edges go
 @pytest.mark.parametrize(
     "n_edges,busy", [(64, 31), (64, 32), (65, 32), (65, 33), (69, 34), (69, 35)]
 )
-def test_words_and_arrays_on_both_sides_of_64_edges(n_edges, busy, compacted, word_walks):
+def test_words_and_arrays_on_both_sides_of_64_edges(n_edges, busy, word_walks):
     count = 300
     rng = np.random.default_rng(n_edges * busy)
     n_go = rng.integers(0, busy + 1, count)
     n_go[rng.integers(count)] = busy
-    walk, q = _check_walk(*_walk_case(rng, n_edges, count, n_go, n=14))
-    assert word_walks == [n_edges <= 64] * 2
-    assert bool(compacted) == (2 * busy < n_edges)
-    assert walk.matched.any() and walk.probed.any() and walk.revenue.any() and q.any()
+    walk = _check_walk(*_walk_case(rng, n_edges, count, n_go, n=14))
+    assert word_walks == [n_edges <= 64] * 4
+    assert walk.matched.any() and walk.probed.any() and walk.revenue.any() and walk.q.any()
 
 
 def test_a_self_loop_walks_on_arrays(word_walks):
@@ -440,19 +492,20 @@ def test_a_self_loop_walks_on_arrays(word_walks):
     count, e = 400, topo.n_edges
     order = np.argsort(rng.random((count, e)), axis=1)
     go, accept = rng.random((count, e)) < 0.8, rng.random((count, e)) < 0.5
-    got = simulate._walk(topo, order, go, accept, topo.patience)
-    assert_walks_equal(got, reference_walk(topo, order, go, accept, topo.patience), go)
-    assert word_walks == [False] and (got[0].probes_used == 3).any()
+    want, _ = check_walk(topo, order, go, accept, topo.patience)
+    assert word_walks == [False, False] and (want.probes_used == 3).any()
 
 
-def _tie_every_third_trial(monkeypatch):
-    """Every third trial draws its arrival times from {0, 1/4, 1/2, 3/4}."""
+def _tie_arrival_times(monkeypatch, every, levels):
+    """Every `every`-th trial draws its edge and vertex arrival times from
+    multiples of 1 / `levels`."""
     real = simulate.hash_uniform
 
     def tied(seed, trials, units, purpose):
         u = real(seed, trials, units, purpose)
-        k = purpose.index(ARRIVAL)
-        u[k] = np.where(trials % 3 == 0, np.floor(u[k] * 4) / 4, u[k])
+        if purpose == ARRIVAL or isinstance(purpose, tuple) and ARRIVAL in purpose:
+            t = u[purpose.index(ARRIVAL)] if isinstance(purpose, tuple) else u
+            t[...] = np.where(trials % every == 0, np.floor(t * levels) / levels, t)
         return u
 
     monkeypatch.setattr(simulate, "hash_uniform", tied)
@@ -470,15 +523,15 @@ def test_q_follows_the_arrival_order_under_tied_keys(monkeypatch):
     order = np.argsort(key, axis=1, kind="stable")
     patience = np.full(topo.n_vertices, 2, dtype=np.int32)
     reward = rng.random((count, e))
-    got = simulate._walk(topo, order, go, accept, patience, reward)
-    assert_walks_equal(got, reference_walk(topo, order, go, accept, patience, reward), go)
+    check_walk(topo, order, go, accept, patience, reward)
     # RO coins: a realized edge with no realized earlier neighbour finds both
     # endpoints free, so the r0 event implies a match on every trial
     realized = go & accept
-    walk, q = simulate._walk(topo, order, realized, accept)
-    assert q[::3].any() and not (realized & (q == 0) & ~walk.matched).any()
-    # the same through the engine, whose arrival times tie on every third trial
-    _tie_every_third_trial(monkeypatch)
+    walk, _ = check_walk(topo, order, realized, accept)
+    assert walk.q[::3].any() and not (realized & (walk.q == 0) & ~walk.matched).any()
+    # the same through the engine, whose arrival times tie on every third
+    # trial, at {0, 1/4, 1/2, 3/4}
+    _tie_arrival_times(monkeypatch, 3, 4)
     engine = simulate.RoOcrsEngine(gen.instance, gen.x, edge_stats(gen.x, gen.instance), A2)
     det = engine.run_chunk(9, 0, count, detail=True)
     assert det.q[::3].any() and not (det.realized & (det.q == 0) & ~det.matched).any()
@@ -500,6 +553,34 @@ def lexsort_order(t_e, t_v, online):
     return np.lexsort((t_e, np.broadcast_to(online, t_e.shape), t_v[:, online]), axis=1)
 
 
+def sorted_go_cells(go, t_e, t_v=None, online=None):
+    """The (trial, edge) lists `_draw` sorts the `go` cells into, for given
+    arrival times: an engine whose gate every cell passes and whose coins
+    and sort keys are read from the arrays."""
+    count, e = go.shape
+
+    def coins(seed, trial, edge, u_gate):
+        row = trial.astype(np.intp)
+        if t_v is None:
+            return go[row, edge], go[row, edge], None, (t_e[row, edge],)
+        return go[row, edge], go[row, edge], None, (t_v[row, online[edge]], online[edge], t_e[row, edge])
+
+    engine = SimpleNamespace(topo=SimpleNamespace(n_edges=e), gate=(ARRIVAL, np.ones(e)), purposes=(), _coins=coins)
+    cells = simulate._draw(engine, 0, 0, count, False)
+    assert cells.go.all()
+    return cells.trial, cells.edge
+
+
+def go_list(order, go):
+    """Each trial's go edges in `order`, listed trial by trial."""
+    rows, cols = np.nonzero(np.take_along_axis(go, order, axis=1))
+    return rows, order[rows, cols]
+
+
+def assert_lists_equal(got, want):
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 @pytest.mark.parametrize("dtype", [np.uint8, np.intp])
 def test_vertex_order_matches_the_rank_key_under_time_ties(dtype):
     rng = np.random.default_rng(11)
@@ -509,29 +590,45 @@ def test_vertex_order_matches_the_rank_key_under_time_ties(dtype):
     t_v = rng.random((count, nv))
     t_v[:, 3] = t_v[:, 1]  # two online vertices arrive together in every trial
     t_v[::2, 4] = t_v[::2, 1]
-    assert np.array_equal(simulate._vertex_order(t_e, t_v, online), rank_key_order(t_e, t_v, online))
+    go = rng.random((count, e)) < 0.6
+    go[0] = True
+    got = sorted_go_cells(go, t_e, t_v, online)
+    assert_lists_equal(got, go_list(rank_key_order(t_e, t_v, online), go))
 
 
-@pytest.mark.parametrize("nv", [6, 300])  # one-byte and two-byte vertex ranks
-def test_vertex_order_matches_the_lexsort_under_time_ties(nv):
+# one-byte and two-byte vertex positions, and positions past 11 bits
+@pytest.mark.parametrize("nv", [6, 300, 2500])
+def test_vertex_order_matches_the_lexsort_under_time_ties(nv, monkeypatch):
     rng = np.random.default_rng(nv)
-    count, e = 300, 2 * nv
-    online = rng.integers(nv // 2, nv, size=e)
+    count, e = (300 if nv < 2048 else 40), 2 * nv
+    online = rng.integers(nv // 2, nv, size=e).astype(np.min_scalar_type(nv - 1))
     t_e = np.floor(rng.random((count, e)) * 8) / 8
     t_v = np.floor(rng.random((count, nv)) * 4) / 4  # vertex-time ties in every trial
     t_v[::3] = rng.random((len(t_v[::3]), nv))
-    order = simulate._vertex_order(t_e, t_v, online)
-    assert np.array_equal(order, lexsort_order(t_e, t_v, online))
+    go = rng.random((count, e)) < 0.5
+    got = sorted_go_cells(go, t_e, t_v, online)
+    assert_lists_equal(got, go_list(lexsort_order(t_e, t_v, online), go))
     # the engine's draws, with equal vertex and edge times forced in every
-    # other trial, keep the order a lexsort gives
+    # other trial: a detail chunk's order is the lexsort's, and a reduced
+    # chunk keeps its go cells in that order
     engine = _vertex("bip_5x5")
     e, nv = engine.topo.n_edges, engine.topo.n_vertices
     units = np.arange(e + nv, dtype=np.uint64)[None, :]
     draw = simulate.hash_uniform(3, np.arange(500, dtype=np.uint64)[:, None], units, ARRIVAL)
     draw[::2] = np.floor(draw[::2] * 3) / 3
-    t_e, t_v = draw[:, :e], draw[:, e:]
-    online = engine.online_of_edge
-    assert np.array_equal(simulate._vertex_order(t_e, t_v, online), lexsort_order(t_e, t_v, online))
+    order = lexsort_order(draw[:, :e], draw[:, e:], engine.online_of_edge)
+    _tie_arrival_times(monkeypatch, 2, 3)
+    seen = []
+    real = simulate._finish
+    monkeypatch.setattr(simulate, "_finish", lambda topo, cells, *a: seen.append(cells) or real(topo, cells, *a))
+    engine.run_chunk(3, 0, 500, detail=True)
+    engine.run_chunk(3, 0, 500)
+    every, kept = seen
+    assert np.array_equal(every.edge.reshape(500, e), order)
+    go = np.zeros((500, e), dtype=bool)
+    go[every.trial, every.edge] = every.go
+    assert_lists_equal((kept.trial, kept.edge), go_list(order, go))
+    assert 0 < kept.trial.size < every.trial.size
 
 
 @pytest.mark.parametrize("e", [1, 7, 479, 2048, 2049])  # 2048 edges is the widest packed key
@@ -547,10 +644,10 @@ def test_arrival_order_is_the_stable_argsort(e):
         t[5, -2:] = t[5, 0]  # a tie between the first and last positions
     t[7] = rng.random(e)
     t[9] = (2**40 + np.arange(e)[::-1]) * 2.0**-53  # times one step of 2**-53 apart
-    got = simulate._arrival_order(t)
-    want = np.argsort(t, axis=1, kind="stable")
-    assert got.dtype == np.int64 and got.shape == t.shape
-    assert np.array_equal(got, want)
+    go = rng.random((count, e)) < 0.7
+    go[1::2] = True  # every edge goes in every other trial
+    got = sorted_go_cells(go, t)
+    assert_lists_equal(got, go_list(np.argsort(t, axis=1, kind="stable"), go))
 
 
 def test_q_dtype_follows_the_widest_neighbourhood(monkeypatch):
