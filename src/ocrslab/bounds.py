@@ -23,13 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphcore import EdgeStats
+from .graphcore import EdgeStats, PricingInstance, edge_neighbors
 
 __all__ = [
     "H2",
     "h",
     "h1",
     "phi",
+    "neighbor_pairs",
     "r0_bound",
     "r1_bound",
     "BoundCertificate",
@@ -104,13 +105,6 @@ def phi(ell: int | None, y):
 # per-edge lower-bound formulas
 
 
-def _neighbor_arrays(stats: EdgeStats) -> tuple[np.ndarray, np.ndarray]:
-    if not stats.neighbor_xs:
-        return np.zeros(0), np.zeros(0)
-    arr = np.asarray(stats.neighbor_xs, dtype=float)
-    return arr[:, 0], arr[:, 1]
-
-
 def _constants(setting: str) -> tuple[float, float, float, bool]:
     try:
         return FIVE_VAR_SETTINGS[setting]
@@ -118,21 +112,33 @@ def _constants(setting: str) -> tuple[float, float, float, bool]:
         raise ValueError(f"unknown setting {setting!r}; known: {sorted(FIVE_VAR_SETTINGS)}") from None
 
 
-def r0_bound(setting: str, stats: EdgeStats, x_e: float, alpha: float) -> float:
+def neighbor_pairs(inst: PricingInstance, x: dict[str, float], stats: dict[str, EdgeStats]):
+    """Yields (edge id, pairs) per edge in edge order: the (|N_e|, 2) array of
+    (x_f, s_f) over f ∈ N_e that `r0_bound` and `r1_bound` read."""
+    xs = np.array([float(x.get(e.id, 0.0)) for e in inst.edges])
+    ss = np.array([stats[e.id].s for e in inst.edges])
+    for i, e in enumerate(inst.edges):
+        nb = edge_neighbors(inst, i)
+        yield e.id, np.column_stack((xs.take(nb), ss.take(nb)))
+
+
+def r0_bound(setting: str, stats: EdgeStats, pairs, x_e: float, alpha: float) -> float:
     """(1 − α·s_e)·(c0 + c1(s_e + α·Σ x_f s_f))·x_e with the constants of
-    `setting` — floor on Pr[e matched ∧ no realized earlier neighbor]."""
+    `setting` — floor on Pr[e matched ∧ no realized earlier neighbor].
+    `pairs` holds (x_f, s_f) for each f ∈ N_e."""
     c0, c1, _, _ = _constants(setting)
-    xf, sf = _neighbor_arrays(stats)
+    xf, sf = np.asarray(pairs, dtype=float).reshape(-1, 2).T
     coupling = float(np.dot(xf, sf))
     return (1.0 - alpha * stats.s) * (c0 + c1 * (stats.s + alpha * coupling)) * x_e
 
 
-def r1_bound(setting: str, stats: EdgeStats, x_e: float, alpha: float) -> float:
+def r1_bound(setting: str, stats: EdgeStats, pairs, x_e: float, alpha: float) -> float:
     """(1 − α·s_e)(1 − 2α)²·Σ x_f(1 − m_e − x_f − s_f)⁺·c2·x_e with the c2 of
     `setting`, and m_e = 0 where the setting does not free m — floor on
-    Pr[e matched ∧ exactly one realized earlier neighbor]."""
+    Pr[e matched ∧ exactly one realized earlier neighbor].  `pairs` holds
+    (x_f, s_f) for each f ∈ N_e."""
     _, _, c2, use_m = _constants(setting)
-    xf, sf = _neighbor_arrays(stats)
+    xf, sf = np.asarray(pairs, dtype=float).reshape(-1, 2).T
     m = stats.m if use_m else 0.0
     tail = np.maximum(1.0 - m - xf - sf, 0.0)
     total = float(np.dot(xf, tail))

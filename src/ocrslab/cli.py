@@ -153,10 +153,13 @@ def instance_from_dict(doc: dict) -> tuple[PricingInstance, dict[str, float] | N
         raise ValueError("invalid instance: " + "; ".join(problems))
     x = None
     if "x" in doc:
-        x = {
-            _field(row, "edge", str, f"x[{k}]"): float(_field(row, "value", _NUMBER, f"x[{k}]"))
-            for k, row in enumerate(_field(doc, "x", list, "instance"))
-        }
+        x = {}
+        for k, row in enumerate(_field(doc, "x", list, "instance")):
+            eid = _field(row, "edge", str, f"x[{k}]")
+            if eid in x or eid not in inst.edge_by_id:
+                what = "a second entry for" if eid in x else "unknown"
+                raise ValueError(f"x[{k}]: {what} edge {eid!r}")
+            x[eid] = float(_field(row, "value", _NUMBER, f"x[{k}]"))
         missing = [e.id for e in edges if e.id not in x]
         if missing:
             raise ValueError(f"x is missing edges: {missing}")

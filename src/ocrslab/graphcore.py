@@ -36,6 +36,7 @@ __all__ = [
     "check_polytope",
     "fractional_point_violations",
     "marginals",
+    "edge_neighbors",
     "edge_stats",
     "generate_family",
     "FAMILIES",
@@ -91,26 +92,16 @@ class PricingInstance:
         return {v.id: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def incident(self) -> dict[str, tuple[int, ...]]:
-        """vertex id → positions of incident edges, in edge order."""
+    def incident(self) -> dict[str, np.ndarray]:
+        """vertex id → positions of incident edges, in edge order (a self-loop
+        twice): the one stored topology, from which ``edge_neighbors`` derives N_e."""
         inc: dict[str, list[int]] = {v.id: [] for v in self.vertices}
         for i, e in enumerate(self.edges):
             if e.u in inc:
                 inc[e.u].append(i)
             if e.v in inc:
                 inc[e.v].append(i)
-        return {k: tuple(v) for k, v in inc.items()}
-
-    @cached_property
-    def neighbors(self) -> tuple[np.ndarray, ...]:
-        """edge position → sorted positions of the edges sharing an endpoint
-        with it (itself excluded, a parallel edge counted once)."""
-        out = []
-        for i, e in enumerate(self.edges):
-            nb = set(self.incident[e.u]) | set(self.incident[e.v])
-            nb.discard(i)
-            out.append(np.array(sorted(nb), dtype=np.intp))
-        return tuple(out)
+        return {k: np.array(v, dtype=np.intp) for k, v in inc.items()}
 
 
 @dataclass(frozen=True)
@@ -186,15 +177,11 @@ class EdgeStats:
     d: mass Σ_{f ∈ N_e} x_f on edges sharing an endpoint with e.
     s: slack 2 − d − x_e (in the polytope, s ≥ x_e ≥ 0).
     m: max x_f over neighbors f that close a triangle with e (0 if none).
-    neighbors: ids of the edges in N_e.
-    neighbor_xs: per neighbor (x_f, s_f), aligned with `neighbors`.
     """
 
     d: float
     s: float
     m: float
-    neighbors: tuple[str, ...]
-    neighbor_xs: tuple[tuple[float, float], ...]
 
 
 class PolytopeCheck(NamedTuple):
@@ -302,46 +289,51 @@ def check_polytope(
 # neighborhood statistics
 
 
+def edge_neighbors(inst: PricingInstance, i: int) -> np.ndarray:
+    """N_e for the edge at position i: the sorted positions of the edges that
+    share an endpoint with it, itself excluded, a parallel edge counted once.
+
+    It is derived from the two endpoints' incidence on every call, so no
+    per-edge list of size Σ_v deg_v² is ever stored.
+    """
+    e = inst.edges[i]
+    # each incidence is in edge order: the stable sort (timsort) merges two runs
+    nb = np.sort(np.concatenate((inst.incident[e.u], inst.incident[e.v])), kind="stable")
+    keep = nb != i
+    keep[1:] &= nb[1:] != nb[:-1]
+    return nb[keep]
+
+
 def _neighbor_mass(xv: np.ndarray, inst: PricingInstance) -> tuple[np.ndarray, np.ndarray]:
-    """d_e = Σ_{f ∈ N_e} x_f and the slack s_e = 2 − d_e − x_e, per edge position."""
-    d = np.array([xv[nb].sum() if nb.size else 0.0 for nb in inst.neighbors])
+    """d_e = Σ_{f ∈ N_e} x_f, summed in the sorted order of N_e, and the
+    slack s_e = 2 − d_e − x_e, per edge position."""
+    d = np.array([xv.take(edge_neighbors(inst, i)).sum() for i in range(len(inst.edges))])
     return d, 2.0 - d - xv
 
 
 def edge_stats(x: Mapping[str, float], inst: PricingInstance) -> dict[str, EdgeStats]:
-    """d, s, m and the neighbor lists of every edge under the point x.
+    """d, s and m of every edge under the point x.
 
-    Neighbors are ``inst.neighbors``.  A neighbor contributes to m only when
-    the pair closes a triangle: f must meet e in exactly one vertex and some
-    third edge must join the two far endpoints — parallel edges never qualify.
+    A neighbor f of e = (u, v) closes a triangle with e when it joins u or v
+    to a common neighbour w ∉ {u, v} of both; m is the heaviest such f, read
+    off the vertex adjacency.  Parallel edges never qualify.
     """
     edges = inst.edges
     xv = np.array([float(x.get(e.id, 0.0)) for e in edges])
-    neighbor_idx = inst.neighbors
     d, s = _neighbor_mass(xv, inst)
 
-    pair_present = {frozenset((e.u, e.v)) for e in edges}
+    # heaviest[a][b]: the largest x over the edges joining a and b
+    heaviest: dict[str, dict[str, float]] = {}
+    for e, xe in zip(edges, xv.tolist()):
+        for a, b in ((e.u, e.v), (e.v, e.u)):
+            row = heaviest.setdefault(a, {})
+            row[b] = max(row.get(b, xe), xe)
 
     out: dict[str, EdgeStats] = {}
-    for i, e in enumerate(edges):
-        m = 0.0
-        for j in neighbor_idx[i]:
-            f = edges[j]
-            shared = {e.u, e.v} & {f.u, f.v}
-            if len(shared) != 1:
-                continue  # parallel edge: no third vertex
-            (z,) = shared
-            far_e = e.v if z == e.u else e.u
-            far_f = f.v if z == f.u else f.u
-            if frozenset((far_e, far_f)) in pair_present:
-                m = max(m, float(xv[j]))
-        out[e.id] = EdgeStats(
-            d=float(d[i]),
-            s=float(s[i]),
-            m=m,
-            neighbors=tuple(edges[j].id for j in neighbor_idx[i]),
-            neighbor_xs=tuple((float(xv[j]), float(s[j])) for j in neighbor_idx[i]),
-        )
+    for e, de, se in zip(edges, d.tolist(), s.tolist()):
+        hu, hv = heaviest[e.u], heaviest[e.v]
+        third = (hu.keys() & hv.keys()) - {e.u, e.v}  # the common neighbours
+        out[e.id] = EdgeStats(d=de, s=se, m=max([0.0, *(max(hu[w], hv[w]) for w in third)]))
     return out
 
 

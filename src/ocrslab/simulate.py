@@ -60,6 +60,7 @@ from .graphcore import (
     FractionalPoint,
     PricingInstance,
     check_polytope,
+    edge_neighbors,
     fractional_point_violations,
     marginals,
     _neighbor_mass,
@@ -174,32 +175,32 @@ def wilson_interval(successes: int, trials: int, z: float = Z99) -> tuple[float,
 def _count_dtype(widest: int):
     """int16 when it holds every Q-count, else int32.
 
-    A Q-count is at most `widest`, the largest neighbour count; the walk's
+    A Q-count is at most `widest`, the largest deg_u + deg_v − 2; the walk's
     per-vertex counters reach a vertex's degree, at most `widest` + 1.
     """
     return np.int16 if widest + 1 <= np.iinfo(np.int16).max else np.int32
 
 
 class _Topology:
-    """Index arrays shared by all chunk kernels."""
+    """Index arrays shared by all chunk kernels, each of size O(E + |V|)."""
 
     def __init__(self, inst: PricingInstance):
+        self.inst = inst
         self.n_edges = len(inst.edges)
         self.n_vertices = len(inst.vertices)
         vpos = inst.vertex_pos
         self.u_idx = np.array([vpos[e.u] for e in inst.edges], dtype=np.intp)
         self.v_idx = np.array([vpos[e.v] for e in inst.edges], dtype=np.intp)
         self.edge_ids = tuple(e.id for e in inst.edges)
-        self.neighbors = inst.neighbors
-        widths = np.array([nb.size for nb in self.neighbors], dtype=np.intp)
-        self.q_dtype = _count_dtype(int(widths.max(initial=0)))
+        ends = np.concatenate([self.u_idx, self.v_idx])
+        self.degree = degree = np.bincount(ends, minlength=self.n_vertices)
+        self.q_dtype = _count_dtype(int((degree[self.u_idx] + degree[self.v_idx] - 2).max(initial=0)))
         # without self-loops and parallel edges, e's neighbours are the other
         # edges at u plus the other edges at v, each counted once, so Q(e) is
         # a sum of per-vertex counts
-        self.degree = degree = np.bincount(
-            np.concatenate([self.u_idx, self.v_idx]), minlength=self.n_vertices
-        )
-        self.simple = bool(np.array_equal(widths, degree[self.u_idx] + degree[self.v_idx] - 2))
+        lo, hi = np.minimum(self.u_idx, self.v_idx), np.maximum(self.u_idx, self.v_idx)
+        pair, loops = np.sort(lo * self.n_vertices + hi), bool((lo == hi).any())
+        self.simple = not loops and bool((pair[1:] != pair[:-1]).all())
         # a vertex spends at most one patience unit per incident edge, so a
         # budget of its degree never binds: unbounded and huge budgets store
         # the degree, and every budget fits the int32 walk counters
@@ -213,13 +214,11 @@ class _Topology:
         # A self-loop spends its vertex's patience twice, which a set of
         # probed edges cannot count, so it keeps the per-vertex arrays.
         self.nbr_bits = self.inc_bits = None
-        if self.n_edges <= 64 and not (self.u_idx == self.v_idx).any():
-            self.nbr_bits = np.array(
-                [sum(1 << f for f in nb.tolist()) for nb in self.neighbors], dtype=np.uint64
-            )
-            self.inc_bits = np.array(
-                [sum(1 << i for i in set(inst.incident[v.id])) for v in inst.vertices], dtype=np.uint64
-            )
+        if self.n_edges <= 64 and not loops:
+            bits = np.left_shift(np.uint64(1), np.arange(self.n_edges, dtype=np.uint64))
+            self.inc_bits = np.zeros(self.n_vertices, dtype=np.uint64)
+            np.bitwise_or.at(self.inc_bits, ends, np.tile(bits, 2))
+            self.nbr_bits = (self.inc_bits[self.u_idx] | self.inc_bits[self.v_idx]) & ~bits
 
     def x_vector(self, x: dict[str, float]) -> np.ndarray:
         return np.array([x.get(eid, 0.0) for eid in self.edge_ids], dtype=float)
@@ -238,9 +237,7 @@ def _q_counts(realized: np.ndarray, position: np.ndarray, topo: _Topology) -> np
     t, e = realized.shape
     q = np.zeros((t, e), dtype=topo.q_dtype)
     for i in range(e):
-        nb = topo.neighbors[i]
-        if nb.size == 0:
-            continue
+        nb = edge_neighbors(topo.inst, i)
         before = position[:, nb] < position[:, i : i + 1]
         q[:, i] = (realized[:, nb] & before).sum(axis=1)
     return q
@@ -912,7 +909,7 @@ def _probe_value(inst: PricingInstance, objective: str, options: list, first_ope
     topo = _Topology(inst)
     uv = list(zip(topo.u_idx.tolist(), topo.v_idx.tolist()))
     # the incident-edge bitmask of each vertex
-    inc = [sum(1 << i for i in set(inst.incident[v.id])) for v in inst.vertices]
+    inc = [sum(1 << i for i in set(inst.incident[v.id].tolist())) for v in inst.vertices]
     pat = topo.patience.tolist()
     rewards = _rewards(inst, objective)
     opts = [(i, *uv[i], inst.edges[i].menu[k].p, rewards[i][k]) for i, k in options]

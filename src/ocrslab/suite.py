@@ -420,11 +420,11 @@ def run_criteria(
     def decomposition_margin(rs, setting, alpha):
         worst = math.inf
         for entry, st, rep in rs:
-            for er in rep.edges:
-                s = st[er.edge_id]
-                xe = entry.x[er.edge_id]
-                b0 = bounds.r0_bound(setting, s, xe, alpha)
-                b1 = bounds.r1_bound(setting, s, xe, alpha)
+            reports = {er.edge_id: er for er in rep.edges}
+            for eid, pairs in bounds.neighbor_pairs(entry.instance, entry.x, st):
+                er, s, xe = reports[eid], st[eid], entry.x[eid]
+                b0 = bounds.r0_bound(setting, s, pairs, xe, alpha)
+                b1 = bounds.r1_bound(setting, s, pairs, xe, alpha)
                 worst = min(worst, er.freq_r0 + 3 * er.half_width("r0") - b0)
                 worst = min(worst, er.freq_r1 + 3 * er.half_width("r1") - b1)
         return worst

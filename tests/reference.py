@@ -10,11 +10,14 @@ the fixed-order greedy as two separate recursions, for
 and arrival order from one draw over every cell of the whole chunk, for the
 gated row blocks of ``simulate._draw``; and each trial's go edges gathered
 out of that arrival order, for the walk steps that ``simulate._walk`` lays
-out from the sorted go cells.  The
-tests compare the library against these references.  Two helpers only the
-tests need live here too: ``attenuation_value``, the range-checked scalar
-attenuation coin, and ``synthetic_stats_at``, a neighbourhood that realizes a
-certificate's minimizer in the lemma bounds.
+out from the sorted go cells; and every edge's neighbour list stored whole,
+with the statistics and walk topology read from those lists, for
+``graphcore.edge_neighbors``, ``edge_stats`` and ``simulate._Topology``,
+which derive them from the vertex incidence.  The tests compare the library
+against these references.  Two helpers only the tests need live here too:
+``attenuation_value``, the range-checked scalar attenuation coin, and
+``synthetic_stats_at``, a neighbourhood that realizes a certificate's
+minimizer in the lemma bounds.
 """
 
 import math
@@ -26,7 +29,12 @@ from ocrslab._rng import ACTIVE, ARRIVAL, COIN, PRICE, hash_uniform
 from ocrslab.attenuation import AttenuationSpec, attenuation_profile
 from ocrslab.graphcore import EdgeStats, PricingInstance
 from ocrslab.lp import auto_objective, objective_coefficients
-from ocrslab.simulate import SequentialPricingEngine, StochasticOcrsEngine, VertexArrivalEngine
+from ocrslab.simulate import (
+    SequentialPricingEngine,
+    StochasticOcrsEngine,
+    VertexArrivalEngine,
+    _count_dtype,
+)
 
 QUAD_TOL = 1e-10
 
@@ -386,11 +394,12 @@ def attenuation_value(spec: AttenuationSpec, t: float, stats: EdgeStats, x_e: fl
 def synthetic_stats_at(
     minimizer: tuple[float, float, float, float, float],
     n_small: int = 1_000_000,
-) -> tuple[EdgeStats, float]:
-    """EdgeStats whose lemma-bound evaluation realizes a program point.
+) -> tuple[EdgeStats, list[tuple[float, float]], float]:
+    """EdgeStats and (x_f, s_f) pairs whose lemma-bound evaluation realizes a
+    program point.
 
-    Returns (stats, x_e).  The neighborhood mirrors the substitutions behind
-    the program: a triangle partner (m, m) when m > 0; "big" pieces of size
+    Returns (stats, pairs, x_e).  The neighborhood mirrors the substitutions
+    behind the program: a triangle partner (m, m) when m > 0; "big" pieces of size
     ≥ (1−m)/2 with slack (1−m)/2 carrying mass dbig (their tail term vanishes
     and x_f·s_f sums to dbig·(1−m)/2 exactly); and n_small light pieces
     (ε, 0) carrying mass d − dbig, whose tail term approaches (d−dbig)(1−m)
@@ -418,11 +427,66 @@ def synthetic_stats_at(
         eps = light / n_small
         pairs.extend([(eps, 0.0)] * n_small)
     x_e = x if x > 0.0 else 1e-9  # both bounds scale linearly in x_e
-    stats = EdgeStats(
-        d=d,
-        s=s,
-        m=m,
-        neighbors=tuple(f"n{i}" for i in range(len(pairs))),
-        neighbor_xs=tuple(pairs),
-    )
-    return stats, x_e
+    return EdgeStats(d=d, s=s, m=m), pairs, x_e
+
+
+def reference_neighbors(inst: PricingInstance) -> tuple[np.ndarray, ...]:
+    """Edge position → sorted positions of the edges sharing an endpoint with
+    it (itself excluded, a parallel edge counted once), every list stored."""
+    out = []
+    for i, e in enumerate(inst.edges):
+        nb = set(inst.incident[e.u].tolist()) | set(inst.incident[e.v].tolist())
+        nb.discard(i)
+        out.append(np.array(sorted(nb), dtype=np.intp))
+    return tuple(out)
+
+
+def reference_edge_stats(x, inst: PricingInstance) -> dict[str, tuple]:
+    """Per edge id, (d, s, m, neighbour ids, (x_f, s_f) per neighbour): d
+    summed over the stored neighbour lists, and m from a scan of every
+    neighbour for the triangles it closes."""
+    edges = inst.edges
+    xv = np.array([float(x.get(e.id, 0.0)) for e in edges])
+    neighbor_idx = reference_neighbors(inst)
+    d = np.array([xv[nb].sum() if nb.size else 0.0 for nb in neighbor_idx])
+    s = 2.0 - d - xv
+    pair_present = {frozenset((e.u, e.v)) for e in edges}
+    out = {}
+    for i, e in enumerate(edges):
+        m = 0.0
+        for j in neighbor_idx[i]:
+            f = edges[j]
+            shared = {e.u, e.v} & {f.u, f.v}
+            if len(shared) != 1:
+                continue  # parallel edge: no third vertex
+            (z,) = shared
+            far_e = e.v if z == e.u else e.u
+            far_f = f.v if z == f.u else f.u
+            if frozenset((far_e, far_f)) in pair_present:
+                m = max(m, float(xv[j]))
+        out[e.id] = (
+            float(d[i]),
+            float(s[i]),
+            m,
+            tuple(edges[j].id for j in neighbor_idx[i]),
+            tuple((float(xv[j]), float(s[j])) for j in neighbor_idx[i]),
+        )
+    return out
+
+
+def reference_topology(inst: PricingInstance) -> tuple[bool, type, np.ndarray | None]:
+    """(simple, q_dtype, nbr_bits) of ``simulate._Topology`` from the stored
+    neighbour lists: simple when every edge has deg_u + deg_v − 2 distinct
+    neighbours, the Q-count dtype from the widest list, and each list as a
+    bit mask when there are at most 64 edges and no self-loop."""
+    vpos = inst.vertex_pos
+    u = np.array([vpos[e.u] for e in inst.edges], dtype=np.intp)
+    v = np.array([vpos[e.v] for e in inst.edges], dtype=np.intp)
+    neighbors = reference_neighbors(inst)
+    widths = np.array([nb.size for nb in neighbors], dtype=np.intp)
+    degree = np.bincount(np.concatenate([u, v]), minlength=len(inst.vertices))
+    simple = bool(np.array_equal(widths, degree[u] + degree[v] - 2))
+    nbr_bits = None
+    if len(inst.edges) <= 64 and not (u == v).any():
+        nbr_bits = np.array([sum(1 << f for f in nb.tolist()) for nb in neighbors], dtype=np.uint64)
+    return simple, _count_dtype(int(widths.max(initial=0))), nbr_bits

@@ -13,7 +13,7 @@ from ocrslab.graphcore import EdgeStats
 
 
 def _stats(s: float, d: float = 0.0, m: float = 0.0) -> EdgeStats:
-    return EdgeStats(d=d, s=s, m=m, neighbors=(), neighbor_xs=())
+    return EdgeStats(d=d, s=s, m=m)
 
 
 def test_exact_values():

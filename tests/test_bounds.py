@@ -23,14 +23,8 @@ Z0 = 0.05504290352060187  # 1/8 - 1/(8 e^4) - 1/(2 e^2)
 Z1 = 0.07088837759678558
 
 
-def _stats(s: float, d: float = 0.0, m: float = 0.0, neighbor_xs=()) -> EdgeStats:
-    return EdgeStats(
-        d=d,
-        s=s,
-        m=m,
-        neighbors=tuple(f"f{i}" for i in range(len(neighbor_xs))),
-        neighbor_xs=tuple(neighbor_xs),
-    )
+def _stats(s: float, d: float = 0.0, m: float = 0.0) -> EdgeStats:
+    return EdgeStats(d=d, s=s, m=m)
 
 
 # ---------------------------------------------------------------------------
@@ -164,39 +158,41 @@ def test_kernels_take_arrays():
 
 def test_r0_bound_isolated_edge():
     st = _stats(s=1.0)
-    assert math.isclose(bounds.r0_bound("general", st, 1.0, 0.0), H2 + 0.14, abs_tol=1e-12)
-    assert math.isclose(bounds.r0_bound("patience_general", st, 1.0, 0.0), 0.382 + 0.117, abs_tol=1e-12)
+    assert math.isclose(bounds.r0_bound("general", st, (), 1.0, 0.0), H2 + 0.14, abs_tol=1e-12)
+    assert math.isclose(bounds.r0_bound("patience_general", st, (), 1.0, 0.0), 0.382 + 0.117, abs_tol=1e-12)
 
 
 def test_one_sided_r0_at_zero_slack():
     st = _stats(s=0.0)
     for alpha in (0.0, 0.162, 0.3):
-        assert math.isclose(bounds.r0_bound("patience_one_sided", st, 0.7, alpha), 0.405 * 0.7, abs_tol=1e-12)
+        assert math.isclose(bounds.r0_bound("patience_one_sided", st, (), 0.7, alpha), 0.405 * 0.7, abs_tol=1e-12)
 
 
 def test_r1_bound_alpha_zero_reduction():
-    st = _stats(s=0.5, d=0.8, m=0.1, neighbor_xs=((0.5, 0.2), (0.3, 0.6)))
-    tail = sum(xf * max(0.0, 1.0 - 0.1 - xf - sf) for xf, sf in st.neighbor_xs)
-    assert math.isclose(bounds.r1_bound("general", st, 0.4, 0.0), 0.0275 * tail * 0.4, abs_tol=1e-12)
-    assert math.isclose(bounds.r1_bound("patience_general", st, 0.4, 0.0), 0.02 * tail * 0.4, abs_tol=1e-12)
+    st, pairs = _stats(s=0.5, d=0.8, m=0.1), ((0.5, 0.2), (0.3, 0.6))
+    tail = sum(xf * max(0.0, 1.0 - 0.1 - xf - sf) for xf, sf in pairs)
+    assert math.isclose(bounds.r1_bound("general", st, pairs, 0.4, 0.0), 0.0275 * tail * 0.4, abs_tol=1e-12)
+    assert math.isclose(bounds.r1_bound("patience_general", st, pairs, 0.4, 0.0), 0.02 * tail * 0.4, abs_tol=1e-12)
     # one-sided tail ignores the triangle mass m
-    tail_os = sum(xf * max(0.0, 1.0 - xf - sf) for xf, sf in st.neighbor_xs)
+    tail_os = sum(xf * max(0.0, 1.0 - xf - sf) for xf, sf in pairs)
     assert math.isclose(
-        bounds.r1_bound("patience_one_sided", st, 0.4, 0.0), 0.023 * tail_os * 0.4, abs_tol=1e-12
+        bounds.r1_bound("patience_one_sided", st, pairs, 0.4, 0.0), 0.023 * tail_os * 0.4, abs_tol=1e-12
     )
 
 
 def test_bounds_scale_linearly_in_x():
-    st = _stats(s=0.6, d=1.0, m=0.0, neighbor_xs=((0.5, 0.5), (0.5, 0.9)))
+    st, pairs = _stats(s=0.6, d=1.0, m=0.0), ((0.5, 0.5), (0.5, 0.9))
     for setting in ("general", "patience_general", "patience_one_sided"):
         for fn in (bounds.r0_bound, bounds.r1_bound):
-            assert math.isclose(fn(setting, st, 0.4, 0.171), 2.0 * fn(setting, st, 0.2, 0.171), abs_tol=1e-12)
+            assert math.isclose(
+                fn(setting, st, pairs, 0.4, 0.171), 2.0 * fn(setting, st, pairs, 0.2, 0.171), abs_tol=1e-12
+            )
 
 
 def test_bounds_reject_unknown_setting():
     for fn in (bounds.r0_bound, bounds.r1_bound):
         with pytest.raises(ValueError, match="known: .*'patience_general'"):
-            fn("lemma", _stats(s=0.5), 0.4, 0.171)
+            fn("lemma", _stats(s=0.5), (), 0.4, 0.171)
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +293,9 @@ def test_no_sampled_point_below_minimum(setting, alpha, minimum):
 
 def test_certificate_equality_invariant(certs):
     for setting, cert in certs.items():
-        st, x_e = ref.synthetic_stats_at(cert.minimizer)
-        r0 = bounds.r0_bound(setting, st, x_e, cert.alpha)
-        r1 = bounds.r1_bound(setting, st, x_e, cert.alpha)
+        st, pairs, x_e = ref.synthetic_stats_at(cert.minimizer)
+        r0 = bounds.r0_bound(setting, st, pairs, x_e, cert.alpha)
+        r1 = bounds.r1_bound(setting, st, pairs, x_e, cert.alpha)
         assert abs((r0 + r1) / x_e - cert.minimum) < 1e-6, setting
 
 
@@ -307,11 +303,12 @@ def test_cross_validation_on_suite_instances(certs):
     floor = certs["general"].minimum - 1e-6
     for entry in build_suite():
         stats = edge_stats(entry.x, entry.instance)
-        for eid, xe in entry.x.items():
+        for eid, pairs in bounds.neighbor_pairs(entry.instance, entry.x, stats):
+            xe = entry.x[eid]
             if xe <= 0:
                 continue
-            total = bounds.r0_bound("general", stats[eid], xe, 0.171) + bounds.r1_bound(
-                "general", stats[eid], xe, 0.171
+            total = bounds.r0_bound("general", stats[eid], pairs, xe, 0.171) + bounds.r1_bound(
+                "general", stats[eid], pairs, xe, 0.171
             )
             assert total / xe >= floor, (entry.name, eid)
 

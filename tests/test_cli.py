@@ -102,8 +102,13 @@ def test_corrupt_instance_rejected(tmp_path):
         (lambda doc: doc.update(edges={"e0": doc["edges"][0]}), "instance: 'edges' has the wrong type"),
         (lambda doc: doc["edges"][0]["menu"][0].update(w=math.nan), "edges[0].menu[0]: 'w' is not a finite number"),
         (lambda doc: doc["vertices"][0].update(patience=10**400), "vertices[0]: 'patience' is not a finite number"),
+        (lambda doc: doc["x"].append({"edge": "e0", "value": 0.9}), "x[3]: a second entry for edge 'e0'"),
+        (lambda doc: doc["x"].append({"edge": "ghost", "value": 0.1}), "x[3]: unknown edge 'ghost'"),
     ],
-    ids=["no-menu", "no-vertices", "edges-not-a-list", "nan-weight", "patience-beyond-float"],
+    ids=[
+        "no-menu", "no-vertices", "edges-not-a-list", "nan-weight", "patience-beyond-float",
+        "x-twice-for-one-edge", "x-for-no-edge",
+    ],
 )
 def test_malformed_instance_file_is_a_clean_error(tmp_path, capsys, break_doc, message):
     doc = json.loads(_gen(tmp_path, "star", "--k", "3").read_text())

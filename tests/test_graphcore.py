@@ -14,6 +14,7 @@ from ocrslab.graphcore import (
     PricingInstance,
     Vertex,
     check_polytope,
+    edge_neighbors,
     edge_stats,
     fractional_point_violations,
     generate_family,
@@ -142,7 +143,7 @@ def test_edge_stats_on_path():
     assert math.isclose(st_["e0"].d, 0.6)
     assert math.isclose(st_["e0"].s, 2.0 - 0.6 - 0.3)
     assert st_["e0"].m == 0.0  # no triangle
-    assert st_["e0"].neighbors == ("e1",)
+    assert edge_neighbors(inst, 0).tolist() == [1]
     assert math.isclose(st_["e1"].d, 0.3)
 
 
@@ -154,9 +155,9 @@ def test_edge_stats_triangle_m():
     assert math.isclose(st_[e0].m, 0.25)
     other = [e.id for e in gen.instance.edges if gen.x[e.id] == 0.25][0]
     assert math.isclose(st_[other].m, 0.5)
-    for eid, s in st_.items():
+    for i, (eid, s) in enumerate(st_.items()):
         assert math.isclose(s.s, 2.0 - s.d - gen.x[eid])
-        assert len(s.neighbor_xs) == len(s.neighbors)
+        assert edge_neighbors(gen.instance, i).tolist() == sorted({0, 1, 2} - {i})
 
 
 @given(
@@ -168,9 +169,9 @@ def test_edge_stats_identity_holds(x0, x1):
         x0, x1 = x0 / 2, x1 / 2
     inst, x = _simple_path(x0, x1)
     st_ = edge_stats(x, inst)
-    for eid, s in st_.items():
+    for i, (eid, s) in enumerate(st_.items()):
         assert abs(s.s - (2.0 - s.d - x[eid])) < 1e-12
-        assert s.d == sum(xf for xf, _ in s.neighbor_xs)
+        assert s.d == sum(x[inst.edges[f].id] for f in edge_neighbors(inst, i))
 
 
 # ---------------------------------------------------------------------------

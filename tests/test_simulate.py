@@ -25,6 +25,7 @@ from ocrslab.graphcore import (
     MenuEntry,
     PricingInstance,
     Vertex,
+    edge_neighbors,
     edge_stats,
     fractional_point_violations,
     generate_family,
@@ -376,6 +377,35 @@ def test_a_vertex_chunk_draws_online_times_on_its_candidate_cells_alone():
     assert peak < 20 * 2**20
 
 
+def test_set_up_and_runs_on_a_ten_thousand_edge_star_stay_in_bounded_memory():
+    # the hub has degree 10**4, so per-edge neighbour lists would hold 10**8
+    # positions; the peak, about 100 MiB, is the dense pricing chunk's
+    gen = generate_family("star", k=10_000)
+    inst, x = gen.instance, gen.x
+    tracemalloc.start()
+    try:
+        stats = edge_stats(x, inst)
+        engines = [
+            RoOcrsEngine(inst, x, stats, A2),
+            VertexArrivalEngine(dataclasses.replace(inst, mode="vertex-arrival"), x),
+            StochasticOcrsEngine(inst, x, dict.fromkeys(x, 1.0), stats, A2),
+            # y = 1 on every edge's single offer: every cell proposes
+            SequentialPricingEngine(
+                inst, FractionalPoint({(e.id, e.menu[0].w): 1.0 for e in inst.edges}), A2, "custom"
+            ),
+        ]
+        chunk = simulate._CHUNK_CELLS // (4 * (10_000 + 10_001))
+        reports = [monte_carlo(eng, 2048, 1) for eng in engines[:3]]
+        # the pricing walk steps through all 10**4 cells of every trial, so
+        # it runs one chunk: the peak is a chunk's, whatever the trial count
+        reports.append(monte_carlo(engines[3], chunk, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(0 < sum(er.matched for er in rep.edges) <= rep.trials for rep in reports)
+    assert peak < 160 * 2**20
+
+
 def test_revenue_sums_scale_exactly_by_powers_of_two():
     # the same draws with every reward scaled by 2**511: the sum of squared
     # revenues would pass the float range, yet the report scales exactly
@@ -463,7 +493,7 @@ def test_trial_outcomes_form_matchings(trial):
     assert_matching(gen.instance, det.matched[0])
     assert np.all(det.realized[0] | ~det.matched[0])  # matched => realized
     assert np.all(det.active[0] | ~det.realized[0])  # realized => active
-    n_nbrs = [len(stats[e.id].neighbors) for e in gen.instance.edges]
+    n_nbrs = [edge_neighbors(gen.instance, i).size for i in range(len(gen.instance.edges))]
     assert np.all((det.q[0] >= 0) & (det.q[0] <= n_nbrs))
 
 

@@ -18,8 +18,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import reference as ref
 
-from ocrslab import simulate, suite
+from ocrslab import bounds, simulate, suite
 from ocrslab._rng import ARRIVAL
 from ocrslab.attenuation import AttenuationSpec
 from ocrslab.graphcore import (
@@ -28,6 +29,7 @@ from ocrslab.graphcore import (
     MenuEntry,
     PricingInstance,
     Vertex,
+    edge_neighbors,
     edge_stats,
     generate_family,
 )
@@ -477,16 +479,21 @@ def test_words_and_arrays_on_both_sides_of_64_edges(n_edges, busy, word_walks):
     assert walk.matched.any() and walk.probed.any() and walk.revenue.any() and walk.q.any()
 
 
-def test_a_self_loop_walks_on_arrays(word_walks):
-    # a loop spends its vertex's patience twice per proposal, which a set of
-    # probed edges cannot count; `validate_instance` refuses such an
-    # instance, but the walk stays exact on one
+def _loop_instance():
+    """Two self-loops on a triangle, at a and at c."""
     vs = tuple(Vertex(v, patience=3) for v in "abc")
     es = tuple(
         Edge(f"e{i}", u, v, (MenuEntry(0.0, 0.5),))
         for i, (u, v) in enumerate([("a", "a"), ("a", "b"), ("b", "c"), ("a", "c"), ("c", "c")])
     )
-    topo = simulate._Topology(PricingInstance(vs, es))
+    return PricingInstance(vs, es)
+
+
+def test_a_self_loop_walks_on_arrays(word_walks):
+    # a loop spends its vertex's patience twice per proposal, which a set of
+    # probed edges cannot count; `validate_instance` refuses such an
+    # instance, but the walk stays exact on one
+    topo = simulate._Topology(_loop_instance())
     assert topo.nbr_bits is None and not topo.simple
     rng = np.random.default_rng(5)
     count, e = 400, topo.n_edges
@@ -494,6 +501,64 @@ def test_a_self_loop_walks_on_arrays(word_walks):
     go, accept = rng.random((count, e)) < 0.8, rng.random((count, e)) < 0.5
     want, _ = check_walk(topo, order, go, accept, topo.patience)
     assert word_walks == [False, False] and (want.probes_used == 3).any()
+
+
+def _topology_cases():
+    """(name, instance, x) for the neighbourhood reference checks."""
+    cases = [(e.name, e.instance, e.x) for e in suite.build_suite()]
+    for name, params in (
+        ("mc_large", {"n": 40, "m": 40, "density": 0.3, "seed": 7}),
+        ("pricing_bip20", {"n": 20, "m": 20, "density": 0.35, "seed": 7}),
+        ("pricing_bip25", {"n": 25, "m": 25, "density": 0.3, "seed": 7}),
+    ):
+        gen = generate_family("random_bipartite", **params)
+        cases.append((name, gen.instance, gen.x))
+    multigraph = _multigraph([(u, v) for u in "ace" for v in "bdf"] * 8)
+    cases.append(("multigraph_72", multigraph, {e.id: 0.04 for e in multigraph.edges}))
+    # a triangle whose a-b and c-a pairs are each joined twice
+    pairs = [("a", "b"), ("a", "b"), ("b", "c"), ("c", "a"), ("c", "a")]
+    xs = [0.2, 0.3, 0.1, 0.25, 0.15]
+    es = tuple(Edge(f"e{i}", u, v, (MenuEntry(0.0, 0.5),)) for i, (u, v) in enumerate(pairs))
+    cases.append((
+        "parallel_triangle",
+        PricingInstance(tuple(Vertex(v) for v in "abc"), es),
+        {e.id: xe for e, xe in zip(es, xs)},
+    ))
+    star = generate_family("star", k=300)
+    cases.append(("star_300", star.instance, star.x))
+    return cases
+
+
+def _assert_topology_matches_reference(inst):
+    want = ref.reference_neighbors(inst)
+    for i, nb in enumerate(want):
+        got = edge_neighbors(inst, i)
+        assert got.dtype == nb.dtype and np.array_equal(got, nb), i
+    topo = simulate._Topology(inst)
+    simple, q_dtype, nbr_bits = ref.reference_topology(inst)
+    assert topo.simple is simple and topo.q_dtype is q_dtype
+    if nbr_bits is None:
+        assert topo.nbr_bits is None
+    else:
+        assert topo.nbr_bits.dtype == np.uint64 and np.array_equal(topo.nbr_bits, nbr_bits)
+
+
+def test_neighbourhoods_derived_from_the_incidence_match_the_stored_lists():
+    # d, s and m bit for bit, N_e, and the walk topology, against the lists
+    # of every edge's neighbours stored whole
+    for name, inst, x in _topology_cases():
+        stats, want = edge_stats(x, inst), ref.reference_edge_stats(x, inst)
+        for k, field in enumerate("dsm"):
+            got = np.array([getattr(stats[e.id], field) for e in inst.edges])
+            assert got.tobytes() == np.array([want[e.id][k] for e in inst.edges]).tobytes(), (name, field)
+        # the (x_f, s_f) pairs of the r0/r1 floors, in the order of N_e
+        for i, (eid, pairs) in enumerate(bounds.neighbor_pairs(inst, x, stats)):
+            assert tuple(inst.edges[f].id for f in edge_neighbors(inst, i)) == want[eid][3]
+            assert pairs.tobytes() == np.array(want[eid][4], dtype=float).reshape(-1, 2).tobytes(), (name, eid)
+        _assert_topology_matches_reference(inst)
+    # `validate_instance` refuses loops, so a loop's m is not defined; its
+    # neighbourhoods and walk topology are
+    _assert_topology_matches_reference(_loop_instance())
 
 
 def _tie_arrival_times(monkeypatch, every, levels):
