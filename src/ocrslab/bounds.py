@@ -73,13 +73,19 @@ def h1(a, x):
     x = np.asarray(x, dtype=float)
     if not (np.all((a >= 0.0) & (a <= 1.0)) and np.all((x >= 0.0) & (x <= 1.0))):
         raise ValueError(f"h1: need a, x in [0, 1], got a={a}, x={x}")
-    c = x + 3.0
     pos = x > 0.0
     xs = np.where(pos, x, 1.0)
-    first = np.where(pos, 4.0 * -np.expm1(-a * xs) / xs, 4.0 * a)
-    eca = np.exp(-c * a)
-    second = (4.0 - (3.0 * a + 4.0) * eca) / c + 3.0 * -np.expm1(-c * a) / (c * c)
-    return (first - second)[()]
+    return _h1_terms(a, x, np.where(pos, 4.0 * -np.expm1(-a * xs) / xs, 4.0 * a))[()]
+
+
+def _h1_terms(a, x, first):
+    """h1(a, x) from its first term, first = 4·(1 − e^{-ax})/x (4a at x = 0):
+    first − ∫₀^a (3b+4)e^{-bc} db with c = x + 3.  Unchecked; `h1` and the
+    fact battery's r1 rows both evaluate h1 here."""
+    c = x + 3.0
+    nca = a * -c
+    second = (4.0 - (3.0 * a + 4.0) * np.exp(nca)) / c + np.expm1(nca) * -3.0 / (c * c)
+    return first - second
 
 
 def phi(ell: int | None, y):
@@ -271,11 +277,65 @@ def _ell_scan_matrices(kernel: np.ndarray, phis: np.ndarray, w: np.ndarray) -> n
     return weighted @ phis.T
 
 
+# Grid rows computed at once: 16 rows of 2001 nodes are a 256 KiB temporary,
+# small enough to stay in L2 between the steps of a block.
+_BLOCK_ROWS = 16
+
+
+def _x_rows(x, y, z, g22, g2) -> None:
+    """Fill the integrands over y of the x-grid rows `x` into z, g22 and g2:
+    the z kernel e^{-2y+yx}·((1 − e^{-yx})/x − (1 − e^{-y(x+2)})/(x+2)) and
+    the r1 floors e^{-4y+yx}·h1(y,x)·(1+y)² and e^{-3y+yx}·h1(y,x)·(1+y).
+
+    One pass, `_BLOCK_ROWS` rows at a time, sharing −y·x, e^{-yx} − 1 and
+    the quotient (1 − e^{-yx})/x, which is h1's first term over 4.  Every
+    value is bit-identical to evaluating each integrand on its own: the
+    rewrites are sign flips and a scaling by 4, which round the same.
+    """
+    one_y = 1.0 + y
+    sq = one_y**2
+    m2y, m3y, m4y = -2.0 * y, -3.0 * y, -4.0 * y
+    for i in range(0, len(x), _BLOCK_ROWS):
+        rows = slice(i, i + _BLOCK_ROWS)
+        xb = x[rows, None]
+        nyx = y * -xb
+        q = np.expm1(nyx) / -np.where(xb > 0.0, xb, 1.0)
+        q[xb[:, 0] == 0.0] = y  # its limit at x = 0
+        c = xb + 2.0
+        np.multiply(np.exp(m2y - nyx), q - np.expm1(y * -c) / -c, out=z[rows])
+        h1v = _h1_terms(y, xb, q * 4.0)
+        np.multiply(np.exp(m4y - nyx) * h1v, sq, out=g22[rows])
+        np.multiply(np.exp(m3y - nyx) * h1v, one_y, out=g2[rows])
+
+
+def _k_rows(k, y, f22, f2) -> None:
+    """Fill the r0-floor integrands over y of the k-grid rows `k` into f22
+    and f2: e^{-y(4-k)}·(1+y)² and e^{-y(3-k)}·(1+y), `_BLOCK_ROWS` rows at a
+    time."""
+    ny = -y
+    one_y = 1.0 + y
+    sq = one_y**2
+    for i in range(0, len(k), _BLOCK_ROWS):
+        rows = slice(i, i + _BLOCK_ROWS)
+        kb = k[rows, None]
+        np.multiply(np.exp(ny * (4.0 - kb)), sq, out=f22[rows])
+        np.multiply(np.exp(ny * (3.0 - kb)), one_y, out=f2[rows])
+
+
 def verify_facts() -> list[FactCheck]:
     """Check every inequality the bound derivations rely on, on dense grids.
 
     Each row reports the worst-case margin over its grid; every margin must be
     nonnegative for the certification chain to stand.
+
+    The five integral floors are the bulk of the work: a Simpson integral
+    over y at each point of a 10,001-point grid.  Two fused passes fill
+    their integrands in blocks of `_BLOCK_ROWS` grid rows, one over the
+    x-grid for the z kernel and both r1 floors (`_x_rows`), one over the
+    k-grid for both r0 floors (`_k_rows`), into three (501, 2001) buffers
+    that the chunks reuse; the battery's memory is those 24 MB and a few
+    block temporaries.  Every integrand value has the bits it has when
+    evaluated on its own.
     """
     rows: list[FactCheck] = []
 
@@ -300,51 +360,35 @@ def verify_facts() -> list[FactCheck]:
     xs = np.linspace(0.0, 2.0, 20_001)
     add("h_linear_underestimate", float(np.min(h(2.0 - xs) - (c0 + c1 * xs))))
 
-    # -- light-neighbor kernel floor: z(x) ≥ 0.055 on [0,1] ------------------
-    anodes = np.linspace(0.0, 1.0, 2001)
-    wa = _simpson_weights(2001, 0.0, 1.0)
-    zmin = np.inf
-    # 20 chunks of the 10,001-point axis keep each temporary near 8 MB.  Far
-    # smaller chunks lower the peak further but slow the later Monte Carlo:
-    # glibc's mmap threshold rises only to the largest block freed, and
-    # chunk arrays of a few MB above it are mapped afresh on every call.
-    for xc in np.array_split(np.linspace(0.0, 1.0, 10_001), 20):
-        xc2 = xc[:, None]
-        an = anodes[None, :]
-        first = np.where(
-            xc2 > 0.0, -np.expm1(-np.where(xc2 > 0.0, xc2, 1.0) * an) / np.where(xc2 > 0.0, xc2, 1.0), an
-        )
-        second = -np.expm1(-an * (xc2 + 2.0)) / (xc2 + 2.0)
-        integrand = np.exp(-2.0 * an + an * xc2) * (first - second)
-        zmin = min(zmin, float(np.min(integrand @ wa)))
-    add("z_kernel_floor", zmin - 0.055)
-
-    # -- r0 integral floors (patience pair / one-sided single form) ----------
-    # floors c0 + c1·k with the patience and one-sided constants
+    # -- integral floors on the x- and k-grids -------------------------------
+    # Over x ∈ [0,1]: the light-neighbor kernel z(x) ≥ 0.055, and the r1
+    # floors ∫e^{-4y+yx}h1(y,x)(1+y)² ≥ 0.181 and ∫e^{-3y+yx}h1(y,x)(1+y) ≥
+    # 0.209.  Over k ∈ [0,2]: the r0 floors c0 + c1·k with the patience and
+    # one-sided constants.  The Simpson sums stay one `buffer @ wy` per chunk
+    # of the 20-chunk split of each grid: BLAS rounds a gemv row sum
+    # according to the chunk's row count (40 chunks moved 93 of the 10,001
+    # patience r0 sums), so the chunk shapes fix every margin's bits.
     pc0, pc1, _, _ = FIVE_VAR_SETTINGS["patience_general"]
     oc0, oc1, _, _ = FIVE_VAR_SETTINGS["patience_one_sided"]
-    # (chunked over the 10,001-point axis, as above, to bound memory)
     y = np.linspace(0.0, 1.0, 2001)
     wy = _simpson_weights(2001, 0.0, 1.0)
+    bufs = [np.empty((501, 2001)) for _ in range(3)]
+    zmin = g22_m = g2_m = np.inf
+    for xc in np.array_split(np.linspace(0.0, 1.0, 10_001), 20):
+        z, g22, g2 = (b[: len(xc)] for b in bufs)
+        _x_rows(xc, y, z, g22, g2)
+        zmin = min(zmin, float(np.min(z @ wy)))
+        g22_m = min(g22_m, float(np.min(g22 @ wy)))
+        g2_m = min(g2_m, float(np.min(g2 @ wy)))
     f22_m = f2_m = np.inf
     for kc in np.array_split(np.linspace(0.0, 2.0, 10_001), 20):
-        karr = kc[:, None]
-        f22 = (np.exp(-y[None, :] * (4.0 - karr)) * (1.0 + y[None, :]) ** 2) @ wy
-        f22_m = min(f22_m, float(np.min(f22 - (pc0 + pc1 * kc))))
-        f2 = (np.exp(-y[None, :] * (3.0 - karr)) * (1.0 + y[None, :])) @ wy
-        f2_m = min(f2_m, float(np.min(f2 - (oc0 + oc1 * kc))))
+        f22, f2 = (b[: len(kc)] for b in bufs[:2])
+        _k_rows(kc, y, f22, f2)
+        f22_m = min(f22_m, float(np.min(f22 @ wy - (pc0 + pc1 * kc))))
+        f2_m = min(f2_m, float(np.min(f2 @ wy - (oc0 + oc1 * kc))))
+    add("z_kernel_floor", zmin - 0.055)
     add("patience_r0_floor_at_2", f22_m)
     add("one_sided_r0_floor_at_2", f2_m)
-
-    # -- r1 integral floors over x ∈ [0,1] ------------------------------------
-    g22_m = g2_m = np.inf
-    for xc in np.array_split(np.linspace(0.0, 1.0, 10_001), 20):
-        xcol = xc[:, None]
-        h1v = h1(y[None, :], xcol)
-        g22 = (np.exp(-4.0 * y[None, :] + y[None, :] * xcol) * h1v * (1.0 + y[None, :]) ** 2) @ wy
-        g22_m = min(g22_m, float(np.min(g22)))
-        g2 = (np.exp(-3.0 * y[None, :] + y[None, :] * xcol) * h1v * (1.0 + y[None, :])) @ wy
-        g2_m = min(g2_m, float(np.min(g2)))
     add("patience_r1_floor_at_2", g22_m - 0.181)
     add("one_sided_r1_floor_at_2", g2_m - 0.209)
 

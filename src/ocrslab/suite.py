@@ -215,9 +215,9 @@ def run_criteria(
     stats = {entry.name: edge_stats(entry.x, entry.instance) for entry in suite}
 
     # ---- 1: fact battery --------------------------------------------------
-    t0 = time.time()
+    t0 = time.perf_counter()
     rows = bounds.verify_facts()
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     worst = min(r.margin for r in rows)
     ok = all(r.holds for r in rows) and dt < 30.0
     results.append(
@@ -237,7 +237,7 @@ def run_criteria(
         "patience_general": (0.16, 0.395),
         "patience_one_sided": (0.162, 0.426),
     }
-    t0 = time.time()
+    t0 = time.perf_counter()
     cert_bits = []
     cert_ok = True
     certs = {}
@@ -246,7 +246,7 @@ def run_criteria(
         certs[setting] = cert
         cert_ok &= abs(cert.minimum - target) <= 2e-3
         cert_bits.append(f"{setting}={cert.minimum:.4f}")
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     cert_ok &= dt < 120.0
     results.append(
         CriterionResult("2", "minimization certificates", cert_ok, ", ".join(cert_bits) + f", {dt:.1f}s")
@@ -254,14 +254,14 @@ def run_criteria(
 
     # ---- 3: tightness reproduction -----------------------------------------
     entry100 = next(e for e in suite if e.name == "tight_path3_100")
-    t0 = time.time()
+    t0 = time.perf_counter()
     rep3 = monte_carlo(
         RoOcrsEngine(entry100.instance, entry100.x, stats[entry100.name], a1),
         trials,
         master_seed,
         workers=workers,
     )
-    dt = time.time() - t0
+    dt = time.perf_counter() - t0
     mid = next(er for er in rep3.edges if er.edge_id == "e1")
     target3 = 0.5 * (1.0 - math.exp(-2.0))
     ok = abs(mid.ratio - target3) <= 0.006 and dt < 60.0

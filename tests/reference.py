@@ -1,10 +1,13 @@
 """Independent scalar references for library code written in vector form.
 
 Adaptive Simpson quadrature and the integrals z and h1 evaluated with it, one
-point at a time, for the special functions in ``ocrslab.bounds``; the
-pricing LP built one constraint row at a time, for ``lp.build_lp_pricing``;
-the simplex pivoted on the full tableau with its slack identity block, for
-the compact tableau of ``lp._bland_pivots``; and the optimal-policy DP and
+point at a time, for the special functions in ``ocrslab.bounds``; h1's
+closed form with every term evaluated in full, and the fact battery with each
+grid integrand evaluated on its own over whole chunks, for the fused row
+blocks of ``bounds.verify_facts``; the pricing LP built one constraint row at
+a time, for ``lp.build_lp_pricing``; the simplex pivoted on the full tableau
+with its slack identity block, for the compact tableau of
+``lp._bland_pivots``; and the optimal-policy DP and
 the fixed-order greedy as two separate recursions, for
 ``simulate.optimal_policy_dp`` and ``greedy_baseline``; each engine's coins
 and arrival order from one draw over every cell of the whole chunk, for the
@@ -27,6 +30,15 @@ import numpy as np
 
 from ocrslab._rng import ACTIVE, ARRIVAL, COIN, PRICE, hash_uniform
 from ocrslab.attenuation import AttenuationSpec, attenuation_profile
+from ocrslab.bounds import (
+    _ELLS,
+    FIVE_VAR_SETTINGS,
+    FactCheck,
+    _ell_scan_matrices,
+    _simpson_weights,
+    h,
+    phi,
+)
 from ocrslab.graphcore import EdgeStats, PricingInstance
 from ocrslab.lp import auto_objective, objective_coefficients
 from ocrslab.simulate import (
@@ -100,6 +112,118 @@ def h1(a: float, x: float, tol: float = QUAD_TOL) -> float:
     return quadrature(
         lambda b: math.exp(-b * x) * (4.0 - (3.0 * b + 4.0) * math.exp(-3.0 * b)), 0.0, a, tol
     )
+
+
+def reference_h1(a, x):
+    """h1 in closed form, each term evaluated in full, for `bounds.h1` and the
+    blocked r1 rows of `bounds.verify_facts`."""
+    c = x + 3.0
+    pos = x > 0.0
+    xs = np.where(pos, x, 1.0)
+    first = np.where(pos, 4.0 * -np.expm1(-a * xs) / xs, 4.0 * a)
+    eca = np.exp(-c * a)
+    second = (4.0 - (3.0 * a + 4.0) * eca) / c + 3.0 * -np.expm1(-c * a) / (c * c)
+    return first - second
+
+
+def reference_x_integrands(xc):
+    """The z kernel and the two r1-floor integrands on the x-grid rows xc over
+    the 2001 y nodes, each evaluated on its own, for `bounds._x_rows`."""
+    y = np.linspace(0.0, 1.0, 2001)
+    xc2 = xc[:, None]
+    an = y[None, :]
+    first = np.where(
+        xc2 > 0.0, -np.expm1(-np.where(xc2 > 0.0, xc2, 1.0) * an) / np.where(xc2 > 0.0, xc2, 1.0), an
+    )
+    second = -np.expm1(-an * (xc2 + 2.0)) / (xc2 + 2.0)
+    z = np.exp(-2.0 * an + an * xc2) * (first - second)
+    h1v = reference_h1(an, xc2)
+    g22 = np.exp(-4.0 * an + an * xc2) * h1v * (1.0 + an) ** 2
+    g2 = np.exp(-3.0 * an + an * xc2) * h1v * (1.0 + an)
+    return z, g22, g2
+
+
+def reference_k_integrands(kc):
+    """The two r0-floor integrands on the k-grid rows kc over the 2001 y
+    nodes, each evaluated on its own, for `bounds._k_rows`."""
+    y = np.linspace(0.0, 1.0, 2001)[None, :]
+    karr = kc[:, None]
+    return np.exp(-y * (4.0 - karr)) * (1.0 + y) ** 2, np.exp(-y * (3.0 - karr)) * (1.0 + y)
+
+
+def reference_verify_facts() -> list[FactCheck]:
+    """The fact battery with each grid integrand evaluated on its own over a
+    whole chunk of the 20-chunk split at a time, for the fused row blocks of
+    `bounds.verify_facts`; the rows without a grid integrand are the
+    library's, repeated so that the list compares whole."""
+    rows: list[FactCheck] = []
+
+    def add(fact_id: str, margin: float) -> None:
+        rows.append(FactCheck(fact_id=fact_id, holds=bool(margin >= 0.0), margin=float(margin)))
+
+    a = np.linspace(0.0, 1.0, 101)[:, None]
+    xg = np.linspace(0.0, 1.0, 101)[None, :]
+    add("coupling_concavity", float(np.min(-np.expm1(-a * xg) - xg * -np.expm1(-a))))
+
+    rng = np.random.default_rng(20260819)
+    worst = np.inf
+    for _ in range(10_000):
+        r = rng.uniform(0.01, 0.99, size=int(rng.integers(2, 9)))
+        worst = min(worst, float(np.prod(1.0 - r) - (1.0 - r.sum())))
+    add("union_bound_product", worst)
+
+    c0, c1, _, _ = FIVE_VAR_SETTINGS["general"]
+    xs = np.linspace(0.0, 2.0, 20_001)
+    add("h_linear_underestimate", float(np.min(h(2.0 - xs) - (c0 + c1 * xs))))
+
+    pc0, pc1, _, _ = FIVE_VAR_SETTINGS["patience_general"]
+    oc0, oc1, _, _ = FIVE_VAR_SETTINGS["patience_one_sided"]
+    y = np.linspace(0.0, 1.0, 2001)
+    wy = _simpson_weights(2001, 0.0, 1.0)
+    zmin = g22_m = g2_m = np.inf
+    for xc in np.array_split(np.linspace(0.0, 1.0, 10_001), 20):
+        z, g22, g2 = reference_x_integrands(xc)
+        zmin = min(zmin, float(np.min(z @ wy)))
+        g22_m = min(g22_m, float(np.min(g22 @ wy)))
+        g2_m = min(g2_m, float(np.min(g2 @ wy)))
+    f22_m = f2_m = np.inf
+    for kc in np.array_split(np.linspace(0.0, 2.0, 10_001), 20):
+        f22, f2 = reference_k_integrands(kc)
+        f22_m = min(f22_m, float(np.min(f22 @ wy - (pc0 + pc1 * kc))))
+        f2_m = min(f2_m, float(np.min(f2 @ wy - (oc0 + oc1 * kc))))
+    add("z_kernel_floor", zmin - 0.055)
+    add("patience_r0_floor_at_2", f22_m)
+    add("one_sided_r0_floor_at_2", f2_m)
+    add("patience_r1_floor_at_2", g22_m - 0.181)
+    add("one_sided_r1_floor_at_2", g2_m - 0.209)
+
+    phis = np.vstack([phi(ell, y) for ell in _ELLS])
+    i2 = _ELLS.index(2)
+    pair_m = np.inf
+    for kk in np.linspace(0.0, 1.0, 5):
+        mat = _ell_scan_matrices(np.exp(-y * (2.0 - kk)), phis, wy)
+        ref = mat[i2, i2]
+        mat[i2, i2] = np.inf
+        pair_m = min(pair_m, float(mat.min() - ref))
+    add("ell2_argmin_r0_pair", pair_m)
+    single_m = np.inf
+    for kk in np.linspace(0.0, 0.5, 5):
+        vals = (phis * (np.exp(-y * (2.0 - kk)) * wy)).sum(axis=1)
+        ref = vals[i2]
+        vals[i2] = np.inf
+        single_m = min(single_m, float(vals.min() - ref))
+    add("ell2_argmin_r0_single", single_m)
+
+    worst_pair = worst_single = np.inf
+    for kk in np.linspace(0.0, 2.0, 201):
+        kernel = np.exp(-y * (2.0 - kk))
+        mat = _ell_scan_matrices(kernel, phis, wy)
+        worst_pair = min(worst_pair, float(mat.min() - (pc0 + pc1 * kk)))
+        vals = (phis * (kernel * wy)).sum(axis=1)
+        worst_single = min(worst_single, float(vals.min() - (oc0 + oc1 * kk)))
+    add("patience_r0_floor_all_ell", worst_pair)
+    add("one_sided_r0_floor_all_ell", worst_single)
+    return rows
 
 
 def build_lp_rows(inst, objective="revenue"):

@@ -8,6 +8,7 @@ closed-form and vectorized kernels are compared against.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,13 @@ def test_kernels_take_arrays():
     for i, j in np.ndindex(a.shape):
         assert closed[i, j] == bounds.h1(float(a[i, j]), float(y[i, j]))
         assert math.isclose(closed[i, j], ref.h1(float(a[i, j]), float(y[i, j])), abs_tol=1e-9)
+    # bit for bit against the closed form evaluated term by term: at x = 0,
+    # at a = 0, and on rows of the fact battery's own (y, x) grid
+    for av, xv in ((0.0, 0.0), (0.0, 0.3), (0.7, 0.0), (1.0, 0.0), (0.0, 1.0)):
+        assert bounds.h1(av, xv).tobytes() == ref.reference_h1(np.float64(av), np.float64(xv)).tobytes()
+    yg = np.linspace(0.0, 1.0, 2001)
+    xg = np.linspace(0.0, 1.0, 10_001)[[0, 1, 2, 17, 500, 501, 5000, 9999, 10_000], None]
+    assert bounds.h1(yg, xg).tobytes() == ref.reference_h1(yg, xg).tobytes()
     ys = np.linspace(0.0, 1.0, 11)
     for ell in (None, 1, 2, 5):
         vals = bounds.phi(ell, ys)
@@ -199,16 +207,29 @@ def test_bounds_reject_unknown_setting():
 # fact battery
 
 
-def test_verify_facts_all_hold():
-    rows = bounds.verify_facts()
+@pytest.fixture(scope="module")
+def battery():
+    """One run of the fact battery under tracemalloc: its rows and its peak
+    traced bytes."""
+    tracemalloc.start()
+    try:
+        rows = bounds.verify_facts()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return rows, peak
+
+
+def test_verify_facts_all_hold(battery):
+    rows, _ = battery
     assert len(rows) == 12
     for r in rows:
         assert r.holds, f"{r.fact_id}: margin {r.margin}"
         assert r.margin >= 0.0
 
 
-def test_verify_facts_covers_expected_rows():
-    ids = {r.fact_id for r in bounds.verify_facts()}
+def test_verify_facts_covers_expected_rows(battery):
+    ids = {r.fact_id for r in battery[0]}
     assert {
         "coupling_concavity",
         "union_bound_product",
@@ -219,6 +240,35 @@ def test_verify_facts_covers_expected_rows():
         "ell2_argmin_r0_pair",
         "ell2_argmin_r0_single",
     } <= ids
+
+
+def test_verify_facts_matches_reference_bits(battery):
+    # both sides sum each chunk's rows with the same BLAS call on the same
+    # chunk shape, so every margin agrees to the bit on any machine
+    got = [(r.fact_id, r.holds, r.margin.hex()) for r in battery[0]]
+    assert got == [(r.fact_id, r.holds, r.margin.hex()) for r in ref.reference_verify_facts()]
+
+
+def test_fused_rows_match_each_integrand_on_its_own():
+    # a margin is the minimum over 10,001 row sums, so it can hide a changed
+    # integrand; the first and last chunks hold x = 0 and short tail blocks
+    y = np.linspace(0.0, 1.0, 2001)
+    for grid, fill, reference in (
+        (np.linspace(0.0, 1.0, 10_001), bounds._x_rows, ref.reference_x_integrands),
+        (np.linspace(0.0, 2.0, 10_001), bounds._k_rows, ref.reference_k_integrands),
+    ):
+        for chunk in np.array_split(grid, 20)[::19]:
+            want = reference(chunk)
+            got = [np.empty_like(w) for w in want]
+            fill(chunk, y, *got)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+
+
+def test_verify_facts_memory_is_bounded(battery):
+    # three (501, 2001) integrand buffers are 24 MB; evaluating each
+    # integrand over a whole chunk at once peaks near 70 MiB
+    assert battery[1] <= 32 * 2**20
 
 
 # ---------------------------------------------------------------------------
