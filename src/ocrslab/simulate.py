@@ -28,8 +28,11 @@ vertex) arrays.  The walk counts Q(e), the realized neighbours that arrive
 before e in its own order, on every cell it visits; ``_q_counts`` counts it
 from arrival positions on multigraphs of more than 64 edges.  Both walks
 reduce a chunk with one ``bincount`` of its matched steps.
-``monte_carlo`` aggregates chunks into a report.  It cuts its chunks at the
-boundaries of fixed blocks of trials and sums revenue block by block.  A
+``monte_carlo`` aggregates chunks into a report.  By default a chunk is
+sized by cells, about one front-end row block (2048 to 16384 trials, more
+on fewer edges).  It cuts its chunks at the boundaries of fixed blocks of
+trials and sums revenue block by block, so no report depends on the chunk
+size.  A
 report stores counts: each frequency, Wilson interval, half-width and ratio,
 and the report's ``min_ratio``, derives from them in ``EdgeReport`` and
 ``SimulationReport``.  One trial replays as row 0 of
@@ -82,6 +85,11 @@ _BLOCK_CELLS = 2**16
 # the block of absolute trial indices whose revenues are summed together, so
 # that chunking never changes a revenue sum
 _BLOCK_TRIALS = 16384
+
+# the fewest trials a derived chunk holds: each walk step is a few numpy
+# calls over the chunk's trials, so a wide instance's chunk keeps this many
+# although its row blocks hold fewer
+_MIN_CHUNK = 2048
 
 # edge positions take the low bits of an arrival sort key
 _POS_BITS = 11
@@ -751,7 +759,7 @@ def monte_carlo(
     engine,
     trials: int,
     master_seed: int,
-    chunk_size: int = 2048,
+    chunk_size: int | None = None,
     workers: int | None = None,
 ) -> SimulationReport:
     """Aggregate `trials` independent trials into a report.
@@ -767,14 +775,20 @@ def monte_carlo(
     ValueError.  The report stores the counts, from which its frequencies,
     intervals and ratios derive.
 
-    A chunk holds at most `chunk_size` trials (2048 by default), and fewer
-    on large instances, so that 4 * trials * (edges + vertices) stays within
-    `_CHUNK_CELLS`.  The cap bounds what a chunk holds whole: the walk's
-    per-(trial, vertex) arrays, which grow with the vertices, and a detail
-    chunk's per-cell arrays.  A reduced chunk holds its go cells and their
-    walk steps; every draw on other cells is held one row block at a time
-    (`_draw`).  A revenue block's last chunk is cut short when `chunk` does
-    not divide `_BLOCK_TRIALS`.
+    A chunk holds at most `chunk_size` trials.  `chunk_size=None` derives
+    it from the E edges: the largest power of two at most
+    ``_BLOCK_CELLS // E`` trials, so that a chunk is about one row block of
+    the front end, kept within [`_MIN_CHUNK`, `_BLOCK_TRIALS`] = [2048,
+    16384].  So an instance of at most 4 edges runs a whole revenue block
+    per chunk, one of 11 edges 4096 trials, and any of 17 or more edges
+    2048.  Any chunk holds fewer trials on large instances, so that
+    4 * trials * (edges + vertices) stays within `_CHUNK_CELLS`.  The cap
+    bounds what a chunk holds whole: the walk's per-(trial, vertex) arrays,
+    which grow with the vertices, and a detail chunk's per-cell arrays.  A
+    reduced chunk holds its go cells and their walk steps; every draw on
+    other cells is held one row block at a time (`_draw`).  A revenue
+    block's last chunk is cut short when `chunk` does not divide
+    `_BLOCK_TRIALS`.  A `chunk_size` below 1 is refused.
     `workers=None` means 1, and fewer than 1 is refused.  The master seed
     is a uint64 stream key, so it must lie in [0, 2**64).
     """
@@ -782,9 +796,17 @@ def monte_carlo(
         raise ValueError("trials must be >= 1")
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
+    if chunk_size is not None and chunk_size < 1:
+        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
     if not 0 <= master_seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {master_seed}")
     n_edges = len(engine.topo.edge_ids)
+    if chunk_size is None:
+        # _BLOCK_CELLS >> ceil(log2 E) is the largest power of two at most
+        # _BLOCK_CELLS // E; a power of two divides _BLOCK_TRIALS, so a
+        # revenue block holds no short chunk
+        fit = _BLOCK_CELLS >> (max(n_edges, 1) - 1).bit_length()
+        chunk_size = min(max(fit, _MIN_CHUNK), _BLOCK_TRIALS)
     cells = 4 * max(n_edges + engine.topo.n_vertices, 1)
     chunk = max(1, min(chunk_size, _CHUNK_CELLS // cells))
     # revenue is summed in units of 2**shift, at or above the largest menu

@@ -189,18 +189,31 @@ def test_monte_carlo_refuses_fewer_than_one_worker(workers):
         monte_carlo(eng, 100, 0, workers=workers)
 
 
+@pytest.mark.parametrize("chunk_size", [0, -5])
+def test_monte_carlo_refuses_a_chunk_below_one_trial(chunk_size):
+    # these used to run one trial per chunk without a word
+    inst, x = _two_path()
+    eng = RoOcrsEngine(inst, x, edge_stats(x, inst), A2)
+    with pytest.raises(ValueError, match=f"chunk_size must be >= 1, got {chunk_size}"):
+        monte_carlo(eng, 50, 1, chunk_size=chunk_size)
+
+
 def test_chunking_and_workers_do_not_change_results():
     gen = generate_family("random_general", n=6, density=0.4, seed=22)
     ro = RoOcrsEngine(gen.instance, gen.x, edge_stats(gen.x, gen.instance), A2)
     # revenue sums are floats, so they must not follow the chunk boundaries
     bip = generate_family("random_bipartite", n=4, m=4, density=0.5, seed=3).instance
     pricing = SequentialPricingEngine(bip, solve_lp(build_lp_pricing(bip, "revenue")).point, A2)
-    for eng in (ro, pricing):
+    # E = 3: the derived chunk is a whole revenue block
+    tiny = generate_family("random_bipartite", n=2, m=2, density=0.6, seed=3).instance
+    tiny_pricing = SequentialPricingEngine(tiny, solve_lp(build_lp_pricing(tiny, "revenue")).point, A2)
+    assert tiny_pricing.topo.n_edges == 3
+    for eng in (ro, pricing, tiny_pricing):
         base = monte_carlo(eng, 30_000, 5)
         assert monte_carlo(eng, 30_000, 5, chunk_size=999) == base
         assert monte_carlo(eng, 30_000, 5, workers=4) == base
         assert monte_carlo(eng, 30_000, 5, chunk_size=1234, workers=3) == base
-    assert base.revenue_mean > 0.0
+        assert (base.revenue_mean > 0.0) == (eng is not ro)
 
 
 def _four_engines(gen):
@@ -462,16 +475,73 @@ def test_chunks_are_capped_by_memory_on_wide_instances():
 
 
 def test_chunks_tile_the_trials_and_never_straddle_a_revenue_block():
-    eng = _WideEngine(479)
-    monte_carlo(eng, 40_000, 1, chunk_size=999)
-    ends = [s + n for s, n in zip(eng.starts, eng.counts)]
-    # in order and without gaps or overlaps from 0 to 40000
-    assert eng.starts == [0] + ends[:-1]
-    assert ends[-1] == 40_000
-    assert max(eng.counts) == 999
-    # every multiple of the 16384-trial revenue block is a chunk boundary
-    assert all(s // 16384 == (e - 1) // 16384 for s, e in zip(eng.starts, ends))
-    assert {16384, 32768} <= set(ends)
+    # an explicit chunk size is kept, also where the derived one is larger
+    for n_edges in (479, 3):
+        eng = _WideEngine(n_edges)
+        monte_carlo(eng, 40_000, 1, chunk_size=999)
+        ends = [s + n for s, n in zip(eng.starts, eng.counts)]
+        # in order and without gaps or overlaps from 0 to 40000
+        assert eng.starts == [0] + ends[:-1]
+        assert ends[-1] == 40_000
+        # 16 chunks of 999 and one of 400 fill each revenue block
+        assert eng.counts == ([999] * 16 + [400]) * 2 + [999] * 7 + [239]
+        # every multiple of the 16384-trial revenue block is a chunk boundary
+        assert all(s // 16384 == (e - 1) // 16384 for s, e in zip(eng.starts, ends))
+        assert {16384, 32768} <= set(ends)
+
+
+def _layout_engine(name):
+    """An engine on a suite instance, on the E = 27 bipartite instance of
+    CI, or on the instance of the benchmark's `mc-large` or of one of its
+    `pricing` LPs (with a zero point: the chunk layout reads only the
+    topology)."""
+    entries = {entry.name: entry for entry in build_suite()}
+    if name in entries:
+        inst, x = entries[name].instance, entries[name].x
+        return RoOcrsEngine(inst, x, edge_stats(x, inst), A2)
+    params = {
+        "bip_8x8": (8, 0.5, 3),
+        "mc_large": (40, 0.3, 7),
+        "pricing_20x20": (20, 0.35, 7),
+        "pricing_25x25": (25, 0.3, 7),
+    }
+    n, density, seed = params[name]
+    gen = generate_family("random_bipartite", n=n, m=n, density=density, seed=seed)
+    if name.startswith("pricing"):
+        return SequentialPricingEngine(gen.instance, FractionalPoint({}), A2)
+    return RoOcrsEngine(gen.instance, gen.x, edge_stats(gen.x, gen.instance), A2)
+
+
+@pytest.mark.parametrize(
+    "name, n_edges, chunk",
+    [
+        ("tight_path3_10", 3, 16384),
+        ("star_2", 2, 16384),
+        ("bip_4x4", 11, 4096),
+        ("bip_8x8", 27, 2048),
+        ("mc_large", 479, 2048),
+        ("pricing_20x20", 140, 2048),
+        ("pricing_25x25", 177, 2048),
+    ],
+)
+def test_default_chunks_hold_about_one_row_block(name, n_edges, chunk, monkeypatch):
+    eng = _layout_engine(name)
+    assert eng.topo.n_edges == n_edges
+    jobs = []
+
+    def spy(seed, start, count, detail=False):
+        # records the chunk and runs no trial
+        jobs.append((start, count))
+        zeros = np.zeros(n_edges, dtype=np.int64)
+        return _ChunkCounts(zeros, zeros, zeros, np.zeros(count))
+
+    monkeypatch.setattr(eng, "run_chunk", spy)
+    monte_carlo(eng, 40_000, 1)
+    # a power of two divides the revenue block, so only the last chunk is short
+    assert jobs == [(s, min(chunk, 40_000 - s)) for s in range(0, 40_000, chunk)]
+    if chunk > 2048:
+        assert chunk * n_edges <= simulate._BLOCK_CELLS
+    assert all(s // 16384 == (s + n - 1) // 16384 for s, n in jobs)
 
 
 def test_chunks_are_capped_by_memory_on_instances_with_many_vertices():
