@@ -17,6 +17,7 @@ menu (which also covers welfare-style objectives).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,12 +129,17 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = PIVOT
     (dictionary) form: (m+1)×(n+1), one column per nonbasic variable plus the
     rhs, with the variable of each column and of each row named by a label.
     A basic column of the full (m+1)×(n+m+1) tableau stays a unit vector and
-    its update is a no-op, so it is left out.  Every kept entry goes through
-    the same float operations as in the full tableau, so x, the objective and
-    the pivot at which an overflow is raised are the full tableau's, bit for
-    bit.  Returns (x, objective).  Every failure raises ValueError: a negative
-    b or a non-finite coefficient, a pivot or objective that overflows, and a
-    walk that ends unbounded, at the iteration limit, short of optimal or
+    its update is a no-op, so it is left out.  Each pivot is one unmasked
+    rank-1 update into a buffer allocated once per solve.  The tableau holds
+    no −0.0, so the zero products of rows the pivot leaves alone change no
+    entry: x and the pivot at which an overflow is raised are the full
+    tableau's, bit for bit.  `einsum` reports no overflow, so the product of
+    the two factors' largest magnitudes is checked first; it is inf exactly
+    when some product overflows.  The objective is c·x summed by `math.fsum`,
+    correctly rounded, so it does not depend on the BLAS kernel.  Returns
+    (x, objective).  Every failure raises ValueError: a negative b or a
+    non-finite coefficient, a pivot or objective that overflows, and a walk
+    that ends unbounded, at the iteration limit, short of optimal or
     infeasible.
     """
     # menu values may be integers too wide for int64, which make object arrays
@@ -145,7 +151,7 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = PIVOT
     try:
         with np.errstate(over="raise", invalid="raise"):
             return _bland_pivots(A, b, c, tol)
-    except FloatingPointError as exc:
+    except (FloatingPointError, OverflowError) as exc:
         raise ValueError(f"simplex: {exc} (coefficients too large)") from None
 
 
@@ -154,12 +160,19 @@ def _bland_pivots(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float):
     # compact tableau: one column per nonbasic variable, then the rhs.  The
     # variables are 0..n-1 structural and n..n+m-1 slack; label[j] names the
     # variable of column j and basis[i] the variable basic in row i.
+    # No entry is −0.0: `+ 0.0` and `0.0 -` turn a signed zero into +0.0, and
+    # no pivot makes one (a difference is −0.0 only when its first operand
+    # is, the pivot row is divided by piv > tol, and every assignment writes
+    # +0.0 or a nonzero), short of a division that underflows a negative
+    # subnormal.  So the zero products of the rank-1 update, of either sign,
+    # change no entry, and rows whose entering entry is zero need no mask.
     T = np.zeros((m + 1, n + 1))
-    T[:m, :n] = A
-    T[:m, -1] = b
-    T[m, :n] = -c
+    T[:m, :n] = A + 0.0
+    T[:m, -1] = b + 0.0
+    T[m, :n] = 0.0 - c
     label = np.arange(n)
     basis = np.arange(n, n + m)
+    buf = np.empty_like(T)
 
     max_iter = 50 * (m + n + 10)
     for _ in range(max_iter):
@@ -178,21 +191,18 @@ def _bland_pivots(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float):
         leave = tied[np.argmin(basis[tied])]
         piv = T[leave, entering]
         T[leave] /= piv
-        # column `entering` becomes the leaving variable's.  Its full-tableau
+        # column `entering` becomes the leaving variable's: its full-tableau
         # column is a unit vector at the pivot row, which the pivot turns into
-        # 1.0/piv there and 0.0 - a·(1.0/piv) on every row whose entering
-        # entry a is nonzero: zero those rows and the row update subtracts.
-        # `a` keeps the scaled pivot row's 1.0, as the full tableau does, so
-        # no product is formed that could overflow where it would not.
+        # 1.0/piv there and 0.0 - a·(1.0/piv) on every other row
         a = T[:, entering].copy()
-        rows = a != 0.0
-        rows[leave] = False
+        a[leave] = 0.0
+        T[:, entering] = 0.0
         T[leave, entering] = 1.0 / piv
-        T[rows, entering] = 0.0
-        # only rows with a nonzero entry change, so no other row's zeros flip
-        # sign; the temporary keeps one shape for the whole solve, so the
-        # allocator reuses it instead of mapping fresh pages every pivot
-        np.subtract(T, np.outer(a, T[leave]), out=T, where=rows[:, None])
+        # einsum reports no overflow, and the largest product is the maxima's
+        if math.isinf(float(np.abs(a).max()) * float(np.abs(T[leave]).max())):
+            raise FloatingPointError("overflow encountered in multiply")
+        np.einsum("i,j->ij", a, T[leave], out=buf)
+        T -= buf
         label[entering], basis[leave] = basis[leave], label[entering]
     else:
         raise ValueError("simplex: iteration limit hit (malformed program)")
@@ -206,7 +216,7 @@ def _bland_pivots(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float):
         raise ValueError("simplex: left with an improving pivot")
     if np.any(sol < -1e-9) or np.any(A @ sol > b + 1e-9):
         raise ValueError("simplex: infeasible output")
-    return sol, float(c @ sol)
+    return sol, math.fsum(c * sol)
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:

@@ -277,7 +277,9 @@ def build_lp_rows(inst, objective="revenue"):
 
 def full_tableau_pivots(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float):
     """Bland's-rule simplex on the full (m+1)×(n+m+1) tableau, slack identity
-    block included, for ``lp._bland_pivots``'s compact tableau.  Returns
+    block included, for ``lp._bland_pivots``'s compact tableau.  It keeps the
+    masked row update (only rows with a nonzero entering entry change), which
+    ``lp._bland_pivots`` replaced by one unmasked rank-1 update.  Returns
     (x, objective)."""
     m, n = A.shape
     # tableau: columns = n structural + m slack + rhs

@@ -2,6 +2,7 @@
 menu-thinning reductions."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -155,9 +156,10 @@ def test_simplex_pivots_like_the_row_loop_reference():
         for variant in (inst, patient):
             lp = build_lp_pricing(variant, "revenue")
             x, obj = _simplex_max(lp.A, lp.b, lp.c)
-            x_ref, obj_ref = reference_simplex(lp.A, lp.b, lp.c)
-            # bit for bit, signed zeros included
-            assert x.tobytes() == x_ref.tobytes() and repr(obj) == repr(obj_ref)
+            x_ref, _ = reference_simplex(lp.A, lp.b, lp.c)
+            # bit for bit, signed zeros included; the objective is fsum's
+            assert x.tobytes() == x_ref.tobytes()
+            assert obj.hex() == math.fsum(lp.c * x_ref).hex()
 
 
 def _patient(inst, ell=2):
@@ -172,9 +174,102 @@ def test_compact_tableau_pivots_like_the_full_tableau():
     for variant in (inst, _patient(inst)):
         lp = build_lp_pricing(variant, "revenue")
         x, obj = _simplex_max(lp.A, lp.b, lp.c)
-        x_ref, obj_ref = ref.full_tableau_pivots(lp.A, lp.b, lp.c, PIVOT_TOL)
-        # bit for bit, signed zeros included
-        assert x.tobytes() == x_ref.tobytes() and repr(obj) == repr(obj_ref)
+        x_ref, _ = ref.full_tableau_pivots(lp.A, lp.b, lp.c, PIVOT_TOL)
+        # bit for bit, signed zeros included; the objective is fsum's
+        assert x.tobytes() == x_ref.tobytes()
+        assert obj.hex() == math.fsum(lp.c * x_ref).hex()
+
+
+# sha256 of x.tobytes() and the objective's hex for the pricing benchmark's
+# four LPs; x dates from the masked-update pivots, the objective is fsum's
+PRICING_LP_GOLDEN = {
+    ("bip20", None): (
+        "e77125128d37c1c25eb24e770b23cb0e98b903e98c89673b3e081e6cf44f8468",
+        "0x1.87bdebe85f5f4p+4",
+    ),
+    ("bip20", 2): (
+        "a78dc7c910fd8b77323e28a1bb8e378928c4ae90eee21ea41dd6c1723548ea10",
+        "0x1.85a96df3e80a8p+4",
+    ),
+    ("bip25", None): (
+        "87dd7ebb48ded643189f6989f9e6aaa9aaf8b405f7c7facb2436218e94aba70d",
+        "0x1.ceddb2361845fp+4",
+    ),
+    ("bip25", 2): (
+        "912ce5ce7005219f9072ee9c24c0fc35a1c174613d332029a6ae8bc7361789ca",
+        "0x1.cdd61aa2adadbp+4",
+    ),
+}
+PRICING_LP_PARAMS = {
+    "bip20": {"n": 20, "m": 20, "density": 0.35, "seed": 7},
+    "bip25": {"n": 25, "m": 25, "density": 0.3, "seed": 7},
+}
+
+
+@pytest.mark.parametrize("label, patience", sorted(PRICING_LP_GOLDEN, key=str))
+def test_pricing_lps_keep_their_golden_bits(label, patience):
+    inst = generate_family("random_bipartite", **PRICING_LP_PARAMS[label]).instance
+    lp = build_lp_pricing(_patient(inst, patience) if patience else inst, "revenue")
+    x, obj = _simplex_max(lp.A, lp.b, lp.c)
+    assert (hashlib.sha256(x.tobytes()).hexdigest(), obj.hex()) == PRICING_LP_GOLDEN[
+        (label, patience)
+    ]
+
+
+def test_simplex_overflow_in_a_pivot_product_is_a_clean_error():
+    # the first pivot multiplies row 1's entering entry 1e200 by the pivot
+    # row's 1e200: the product overflows before any subtract could
+    A = np.array([[1.0, 1e200], [1e200, 1.0]])
+    with pytest.raises(
+        ValueError, match=r"^simplex: overflow encountered in multiply \(coefficients too large\)$"
+    ):
+        _simplex_max(A, np.array([1.0, 1e300]), np.array([1.0, 1.0]))
+
+
+def test_simplex_huge_entries_in_a_row_the_pivot_skips_do_not_raise():
+    # the first pivot's entering column is 1e10 in row 2 but zero in the
+    # 1e300 row, so no product overflows although max|a| times the tableau's
+    # largest entry would; the second pivot scales the 1e300 row down to 1
+    A = np.array([[1.0, 0.0], [0.0, 1e300], [1e10, 1.0]])
+    x, obj = _simplex_max(A, np.array([1.0, 1e300, 1e10 + 1.0]), np.array([1.0, 1.0]))
+    assert x.tolist() == [1.0, 1.0] and obj == 2.0
+
+
+def test_simplex_objective_overflow_is_a_clean_error(monkeypatch):
+    # the tableau's own objective entry overflows first on every program
+    # tried, so fsum's OverflowError is forced here
+    def fsum(_):
+        raise OverflowError("intermediate overflow in fsum")
+
+    monkeypatch.setattr(math, "fsum", fsum)
+    with pytest.raises(
+        ValueError, match=r"^simplex: intermediate overflow in fsum \(coefficients too large\)$"
+    ):
+        _simplex_max(np.array([[1.0]]), np.array([1.0]), np.array([1.0]))
+
+
+def test_signed_zero_inputs_give_the_bits_of_positive_zeros():
+    inst = generate_family("random_bipartite", n=6, m=6, density=0.5, seed=7).instance
+    lp = build_lp_pricing(inst, "revenue")
+    A, b, c = lp.A.copy(), lp.b.copy(), lp.c.copy()
+    c[::3] = 0.0
+    b[1] = 0.0  # a degenerate row, so a zero rhs is pivoted on
+    A_neg, b_neg, c_neg = (np.where(v == 0.0, -0.0, v) for v in (A, b, c))
+    assert np.signbit(A_neg[A_neg == 0.0]).all() and np.signbit(b_neg[1])
+    x, obj = _simplex_max(A, b, c)
+    x_neg, obj_neg = _simplex_max(A_neg, b_neg, c_neg)
+    assert x_neg.tobytes() == x.tobytes() and obj_neg.hex() == obj.hex()
+    assert not np.signbit(x).any()
+
+
+def test_a_negative_zero_rhs_no_longer_reaches_x():
+    # the masked-update pivots copied b's -0.0 into x; the tableau is now
+    # built with +0.0 there (solve_lp's drift guard cleared it before too)
+    A = np.array([[1.0, -0.0, 1.0], [0.0, 1.0, 1.0]])
+    x, obj = _simplex_max(A, np.array([1.0, -0.0]), np.array([1.0, 0.0, 2.0]))
+    assert x.tolist() == [1.0, 0.0, 0.0] and not np.signbit(x).any() and obj == 1.0
+    x_ref, _ = ref.full_tableau_pivots(A, np.array([1.0, -0.0]), np.array([1.0, 0.0, 2.0]), PIVOT_TOL)
+    assert np.signbit(x_ref).tolist() == [False, False, True]
 
 
 def test_simplex_refuses_a_negative_rhs():
