@@ -75,17 +75,26 @@ def h1(a, x):
         raise ValueError(f"h1: need a, x in [0, 1], got a={a}, x={x}")
     pos = x > 0.0
     xs = np.where(pos, x, 1.0)
-    return _h1_terms(a, x, np.where(pos, 4.0 * -np.expm1(-a * xs) / xs, 4.0 * a))[()]
+    first = np.where(pos, 4.0 * -np.expm1(-a * xs) / xs, 4.0 * a)
+    return _h1_terms(a, x, first, np.empty_like(first), np.empty_like(first))[()]
 
 
-def _h1_terms(a, x, first):
+def _h1_terms(a, x, first, n, t):
     """h1(a, x) from its first term, first = 4·(1 − e^{-ax})/x (4a at x = 0):
-    first − ∫₀^a (3b+4)e^{-bc} db with c = x + 3.  Unchecked; `h1` and the
-    fact battery's r1 rows both evaluate h1 here."""
+    first − ∫₀^a (3b+4)e^{-bc} db with c = x + 3, written over `first` and
+    returned.  n and t are temporaries of first's shape.  Unchecked; `h1`
+    and the fact battery's r1 rows both evaluate h1 here."""
     c = x + 3.0
-    nca = a * -c
-    second = (4.0 - (3.0 * a + 4.0) * np.exp(nca)) / c + np.expm1(nca) * -3.0 / (c * c)
-    return first - second
+    np.multiply(a, -c, out=n)  # −ca
+    np.exp(n, out=t)
+    np.multiply(3.0 * a + 4.0, t, out=t)
+    np.subtract(4.0, t, out=t)
+    np.divide(t, c, out=t)
+    np.expm1(n, out=n)
+    np.multiply(n, -3.0, out=n)
+    np.divide(n, c * c, out=n)
+    np.add(t, n, out=t)  # the integral
+    return np.subtract(first, t, out=first)
 
 
 def phi(ell: int | None, y):
@@ -277,20 +286,25 @@ def _ell_scan_matrices(kernel: np.ndarray, phis: np.ndarray, w: np.ndarray) -> n
     return weighted @ phis.T
 
 
-# Grid rows computed at once: 16 rows of 2001 nodes are a 256 KiB temporary,
-# small enough to stay in L2 between the steps of a block.
+# Grid rows computed at once: 16 rows of 2001 nodes are 256 KiB per
+# integrand, so a block's five scratch rows (1.3 MB) stay in a 2 MB L2
+# between its steps, and a 16-row gemv runs on one BLAS thread.
 _BLOCK_ROWS = 16
 
 
-def _x_rows(x, y, z, g22, g2) -> None:
-    """Fill the integrands over y of the x-grid rows `x` into z, g22 and g2:
-    the z kernel e^{-2y+yx}·((1 − e^{-yx})/x − (1 − e^{-y(x+2)})/(x+2)) and
-    the r1 floors e^{-4y+yx}·h1(y,x)·(1+y)² and e^{-3y+yx}·h1(y,x)·(1+y).
+def _x_rows(x, y, scratch):
+    """Yield (rows, z, g22, g2) for each block of `_BLOCK_ROWS` x-grid rows
+    from the start of `x`: the integrands over y of the z kernel
+    e^{-2y+yx}·((1 − e^{-yx})/x − (1 − e^{-y(x+2)})/(x+2)) and the r1 floors
+    e^{-4y+yx}·h1(y,x)·(1+y)² and e^{-3y+yx}·h1(y,x)·(1+y) on x[rows].
 
-    One pass, `_BLOCK_ROWS` rows at a time, sharing −y·x, e^{-yx} − 1 and
-    the quotient (1 − e^{-yx})/x, which is h1's first term over 4.  Every
-    value is bit-identical to evaluating each integrand on its own: the
-    rewrites are sign flips and a scaling by 4, which round the same.
+    Each block is filled in place into `scratch`, a (5, `_BLOCK_ROWS`, len(y))
+    array that the next block overwrites.  A block shares −y·x, e^{-yx} − 1
+    and the quotient (1 − e^{-yx})/x, which is h1's first term over 4.
+    Every value is bit-identical to evaluating each integrand on its own: the
+    rewrites are sign flips and a scaling by 4, which round the same, and
+    each `out=` step is the operation, in the operand order, of the plain
+    expression.
     """
     one_y = 1.0 + y
     sq = one_y**2
@@ -298,28 +312,45 @@ def _x_rows(x, y, z, g22, g2) -> None:
     for i in range(0, len(x), _BLOCK_ROWS):
         rows = slice(i, i + _BLOCK_ROWS)
         xb = x[rows, None]
-        nyx = y * -xb
-        q = np.expm1(nyx) / -np.where(xb > 0.0, xb, 1.0)
+        z, g22, g2, nyx, q = scratch[:, : len(xb)]
+        np.multiply(y, -xb, out=nyx)
+        np.expm1(nyx, out=q)
+        np.divide(q, -np.where(xb > 0.0, xb, 1.0), out=q)
         q[xb[:, 0] == 0.0] = y  # its limit at x = 0
-        c = xb + 2.0
-        np.multiply(np.exp(m2y - nyx), q - np.expm1(y * -c) / -c, out=z[rows])
-        h1v = _h1_terms(y, xb, q * 4.0)
-        np.multiply(np.exp(m4y - nyx) * h1v, sq, out=g22[rows])
-        np.multiply(np.exp(m3y - nyx) * h1v, one_y, out=g2[rows])
+        nc = -(xb + 2.0)
+        np.multiply(y, nc, out=g22)  # g22 and g2 hold temporaries until filled
+        np.expm1(g22, out=g22)
+        np.divide(g22, nc, out=g22)
+        np.subtract(q, g22, out=g22)
+        np.subtract(m2y, nyx, out=z)
+        np.exp(z, out=z)
+        np.multiply(z, g22, out=z)
+        h1v = _h1_terms(y, xb, np.multiply(q, 4.0, out=q), g22, g2)
+        for out, my, factor in ((g22, m4y, sq), (g2, m3y, one_y)):
+            np.subtract(my, nyx, out=out)
+            np.exp(out, out=out)
+            np.multiply(out, h1v, out=out)
+            np.multiply(out, factor, out=out)
+        yield rows, z, g22, g2
 
 
-def _k_rows(k, y, f22, f2) -> None:
-    """Fill the r0-floor integrands over y of the k-grid rows `k` into f22
-    and f2: e^{-y(4-k)}·(1+y)² and e^{-y(3-k)}·(1+y), `_BLOCK_ROWS` rows at a
-    time."""
+def _k_rows(k, y, scratch):
+    """Yield (rows, f22, f2) for each block of `_BLOCK_ROWS` k-grid rows from
+    the start of `k`: the r0-floor integrands over y, e^{-y(4-k)}·(1+y)² and
+    e^{-y(3-k)}·(1+y) on k[rows], filled in place into `scratch` as in
+    `_x_rows`."""
     ny = -y
     one_y = 1.0 + y
     sq = one_y**2
     for i in range(0, len(k), _BLOCK_ROWS):
         rows = slice(i, i + _BLOCK_ROWS)
         kb = k[rows, None]
-        np.multiply(np.exp(ny * (4.0 - kb)), sq, out=f22[rows])
-        np.multiply(np.exp(ny * (3.0 - kb)), one_y, out=f2[rows])
+        f22, f2 = scratch[:2, : len(kb)]
+        for out, top, factor in ((f22, 4.0, sq), (f2, 3.0, one_y)):
+            np.multiply(ny, top - kb, out=out)
+            np.exp(out, out=out)
+            np.multiply(out, factor, out=out)
+        yield rows, f22, f2
 
 
 def verify_facts() -> list[FactCheck]:
@@ -332,10 +363,11 @@ def verify_facts() -> list[FactCheck]:
     over y at each point of a 10,001-point grid.  Two fused passes fill
     their integrands in blocks of `_BLOCK_ROWS` grid rows, one over the
     x-grid for the z kernel and both r1 floors (`_x_rows`), one over the
-    k-grid for both r0 floors (`_k_rows`), into three (501, 2001) buffers
-    that the chunks reuse; the battery's memory is those 24 MB and a few
-    block temporaries.  Every integrand value has the bits it has when
-    evaluated on its own.
+    k-grid for both r0 floors (`_k_rows`), into one (5, 16, 2001) scratch
+    array, and each block is summed (one gemv per integrand) before the next
+    is filled; the battery's memory is that 1.3 MB and a few small
+    temporaries.  Every integrand value has the bits it has when evaluated
+    on its own.
     """
     rows: list[FactCheck] = []
 
@@ -364,28 +396,29 @@ def verify_facts() -> list[FactCheck]:
     # Over x ∈ [0,1]: the light-neighbor kernel z(x) ≥ 0.055, and the r1
     # floors ∫e^{-4y+yx}h1(y,x)(1+y)² ≥ 0.181 and ∫e^{-3y+yx}h1(y,x)(1+y) ≥
     # 0.209.  Over k ∈ [0,2]: the r0 floors c0 + c1·k with the patience and
-    # one-sided constants.  The Simpson sums stay one `buffer @ wy` per chunk
-    # of the 20-chunk split of each grid: BLAS rounds a gemv row sum
-    # according to the chunk's row count (40 chunks moved 93 of the 10,001
-    # patience r0 sums), so the chunk shapes fix every margin's bits.
+    # one-sided constants.  Each grid keeps its 20-chunk split, and the
+    # blocks start at each chunk's start: BLAS rounds a gemv row sum
+    # according to the shape of the call (40 chunks moved 93 of the 10,001
+    # patience r0 sums), so the chunk and block shapes fix every margin's
+    # bits.  A 16-row gemv runs on one thread, so the sums do not depend on
+    # how many threads BLAS may use either.
     pc0, pc1, _, _ = FIVE_VAR_SETTINGS["patience_general"]
     oc0, oc1, _, _ = FIVE_VAR_SETTINGS["patience_one_sided"]
     y = np.linspace(0.0, 1.0, 2001)
     wy = _simpson_weights(2001, 0.0, 1.0)
-    bufs = [np.empty((501, 2001)) for _ in range(3)]
+    scratch = np.empty((5, _BLOCK_ROWS, y.size))
     zmin = g22_m = g2_m = np.inf
     for xc in np.array_split(np.linspace(0.0, 1.0, 10_001), 20):
-        z, g22, g2 = (b[: len(xc)] for b in bufs)
-        _x_rows(xc, y, z, g22, g2)
-        zmin = min(zmin, float(np.min(z @ wy)))
-        g22_m = min(g22_m, float(np.min(g22 @ wy)))
-        g2_m = min(g2_m, float(np.min(g2 @ wy)))
+        for _, z, g22, g2 in _x_rows(xc, y, scratch):
+            zmin = min(zmin, float(np.min(z @ wy)))
+            g22_m = min(g22_m, float(np.min(g22 @ wy)))
+            g2_m = min(g2_m, float(np.min(g2 @ wy)))
     f22_m = f2_m = np.inf
     for kc in np.array_split(np.linspace(0.0, 2.0, 10_001), 20):
-        f22, f2 = (b[: len(kc)] for b in bufs[:2])
-        _k_rows(kc, y, f22, f2)
-        f22_m = min(f22_m, float(np.min(f22 @ wy - (pc0 + pc1 * kc))))
-        f2_m = min(f2_m, float(np.min(f2 @ wy - (oc0 + oc1 * kc))))
+        for blk, f22, f2 in _k_rows(kc, y, scratch):
+            kb = kc[blk]
+            f22_m = min(f22_m, float(np.min(f22 @ wy - (pc0 + pc1 * kb))))
+            f2_m = min(f2_m, float(np.min(f2 @ wy - (oc0 + oc1 * kb))))
     add("z_kernel_floor", zmin - 0.055)
     add("patience_r0_floor_at_2", f22_m)
     add("one_sided_r0_floor_at_2", f2_m)

@@ -14,6 +14,7 @@ rates y_ew; ``marginals`` derives its x_e = Σ_w y_ew·p_ew.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -490,8 +491,20 @@ FAMILIES = {
 
 
 def generate_family(family: str, **params) -> GeneratedInstance:
-    """Build a named instance family; deterministic in (family, params)."""
+    """Build a named instance family; deterministic in (family, params).
+
+    Raises ValueError for an unknown family, and for parameters its builder
+    lacks or does not take, naming them."""
     key = family.replace("-", "_")
     if key not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
-    return FAMILIES[key](**params)
+    build = FAMILIES[key]
+    takes = inspect.signature(build).parameters
+    missing = [n for n, p in takes.items() if p.default is p.empty and n not in params]
+    unexpected = [n for n in params if n not in takes]
+    problems = [f"missing parameter(s) {', '.join(missing)}"] if missing else []
+    if unexpected:
+        problems.append(f"unexpected parameter(s) {', '.join(unexpected)}")
+    if problems:
+        raise ValueError(f"family {key}: {'; '.join(problems)}")
+    return build(**params)

@@ -243,8 +243,9 @@ def test_verify_facts_covers_expected_rows(battery):
 
 
 def test_verify_facts_matches_reference_bits(battery):
-    # both sides sum each chunk's rows with the same BLAS call on the same
-    # chunk shape, so every margin agrees to the bit on any machine
+    # both sides sum each block of 16 rows from each chunk's start with one
+    # BLAS gemv of the same shape, so every margin agrees to the bit on any
+    # machine
     got = [(r.fact_id, r.holds, r.margin.hex()) for r in battery[0]]
     assert got == [(r.fact_id, r.holds, r.margin.hex()) for r in ref.reference_verify_facts()]
 
@@ -253,22 +254,29 @@ def test_fused_rows_match_each_integrand_on_its_own():
     # a margin is the minimum over 10,001 row sums, so it can hide a changed
     # integrand; the first and last chunks hold x = 0 and short tail blocks
     y = np.linspace(0.0, 1.0, 2001)
+    scratch = np.full((5, bounds._BLOCK_ROWS, y.size), np.nan)
     for grid, fill, reference in (
         (np.linspace(0.0, 1.0, 10_001), bounds._x_rows, ref.reference_x_integrands),
         (np.linspace(0.0, 2.0, 10_001), bounds._k_rows, ref.reference_k_integrands),
     ):
         for chunk in np.array_split(grid, 20)[::19]:
             want = reference(chunk)
-            got = [np.empty_like(w) for w in want]
-            fill(chunk, y, *got)
-            for g, w in zip(got, want):
-                assert g.tobytes() == w.tobytes()
+            covered = 0
+            for rows, *got in fill(chunk, y, scratch):
+                assert rows.start == covered
+                covered = min(rows.stop, len(chunk))
+                assert len(got) == len(want)
+                for g, w in zip(got, want):
+                    assert g.shape == w[rows].shape
+                    assert g.tobytes() == w[rows].tobytes()
+            assert covered == len(chunk)
+            assert len(chunk) % bounds._BLOCK_ROWS != 0  # a short tail block ran
 
 
 def test_verify_facts_memory_is_bounded(battery):
-    # three (501, 2001) integrand buffers are 24 MB; evaluating each
-    # integrand over a whole chunk at once peaks near 70 MiB
-    assert battery[1] <= 32 * 2**20
+    # one (5, 16, 2001) scratch array is 1.3 MB; holding three integrands
+    # over a whole 501-row chunk takes 24 MB
+    assert battery[1] <= 4 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,20 @@ def test_gen_writes_only_strict_json(tmp_path, capsys, extra):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("extra, names", [
+    (["--family", "star"], "missing parameter(s) k"),
+    (["--family", "random_bipartite", "--n", "3"], "missing parameter(s) m, density, seed"),
+    (["--family", "star", "--k", "3", "--n", "5"], "unexpected parameter(s) n"),
+])
+def test_gen_names_missing_and_unexpected_parameters(tmp_path, capsys, extra, names):
+    # these ended in a TypeError traceback
+    out = tmp_path / "bad.json"
+    assert main(["gen", *extra, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: family ") and err.rstrip().endswith(names)
+    assert not out.exists()
+
+
 def test_gen_unknown_family(tmp_path):
     out = tmp_path / "nope.json"
     assert main(["gen", "--family", "moebius", "--out", str(out)]) == 1

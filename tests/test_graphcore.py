@@ -254,3 +254,19 @@ def test_family_dash_alias_and_unknown():
     )
     with pytest.raises(ValueError):
         generate_family("no_such_family")
+
+
+@pytest.mark.parametrize(
+    "family,params,message",
+    [
+        ("star", {}, r"family star: missing parameter\(s\) k$"),
+        ("random_bipartite", {"n": 3}, r"missing parameter\(s\) m, density, seed$"),
+        ("star", {"k": 3, "n": 5}, r"family star: unexpected parameter\(s\) n$"),
+        ("greedy_counterexample_d2", {"k": 3, "seed": 1},
+         r"missing parameter\(s\) N; unexpected parameter\(s\) seed$"),
+    ],
+)
+def test_family_parameters_are_checked_against_the_builder(family, params, message):
+    # these escaped the builder call as a TypeError
+    with pytest.raises(ValueError, match=message):
+        generate_family(family, **params)
