@@ -9,6 +9,11 @@ different worker, which is what makes reports reproducible under any chunking.
 Units are small integers local to the engine (edge positions; online-vertex
 positions are offset by the edge count).  Purposes separate the independent
 coins an engine needs for one unit.
+
+``gate_uniforms`` draws one purpose over a (trials, units) block and returns
+only the cells whose uniform may lie below a per-unit bound, with their
+uniforms: the test runs on the hash word before its last step, so no float
+array of the whole block is formed.
 """
 
 from __future__ import annotations
@@ -20,6 +25,8 @@ __all__ = [
     "ACTIVE",
     "COIN",
     "PRICE",
+    "gate_limit",
+    "gate_uniforms",
     "hash_uniform",
 ]
 
@@ -40,14 +47,16 @@ _S11 = np.uint64(11)
 _INV53 = 2.0**-53
 
 
-def _mix(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer (Stafford mix13), in place on `z`; `tmp` is scratch."""
+def _mix(z: np.ndarray, tmp: np.ndarray, last: bool = True) -> np.ndarray:
+    """splitmix64 finalizer (Stafford mix13), in place on `z`; `tmp` is scratch.
+    Without `last` it stops before the final ``z ^= z >> 31``."""
     for shift, mult in ((_S30, _MIX1), (_S27, _MIX2)):
         np.right_shift(z, shift, out=tmp)
         z ^= tmp
         z *= mult
-    np.right_shift(z, _S31, out=tmp)
-    z ^= tmp
+    if last:
+        np.right_shift(z, _S31, out=tmp)
+        z ^= tmp
     return z
 
 
@@ -87,3 +96,52 @@ def hash_uniform(seed: int, trial, unit, purpose) -> np.ndarray:
             # a 53-bit integer times 2**-53 is exact
             np.multiply(z, _INV53, out=out[k, ...])
     return out if isinstance(purpose, tuple) else out[0, ...]
+
+
+def gate_limit(bound) -> np.ndarray:
+    """Per-unit limits on the hash word before its last mixing step, for
+    ``gate_uniforms``: every key whose uniform lies below `bound` has its
+    word at or below the limit.
+
+    A uniform is m * 2**-53 with m = h >> 11, so it lies below the bound
+    exactly when m <= K - 1 with K = ceil(bound * 2**53).  The last step,
+    ``h = z ^ (z >> 31)``, leaves the top 31 bits of z as they are, and those
+    are the top 31 bits of m; so m <= K - 1 implies that z's top 31 bits are
+    at most those of K - 1, which is ``z <= (((K - 1) >> 22) << 33) | (2**33 - 1)``.
+    K is clipped to [1, 2**53]: a bound of 1 or more keeps every key.
+    """
+    k = np.ceil(np.clip(np.asarray(bound, dtype=float) * 2.0**53, 1.0, 2.0**53)).astype(np.uint64)
+    return ((k - np.uint64(1)) >> np.uint64(22) << np.uint64(33)) | np.uint64(2**33 - 1)
+
+
+def gate_uniforms(
+    seed: int, trials: np.ndarray, units: np.ndarray, purpose: int, limit: np.ndarray, scratch: np.ndarray
+):
+    """The cells of the block (trials x units) whose `purpose` word is at
+    most its unit's `limit`, and their uniforms.
+
+    Returns ``(cells, u)``: the flat row-major indices of the kept cells in
+    the block, ascending, and ``u``, bit for bit
+    ``hash_uniform(seed, trials[:, None], units[None, :], purpose).ravel()[cells]``.
+    With ``limit = gate_limit(bound)`` every cell whose uniform lies below
+    its unit's bound is kept; a kept cell at or above it ties the limit in
+    the top 31 bits of its word.  `limit` holds one word per unit, or one
+    for every unit; ``gate_limit(1.0)``, 2**64 - 1, keeps every cell.
+    `scratch` is a (2, n) uint64 array with n >= trials.size * units.size,
+    which the block overwrites, so one buffer serves many blocks.
+    """
+    shape = (trials.size, units.size)
+    n = shape[0] * shape[1]
+    z, tmp = scratch[0, :n].reshape(shape), scratch[1, :n].reshape(shape)
+    with np.errstate(over="ignore"):
+        h = (_key(seed) + _GAMMA) ^ (_key(trials) * _MIX1)
+        h = _mix(h, np.empty_like(h))
+        np.bitwise_xor(h[:, None], _key(units) * _MIX2, out=z)
+        _mix(z, tmp)
+        z ^= _key(purpose) * _GAMMA
+        _mix(z, tmp, last=False)
+        cells = np.flatnonzero(z <= limit)
+        w = z.ravel().take(cells)
+        w ^= w >> _S31
+        w >>= _S11
+        return cells, w * _INV53

@@ -470,11 +470,10 @@ def verify_facts() -> list[FactCheck]:
     worst_pair = np.inf
     worst_single = np.inf
     for kk in kgrid:
-        kernel = np.exp(-y * (2.0 - kk))
-        mat = _ell_scan_matrices(kernel, phis, wy)
-        worst_pair = min(worst_pair, float(mat.min() - (pc0 + pc1 * kk)))
-        vals = (phis * (kernel * wy)).sum(axis=1)
-        worst_single = min(worst_single, float(vals.min() - (oc0 + oc1 * kk)))
+        # the weighted rows serve both forms: the pair matrix and the single sums
+        weighted = phis * (np.exp(-y * (2.0 - kk)) * wy)
+        worst_pair = min(worst_pair, float((weighted @ phis.T).min() - (pc0 + pc1 * kk)))
+        worst_single = min(worst_single, float(weighted.sum(axis=1).min() - (oc0 + oc1 * kk)))
     add("patience_r0_floor_all_ell", worst_pair)
     add("one_sided_r0_floor_all_ell", worst_single)
 

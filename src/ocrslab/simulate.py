@@ -5,17 +5,23 @@ its coins, and an engine only draws them.  ``_draw`` is the one front end.
 An engine names a gating coin and a per-edge bound that every go cell's
 gating draw lies below: the activity coin for RO and vertex arrival, the
 probe coin (below y * a(0)) for probing, the price draw (below the menu
-mass) for pricing.  A chunk is hashed in row blocks of about
-``_BLOCK_CELLS`` (trial, edge) cells; on every cell only the gating purpose
-is drawn, and the engine's other purposes, its coins and, for vertex
-arrival, the online vertex's time are drawn on the candidate cells alone.
-The counter-based stream keys every draw by (seed, trial, unit, purpose), so
-neither the blocks nor the worker count can change a trial.  A reduced chunk
-keeps its go cells, the only ones that can change the walk; a detail chunk
-gates every cell in, so the same code yields all its per-cell arrays.  The
-kept cells are sorted once by trial and arrival: a plain sort of packed
-uint64 keys (53-bit time, 11-bit edge position), then stable sorts of the
-online vertex's position and time for vertex arrival, and of the trial.
+mass) for pricing.  A chunk is drawn in two passes.  The gate pass hashes
+only the gating purpose, one row block of about ``_BLOCK_CELLS`` (trial,
+edge) cells at a time, into two uint64 scratch arrays of one block; it
+compares the hash word, before its last mixing step, with a per-edge limit
+derived from the bound, and forms uniforms on the kept candidate cells
+alone.  The coin pass pools consecutive blocks' candidates into batches of
+up to ``_BLOCK_CELLS // 4`` cells, and draws the engine's other purposes, its
+coins and, for vertex arrival, the online vertex's time once per batch, so
+a wide chunk whose gate fails on most cells makes few numpy calls on few
+cells.  The counter-based stream keys every draw by (seed, trial, unit,
+purpose), so neither the blocks, the batches nor the worker count can
+change a trial.  A reduced chunk keeps its go cells, the only ones that can
+change the walk; a detail chunk gates every cell in, so the same code yields
+all its per-cell arrays.  The kept cells are sorted once by trial and
+arrival: a plain sort of packed uint64 keys (53-bit time, 11-bit edge
+position), then stable sorts of the online vertex's position and time for
+vertex arrival, and of the trial.
 One tail, ``_finish``, walks the sorted cells and reduces the chunk or
 returns its per-cell arrays.  In ``_walk`` each trial's cells are its
 steps: an edge proposes when its coins allow ("go") and both endpoints are
@@ -56,7 +62,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._rng import ACTIVE, ARRIVAL, COIN, PRICE, hash_uniform
+from ._rng import ACTIVE, ARRIVAL, COIN, PRICE, gate_limit, gate_uniforms, hash_uniform
 from .attenuation import AttenuationSpec, attenuation_profile
 from .graphcore import (
     EdgeStats,
@@ -78,8 +84,10 @@ Z99 = 2.5758293035489004
 # vertex) arrays smaller
 _CHUNK_CELLS = 2**23
 
-# (trial, edge) cells per row block of the front end: a block's gating draw
-# and its hash temporaries stay near the L2 cache
+# (trial, edge) cells per row block of the front end, whose gate words and
+# hash temporaries stay near the L2 cache; a batch of the coin pass holds at
+# most a quarter as many candidate cells (more only when one block does),
+# so that its hash and coin temporaries take no more than a block's gate
 _BLOCK_CELLS = 2**16
 
 # the block of absolute trial indices whose revenues are summed together, so
@@ -478,35 +486,56 @@ def _draw(engine, seed: int, start: int, count: int, detail: bool) -> _Cells:
     """The engine's go cells of trials start .. start + count (every cell,
     with `detail`), sorted into walk order.
 
-    The chunk is hashed in row blocks of ``_BLOCK_CELLS // E`` trials.  On
-    every cell of a block only the gating purpose is drawn: with
-    ``engine.gate = (purpose, bound)``, a cell is a candidate when that
-    uniform lies below its edge's entry of `bound`.  Every cell of a detail
-    chunk is a candidate.  The engine's other `purposes` are drawn on the
-    candidate cells alone, and ``engine._coins(seed, trial, edge, u_gate,
-    *u)`` turns them, with each cell's absolute uint64 trial and its edge,
-    into ``(go, accept, reward, keys)`` per cell; reward may be None.  A gate
-    holds on every go cell, so a reduced chunk keeps its go cells and loses
-    none.  The kept cells are sorted once by trial and then by `keys`, most
-    significant first; the last key is the edge's arrival time, whose ties
-    break by edge position.
+    Two passes draw them.  The gate pass runs once per row block of
+    ``_BLOCK_CELLS // E`` trials: with ``engine.gate = (purpose, bound)``,
+    ``gate_uniforms`` hashes that purpose on every cell of the block, into
+    scratch words allocated once per chunk, and keeps a candidate wherever
+    the word is at most ``gate_limit(bound)``, with its uniform.  Every cell
+    whose uniform lies below its edge's bound is a candidate; every cell of
+    a detail chunk is one.  The coin pass runs once per batch: consecutive
+    blocks' candidates are pooled until the next block would push the batch
+    past ``_BLOCK_CELLS // 4`` cells, and a block over that on its own is a
+    batch alone.  It draws the engine's other `purposes` on the batch, and
+    ``engine._coins(seed, trial, edge, u_gate, *u)`` turns them, with each
+    cell's absolute uint64 trial and its edge, into ``(go, accept, reward,
+    keys)`` per cell; reward may be None.  A gate holds on every go cell,
+    so a reduced chunk keeps its go cells and loses none, and a candidate
+    whose gating uniform is not below its bound never goes.  The kept cells
+    are sorted once by trial and then by `keys`, most significant first;
+    the last key is the edge's arrival time, whose ties break by edge
+    position.
     """
     n_edges = engine.topo.n_edges
+    width = max(n_edges, 1)
     purpose, bound = engine.gate
-    row = np.arange(n_edges, dtype=np.uint64)[None, :]
-    block = max(1, _BLOCK_CELLS // max(n_edges, 1))
-    parts = []
-    for s in range(0, count, block):
-        trials = np.arange(start + s, start + min(s + block, count), dtype=np.uint64)
-        u = hash_uniform(seed, trials[:, None], row, purpose)
-        cells = np.arange(u.size) if detail else np.flatnonzero(u < bound)
-        rows, edge = np.divmod(cells, max(n_edges, 1))
-        trial = trials.take(rows)
+    # a bound of 1 keeps every cell, as a detail chunk does
+    limit = gate_limit(1.0 if detail else bound)
+    units = np.arange(n_edges, dtype=np.uint64)
+    block = max(1, _BLOCK_CELLS // width)
+    scratch = np.empty((2, min(block, count) * n_edges), dtype=np.uint64)
+    parts, batch = [], []
+
+    def coin_pass():
+        # the batch's lists are freed before its coins are drawn, and a
+        # one-block batch is not copied
+        flat, u_gate = (a[0] if len(a) == 1 else np.concatenate(a) for a in zip(*batch))
+        batch.clear()
+        rows, edge = np.divmod(flat, width)
+        trial = rows.astype(np.uint64) + np.uint64(start)
         go, accept, reward, keys = engine._coins(
-            seed, trial, edge, u.ravel().take(cells), *hash_uniform(seed, trial, edge, engine.purposes)
+            seed, trial, edge, u_gate, *hash_uniform(seed, trial, edge, engine.purposes)
         )
         keep = slice(None) if detail else np.flatnonzero(go)
-        parts.append([a if a is None else a[keep] for a in (rows + s, edge, go, accept, reward, *keys)])
+        parts.append([a if a is None else a[keep] for a in (rows, edge, go, accept, reward, *keys)])
+
+    for s in range(0, count, block):
+        trials = np.arange(start + s, start + min(s + block, count), dtype=np.uint64)
+        cells, u = gate_uniforms(seed, trials, units, purpose, limit, scratch)
+        if batch and sum(f.size for f, _ in batch) + cells.size > _BLOCK_CELLS // 4:
+            coin_pass()
+        batch.append((cells + s * width, u))
+    del scratch  # the last batch and the sort run without the gate words
+    coin_pass()
     trial, edge, go, accept, reward, *keys = (
         f[0] if f[0] is None or len(f) == 1 else np.concatenate(f) for f in zip(*parts)
     )
@@ -785,8 +814,9 @@ def monte_carlo(
     4 * trials * (edges + vertices) stays within `_CHUNK_CELLS`.  The cap
     bounds what a chunk holds whole: the walk's per-(trial, vertex) arrays,
     which grow with the vertices, and a detail chunk's per-cell arrays.  A
-    reduced chunk holds its go cells and their walk steps; every draw on
-    other cells is held one row block at a time (`_draw`).  A revenue
+    reduced chunk holds its go cells and their walk steps; the gate's hash
+    words are held one row block at a time, and the other draws one batch
+    of candidate cells at a time (`_draw`).  A revenue
     block's last chunk is cut short when `chunk` does not divide
     `_BLOCK_TRIALS`.  A `chunk_size` below 1 is refused.
     `workers=None` means 1, and fewer than 1 is refused.  The master seed
@@ -881,7 +911,7 @@ def exact_trivial_oracle(x: dict[str, float], inst: PricingInstance) -> dict[str
     def rec(rem: int, matched_v: int) -> tuple[float, ...]:
         if rem == 0:
             return (0.0,) * m
-        k = bin(rem).count("1")
+        k = rem.bit_count()
         acc = [0.0] * m
         w = 1.0 / k
         r = rem
@@ -943,7 +973,7 @@ def _probe_value(inst: PricingInstance, objective: str, options: list, first_ope
             ends = 1 << u | 1 << v
             if probed >> i & 1 or matched & ends:
                 continue
-            if bin(probed & inc[u]).count("1") >= pat[u] or bin(probed & inc[v]).count("1") >= pat[v]:
+            if (probed & inc[u]).bit_count() >= pat[u] or (probed & inc[v]).bit_count() >= pat[v]:
                 continue
             nxt = probed | 1 << i
             val = p * (r + value(nxt, matched | ends))

@@ -3,10 +3,10 @@
 import warnings
 
 import numpy as np
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ocrslab._rng import ACTIVE, ARRIVAL, COIN, PRICE, hash_uniform
+from ocrslab._rng import ACTIVE, ARRIVAL, COIN, PRICE, gate_limit, gate_uniforms, hash_uniform
 
 U64 = st.integers(min_value=0, max_value=2**64 - 1)
 PURPOSES = (ARRIVAL, ACTIVE, COIN, PRICE)
@@ -104,3 +104,65 @@ def test_purpose_tuple_matches_the_reference_on_matrices_and_boundary_keys():
             single = hash_uniform(seed, trials, units, p)
             want = reference_hash(seed, trials, units, p)
             assert np.array_equal(single, want) and np.array_equal(stacked[k], want)
+
+
+# the bound kinds a gate must handle, per unit: "drawn" is a uniform of the
+# unit's own column, and "k_edge" puts K = ceil(bound * 2**53) on a multiple
+# of 2**22 (or one past it), where the limit's top 31 bits step
+BOUND_KINDS = ("zero", "one", "below_one", "subnormal", "drawn", "k_edge", "k_edge_plus", "float")
+
+
+def _bound(kind, frac, column):
+    return {
+        "zero": 0.0,
+        "one": 1.0,
+        "below_one": float(np.nextafter(1.0, 0.0)),
+        "subnormal": 5e-324,
+        "drawn": float(column[int(frac * column.size) % column.size]),
+        "k_edge": float(np.ldexp(max(1, int(frac * 2**31)), -31)),
+        "k_edge_plus": float(np.ldexp(max(1, int(frac * 2**31)) * 2**22 + 1, -53)),
+        "float": frac,
+    }[kind]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=U64,
+    start=st.integers(0, 2**64 - 64),
+    rows=st.integers(1, 40),
+    unit0=st.integers(0, 2**32),
+    kinds=st.lists(st.tuples(st.sampled_from(BOUND_KINDS), st.floats(0.0, 1.0)), min_size=1, max_size=12),
+    purpose=st.sampled_from(PURPOSES),
+    spare=st.integers(0, 50),
+)
+def test_gate_keeps_every_cell_below_its_bound_with_its_uniform(
+    seed, start, rows, unit0, kinds, purpose, spare
+):
+    trials = np.arange(start, start + rows, dtype=np.uint64)
+    units = np.arange(unit0, unit0 + len(kinds), dtype=np.uint64)
+    full = hash_uniform(seed, trials[:, None], units[None, :], purpose)
+    bound = np.array([_bound(kind, frac, full[:, j]) for j, (kind, frac) in enumerate(kinds)])
+    limit = gate_limit(bound)
+    # a scratch larger than the block, as a chunk's last, short block sees
+    scratch = np.empty((2, full.size + spare), dtype=np.uint64)
+    cells, u = gate_uniforms(seed, trials, units, purpose, limit, scratch)
+    assert (np.diff(cells) > 0).all()
+    below = np.flatnonzero(full < bound)
+    assert np.isin(below, cells).all()
+    # the very same uniforms, bit for bit
+    assert np.array_equal(u.view(np.uint64), full.ravel()[cells].view(np.uint64))
+    # a kept cell at or above its bound ties its limit in the top 31 bits,
+    # which are those of the 53-bit integer under its uniform
+    extra = np.setdiff1d(cells, below)
+    top = (full.ravel()[extra] * 2.0**53).astype(np.uint64) >> np.uint64(22)
+    assert np.array_equal(top, limit[extra % units.size] >> np.uint64(33))
+    # the all-ones limit keeps every cell
+    ones = np.full(units.size, 2**64 - 1, dtype=np.uint64)
+    every, u_all = gate_uniforms(seed, trials, units, purpose, ones, scratch)
+    assert np.array_equal(every, np.arange(full.size)) and np.array_equal(u_all, full.ravel())
+
+
+def test_gate_limits_at_the_ends_of_the_unit_interval():
+    top = np.uint64(2**64 - 1)
+    limit = gate_limit(np.array([0.0, 5e-324, 2.0**-31, 1.0, 2.0]))
+    assert limit.tolist() == [2**33 - 1, 2**33 - 1, 2**33 - 1, int(top), int(top)]

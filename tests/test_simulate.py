@@ -372,6 +372,99 @@ def test_a_wide_chunk_never_holds_its_whole_draw():
     assert peak < 24 * 2**20
 
 
+def test_batches_of_row_blocks_draw_what_one_block_and_the_dense_draw_do(monkeypatch):
+    # E = 479 and 8-trial row blocks of 3832 cells: a reduced chunk pools
+    # 2-4 blocks' candidates into each batch of at most 1024, and a
+    # detail chunk, every cell a candidate, takes one block per batch
+    engines = _cut_engines(479)
+    for name, eng in engines.items():
+        for detail, count in ((False, 1024), (True, 40)):
+            monkeypatch.setattr(simulate, "_BLOCK_CELLS", 2**30)
+            one = simulate._draw(eng, 9, 300, count, detail)
+            monkeypatch.setattr(simulate, "_BLOCK_CELLS", 4096)
+            calls = _count_draw_calls(monkeypatch)
+            many = simulate._draw(eng, 9, 300, count, detail)
+            monkeypatch.undo()
+            assert calls["gate"] == count // 8, (name, detail)
+            if detail:
+                assert calls["coins"] == calls["gate"], name
+            else:
+                assert 3 <= calls["coins"] <= calls["gate"] // 2, (name, calls)
+            for a, b in zip(many, one):
+                assert (a is None) == (b is None) and (a is None or np.array_equal(a, b)), (name, detail)
+            # the dense draw's go cells (every cell, in detail), trial by
+            # trial in arrival order
+            order, go, accept, _, reward = ref.whole_chunk_coins(eng, 9, 300, count)
+            sel = np.ones(order.shape, dtype=bool) if detail else np.take_along_axis(go, order, axis=1)
+            trial = np.nonzero(sel)[0]
+            edge = order[sel]
+            at = (trial, edge)
+            want = (trial, edge, go[at], accept[at], None if reward is None else reward[at])
+            for a, b in zip(many, want):
+                assert (a is None) == (b is None) and (a is None or np.array_equal(a, b)), (name, detail)
+
+
+def _count_draw_calls(monkeypatch):
+    """Counts, from now on, the gate passes and the coin-pass hashes (the
+    calls of ``hash_uniform`` with a tuple of purposes) of `simulate`."""
+    calls = {"gate": 0, "coins": 0}
+    gate, hash_u = simulate.gate_uniforms, simulate.hash_uniform
+
+    def gate_spy(*args):
+        calls["gate"] += 1
+        return gate(*args)
+
+    def hash_spy(seed, trial, unit, purpose):
+        calls["coins"] += isinstance(purpose, tuple)
+        return hash_u(seed, trial, unit, purpose)
+
+    monkeypatch.setattr(simulate, "gate_uniforms", gate_spy)
+    monkeypatch.setattr(simulate, "hash_uniform", hash_spy)
+    return calls
+
+
+def _mc_large_engines():
+    """The four engines of the mc-large benchmark instance (E = 479)."""
+    gen = generate_family("random_bipartite", n=40, m=40, density=0.3, seed=7)
+    stats = edge_stats(gen.x, gen.instance)
+    entry = suite.SuiteEntry("mc_large", gen.instance, gen.x, True)
+    inst_p, y, p = suite.stochastic_variant(entry)
+    inst_o, y_o, p_o = suite.one_sided_variant(entry)
+    return {
+        "ro": RoOcrsEngine(gen.instance, gen.x, stats, A2),
+        "stochastic": StochasticOcrsEngine(inst_p, y, p, stats, AttenuationSpec("a2", alpha=0.16)),
+        "one-sided": StochasticOcrsEngine(inst_o, y_o, p_o, stats, AttenuationSpec("a2", alpha=0.162)),
+        "vertex": VertexArrivalEngine(suite.vertex_variant(entry), gen.x),
+    }
+
+
+def test_a_wide_chunk_draws_its_other_coins_in_a_few_batches(monkeypatch):
+    # a 2048-trial chunk of 479 edges is gated in 16 row blocks of 136
+    # trials; its candidates, 4.7-6.2% of the cells, are pooled into batches of
+    # at most 2**14, so the other purposes are hashed 3 or 4 times, not 16
+    calls = _count_draw_calls(monkeypatch)
+    for name, eng in _mc_large_engines().items():
+        assert eng.topo.n_edges == 479
+        calls.update(gate=0, coins=0)
+        eng.run_chunk(2, 4096, 2048)
+        assert calls["gate"] == 16 and 3 <= calls["coins"] <= 4, (name, calls)
+
+
+def test_a_wide_chunk_of_every_engine_stays_small():
+    # one 2048-trial chunk of each mc-large engine: its gate words are one
+    # row block's, and its coin pass holds one batch of at most 2**14
+    # candidates
+    for name, eng in _mc_large_engines().items():
+        eng.run_chunk(3, 0, 2048)
+        tracemalloc.start()
+        try:
+            eng.run_chunk(3, 2048, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, name
+
+
 def test_a_vertex_chunk_draws_online_times_on_its_candidate_cells_alone():
     # E = 45 edges among |V| = 5002 vertices: a (415, 5002) float draw of
     # every online vertex's time would be 15.8 MiB on its own
