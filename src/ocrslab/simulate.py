@@ -27,13 +27,15 @@ returns its per-cell arrays.  In ``_walk`` each trial's cells are its
 steps: an edge proposes when its coins allow ("go") and both endpoints are
 free (and patient), and is matched when the proposal is accepted.  A
 trial's walk state takes one of two forms, fixed by the instance.  With
-E <= 64 edges (and no self-loop) it is uint64 words, the trial's realized,
-matched and probed edge sets, tested against static per-edge neighbour
-masks and per-vertex incidence masks; wider instances keep per-(trial,
-vertex) arrays.  The walk counts Q(e), the realized neighbours that arrive
-before e in its own order, on every cell it visits; ``_q_counts`` counts it
-from arrival positions on multigraphs of more than 64 edges.  Both walks
-reduce a chunk with one ``bincount`` of its matched steps.
+E <= 64 edges it is uint64 words, the trial's realized, matched and probed
+edge sets, tested against static per-edge neighbour masks and per-vertex
+incidence masks; wider instances keep per-(trial, vertex) arrays.  The walk
+counts Q(e), the realized neighbours that arrive before e in its own order,
+on every cell it visits: the word walk from its realized edge set, the
+array walk (``_q_counts``) from counters of realized arrivals per (trial,
+vertex) and, on a multigraph, per (trial, endpoint pair).  Both walks
+reduce a chunk with one ``bincount`` of its matched steps.  The engines
+refuse an instance with a self-loop, as ``validate_instance`` does.
 ``monte_carlo`` aggregates chunks into a report.  By default a chunk is
 sized by cells, about one front-end row block (2048 to 16384 trials, more
 on fewer edges).  It cuts its chunks at the boundaries of fixed blocks of
@@ -69,7 +71,6 @@ from .graphcore import (
     FractionalPoint,
     PricingInstance,
     check_polytope,
-    edge_neighbors,
     fractional_point_violations,
     marginals,
     _neighbor_mass,
@@ -192,7 +193,8 @@ def _count_dtype(widest: int):
     """int16 when it holds every Q-count, else int32.
 
     A Q-count is at most `widest`, the largest deg_u + deg_v − 2; the walk's
-    per-vertex counters reach a vertex's degree, at most `widest` + 1.
+    per-vertex and per-pair counters reach at most a vertex's degree, at most
+    `widest` + 1.
     """
     return np.int16 if widest + 1 <= np.iinfo(np.int16).max else np.int32
 
@@ -201,7 +203,6 @@ class _Topology:
     """Index arrays shared by all chunk kernels, each of size O(E + |V|)."""
 
     def __init__(self, inst: PricingInstance):
-        self.inst = inst
         self.n_edges = len(inst.edges)
         self.n_vertices = len(inst.vertices)
         vpos = inst.vertex_pos
@@ -211,12 +212,14 @@ class _Topology:
         ends = np.concatenate([self.u_idx, self.v_idx])
         self.degree = degree = np.bincount(ends, minlength=self.n_vertices)
         self.q_dtype = _count_dtype(int((degree[self.u_idx] + degree[self.v_idx] - 2).max(initial=0)))
-        # without self-loops and parallel edges, e's neighbours are the other
-        # edges at u plus the other edges at v, each counted once, so Q(e) is
-        # a sum of per-vertex counts
         lo, hi = np.minimum(self.u_idx, self.v_idx), np.maximum(self.u_idx, self.v_idx)
-        pair, loops = np.sort(lo * self.n_vertices + hi), bool((lo == hi).any())
-        self.simple = not loops and bool((pair[1:] != pair[:-1]).all())
+        loops = np.flatnonzero(lo == hi)
+        if loops.size:
+            raise ValueError(f"edge {self.edge_ids[loops[0]]}: self-loop")
+        # pair[e] indexes e's endpoint pair; None when no two edges share one
+        pairs, self.pair = np.unique(lo * self.n_vertices + hi, return_inverse=True)
+        if pairs.size == self.n_edges:
+            self.pair = None
         # a vertex spends at most one patience unit per incident edge, so a
         # budget of its degree never binds: unbounded and huge budgets store
         # the degree, and every budget fits the int32 walk counters
@@ -226,11 +229,9 @@ class _Topology:
             dtype=np.int32,
         )
         # with at most 64 edges a trial's edge sets fit one uint64 word:
-        # nbr_bits[e] holds e's neighbours and inc_bits[v] the edges at v.
-        # A self-loop spends its vertex's patience twice, which a set of
-        # probed edges cannot count, so it keeps the per-vertex arrays.
+        # nbr_bits[e] holds e's neighbours and inc_bits[v] the edges at v
         self.nbr_bits = self.inc_bits = None
-        if self.n_edges <= 64 and not loops:
+        if self.n_edges <= 64:
             bits = np.left_shift(np.uint64(1), np.arange(self.n_edges, dtype=np.uint64))
             self.inc_bits = np.zeros(self.n_vertices, dtype=np.uint64)
             np.bitwise_or.at(self.inc_bits, ends, np.tile(bits, 2))
@@ -248,14 +249,23 @@ def _rewards(inst: PricingInstance, objective: str) -> list[list[float]]:
         for e in inst.edges
     ]
 
-def _q_counts(realized: np.ndarray, position: np.ndarray, topo: _Topology) -> np.ndarray:
-    """|Q(e)| per trial: realized neighbors at an earlier arrival position."""
-    t, e = realized.shape
-    q = np.zeros((t, e), dtype=topo.q_dtype)
-    for i in range(e):
-        nb = edge_neighbors(topo.inst, i)
-        before = position[:, nb] < position[:, i : i + 1]
-        q[:, i] = (realized[:, nb] & before).sum(axis=1)
+def _q_counts(arrived: np.ndarray, fu, fv, fp, here) -> np.ndarray:
+    """One step of the array walk's Q rule, on flat indices into `arrived`:
+    returns the step's Q(e), then adds its realized arrivals (`here`).
+
+    `arrived` counts the realized arrivals so far at each (trial, vertex)
+    at `fu` and `fv`, and on a multigraph at each (trial, endpoint pair) at
+    `fp` (None on a simple graph).  Q(e) is the count at u − the count of
+    e's pair + the count at v: a parallel copy of e sits at both endpoints,
+    so it is counted twice and taken back once.  Every partial sum stays at
+    most Q(e), so the `q_dtype` counts cannot wrap."""
+    q = arrived[fu]
+    if fp is not None:
+        q -= arrived[fp]
+        arrived[fp[here]] += 1
+    q += arrived[fv]
+    arrived[fu[here]] += 1
+    arrived[fv[here]] += 1
     return q
 
 
@@ -320,17 +330,17 @@ def _walk(topo: _Topology, cells: _Cells, count: int, patience=None, reduce: boo
 
     The walk also counts Q(e) on the cells it visits: the number of e's
     neighbours that are realized (`go` and `accept` both hold) and visited
-    before e.  Realized cells are go cells, so Q is exact on every kept cell.
+    before e, a parallel edge counted once.  Realized cells are go cells, so
+    Q is exact on every kept cell.
 
     With `reduce`, returns the chunk's `_ChunkCounts`; otherwise a `_Walk`
     whose q, matched and probed hold one entry per cell of `cells`.  A
     trial's state takes one of two forms, chosen by the instance alone.  With
-    at most 64 edges and no self-loop, `_walk_bits` keeps each trial's
-    realized, matched and probed edges as the bits of uint64 words;
-    otherwise `_walk_bools` keeps per-(trial, vertex) arrays.  Both walk
-    (k, trials) step arrays: step j of trial i is edge steps[j, i].
+    at most 64 edges, `_walk_bits` keeps each trial's realized, matched and
+    probed edges as the bits of uint64 words; otherwise `_walk_bools` keeps
+    per-(trial, vertex) arrays.  Both walk (k, trials) step arrays: step j
+    of trial i is edge steps[j, i].
     """
-    e = topo.n_edges
     per = np.bincount(cells.trial, minlength=count)
     k = int(per.max(initial=0))
     rank = np.arange(cells.trial.size) - np.repeat(np.cumsum(per) - per, per)
@@ -343,21 +353,8 @@ def _walk(topo: _Topology, cells: _Cells, count: int, patience=None, reduce: boo
 
     steps, go, accept = steps_of(cells.edge), steps_of(cells.go), steps_of(cells.accept)
     reward = None if cells.reward is None else steps_of(cells.reward)
-    if topo.nbr_bits is not None:
-        walk = _walk_bits(topo, steps, go, accept, patience, reward, reduce)
-    else:
-        q = None
-        if not topo.simple:
-            # with parallel edges an edge is not one neighbour per endpoint,
-            # so Q(e) counts from the kept cells' positions; a cell that is
-            # not kept is never realized, so it may sit after every step
-            flat = cells.trial * e + cells.edge
-            position = np.full(count * e, k)
-            position[flat] = rank
-            realized = np.zeros(count * e, dtype=bool)
-            realized[flat] = cells.go & cells.accept
-            q = steps_of(_q_counts(realized.reshape(count, e), position.reshape(count, e), topo).ravel().take(flat))
-        walk = _walk_bools(topo, steps, go, accept, patience, reward, reduce, q)
+    form = _walk_bits if topo.nbr_bits is not None else _walk_bools
+    walk = form(topo, steps, go, accept, patience, reward, reduce)
     if reduce:
         return walk
     return walk._replace(q=walk.q.ravel().take(at), matched=walk.matched.ravel().take(at),
@@ -431,36 +428,33 @@ def _walk_bits(topo: _Topology, steps, go, accept, patience, reward, reduce: boo
     return _Walk(q_s, win_s, (probed_b & bits.take(steps)) != 0, revenue, probes)
 
 
-def _walk_bools(topo: _Topology, steps, go, accept, patience, reward, reduce: bool, q=None):
+def _walk_bools(topo: _Topology, steps, go, accept, patience, reward, reduce: bool):
     """The walk over per-(trial, vertex) arrays, for instances wider than a word.
 
-    A per-(trial, vertex) counter of realized arrivals, read at both
-    endpoints before e adds its own, counts Q(e); a multigraph's Q comes in
-    as `q`, counted from arrival positions.  Vertex arrays are read and
-    written through flat (trial * |V| + vertex) indices.
+    Counters of realized arrivals per (trial, vertex), and on a multigraph
+    per (trial, endpoint pair) after them in the same array, give Q(e) at
+    each step (`_q_counts`).  Vertex arrays are read and written through
+    flat (trial * |V| + vertex) indices.
     """
     count = steps.shape[1]
     nv = topo.n_vertices
     base_v = np.arange(count) * nv
     win_s = np.zeros(steps.shape, dtype=bool)
     probed_s = np.zeros(steps.shape, dtype=bool)
+    q = np.empty(steps.shape, dtype=topo.q_dtype)
     revenue = np.zeros(count)
     taken = np.zeros(count * nv, dtype=bool)  # matched vertices
-    arrived = None
-    if q is None:
-        q = np.empty(steps.shape, dtype=topo.q_dtype)
-        arrived = np.zeros(count * nv, dtype=topo.q_dtype)
+    n_pairs = 0 if topo.pair is None else int(topo.pair.max()) + 1
+    arrived = np.zeros(count * (nv + n_pairs), dtype=topo.q_dtype)
+    base_p = count * nv + np.arange(count) * n_pairs
     if patience is not None:
         pat = np.tile(patience, count)
     for j, ep in enumerate(steps):
         fu = base_v + topo.u_idx[ep]
         fv = base_v + topo.v_idx[ep]
         g, acc = go[j], accept[j]
-        if arrived is not None:
-            q[j] = arrived[fu] + arrived[fv]
-            here = g & acc
-            arrived[fu[here]] += 1
-            arrived[fv[here]] += 1
+        fp = None if topo.pair is None else base_p + topo.pair[ep]
+        q[j] = _q_counts(arrived, fu, fv, fp, g & acc)
         propose = g & ~taken[fu] & ~taken[fv]
         if patience is not None:
             propose &= (pat[fu] > 0) & (pat[fv] > 0)

@@ -609,18 +609,19 @@ def reference_edge_stats(x, inst: PricingInstance) -> dict[str, tuple]:
 
 
 def reference_topology(inst: PricingInstance) -> tuple[bool, type, np.ndarray | None]:
-    """(simple, q_dtype, nbr_bits) of ``simulate._Topology`` from the stored
-    neighbour lists: simple when every edge has deg_u + deg_v − 2 distinct
-    neighbours, the Q-count dtype from the widest list, and each list as a
-    bit mask when there are at most 64 edges and no self-loop."""
+    """(has parallel edges, q_dtype, nbr_bits) of ``simulate._Topology``,
+    on an instance without self-loops, from the stored neighbour lists: an
+    edge has a parallel copy when it has fewer than deg_u + deg_v − 2
+    distinct neighbours, the Q-count dtype follows the widest list, and each
+    list is a bit mask when there are at most 64 edges."""
     vpos = inst.vertex_pos
     u = np.array([vpos[e.u] for e in inst.edges], dtype=np.intp)
     v = np.array([vpos[e.v] for e in inst.edges], dtype=np.intp)
     neighbors = reference_neighbors(inst)
     widths = np.array([nb.size for nb in neighbors], dtype=np.intp)
     degree = np.bincount(np.concatenate([u, v]), minlength=len(inst.vertices))
-    simple = bool(np.array_equal(widths, degree[u] + degree[v] - 2))
+    parallel = not np.array_equal(widths, degree[u] + degree[v] - 2)
     nbr_bits = None
-    if len(inst.edges) <= 64 and not (u == v).any():
+    if len(inst.edges) <= 64:
         nbr_bits = np.array([sum(1 << f for f in nb.tolist()) for nb in neighbors], dtype=np.uint64)
-    return simple, _count_dtype(int(widths.max(initial=0))), nbr_bits
+    return parallel, _count_dtype(int(widths.max(initial=0))), nbr_bits

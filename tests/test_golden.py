@@ -4,9 +4,12 @@ The digests were computed before the front end drew only the cells that can
 go, and every speedup since must leave them as they are.  The instances
 cover each walk form: `bip_5x5` walks on uint64 words, the E = 276 instance
 (`ocrslab gen --family random_bipartite --n 30 --m 30 --density 0.3 --seed
-7`) on per-vertex arrays, the 72-edge multigraph on arrays with Q-counts
-from arrival positions, and the E = 2049 instance on arrays with arrival
-keys too wide to pack with their edge position.
+7`) on per-vertex arrays, the 72-edge multigraph on arrays whose Q-counts
+take back each parallel copy through per-(trial, endpoint pair) counters,
+and the E = 2049 instance on arrays with arrival keys too wide to pack with
+their edge position.  Those pair counters change no matched cell's Q, since
+a matched edge has no earlier realized parallel copy, so the digests cannot
+see them; `tests/test_walk.py` compares every cell's Q with a reference.
 """
 
 import dataclasses

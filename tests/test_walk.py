@@ -14,6 +14,7 @@ per-vertex arrays; the walk cases at 64, 65 and 69 edges check both forms.
 """
 
 import dataclasses
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -273,8 +274,8 @@ def _parallel_instance():
 @pytest.mark.parametrize("scheme", ["ro", "stochastic", "vertex"])
 def test_parallel_edges_count_once_in_q(scheme, monkeypatch):
     inst, x = _parallel_instance()
-    assert not simulate._Topology(inst).simple
-    assert simulate._Topology(_entry("bip_4x4").instance).simple
+    assert simulate._Topology(inst).pair is not None
+    assert simulate._Topology(_entry("bip_4x4").instance).pair is None
     stats = edge_stats(x, inst)
     engine = {
         "ro": lambda: simulate.RoOcrsEngine(inst, x, stats, A2),
@@ -297,12 +298,12 @@ def _multigraph(pairs, patience=None):
     return PricingInstance(vs, es, mode="bipartite")
 
 
-def _multigraph_engine(scheme, copies=2):
+def _multigraph_engine(scheme, copies=2, xe=0.04):
     """One engine on every offline-online pair `copies` times: 9 * copies
-    edges, 3 * copies at each vertex."""
+    edges, 3 * copies at each vertex, each at x = `xe`."""
     pairs = [(u, v) for u in "ace" for v in "bdf"] * copies
     inst = _multigraph(pairs, patience={"a": 1, "d": 1})
-    x = {e.id: 0.04 for e in inst.edges}
+    x = {e.id: xe for e in inst.edges}
     stats = edge_stats(x, inst)
     return {
         "ro": lambda: simulate.RoOcrsEngine(inst, x, stats, A2),
@@ -313,39 +314,51 @@ def _multigraph_engine(scheme, copies=2):
     }[scheme]()
 
 
-@pytest.mark.parametrize("scheme", ["ro", "stochastic", "vertex"])
-def test_parallel_edges_on_the_compacted_walk(scheme, monkeypatch):
-    engine = _multigraph_engine(scheme)
-    assert not engine.topo.simple
+# 18 edges walk on words and 72 on arrays, where a parallel copy of an edge
+# is counted at both endpoints and taken back once by its pair's counter
+@pytest.mark.parametrize(
+    "scheme,copies",
+    [(s, c) for c in (2, 8) for s in ("ro", "stochastic", "vertex")],
+    ids=["ro", "stochastic", "vertex", "ro-72-edges", "stochastic-72-edges", "vertex-72-edges"],
+)
+def test_parallel_edges_on_the_compacted_walk(scheme, copies, monkeypatch, word_walks):
+    engine = _multigraph_engine(scheme, copies)
+    assert engine.topo.pair is not None
     det, k = run_against_reference(engine, monkeypatch, count=4000)
+    assert word_walks == [copies == 2] * 3
     assert 0 < k < engine.topo.n_edges
     if scheme == "stochastic":
         assert det.probed.any() and (det.probes_used[:, [0, 3]] == 1).any()
 
 
 @pytest.mark.parametrize("scheme", ["ro", "stochastic", "vertex"])
-def test_a_multigraph_counts_q_once_per_chunk(scheme, monkeypatch, word_walks):
-    # the word walk counts Q(e) itself on the cells it visits, and a detail
-    # chunk visits every cell, so it never counts from arrival positions; the
-    # array walk counts a multigraph's Q that way once per chunk, on the
-    # kept cells
-    real = simulate._q_counts
-    calls = []
-
-    def spy(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(simulate, "_q_counts", spy)
-    for copies, word in ((2, True), (8, False)):  # 18 and 72 edges
+def test_a_multigraph_counts_q_once_per_chunk(scheme, word_walks):
+    # each chunk is one walk, which counts Q(e) as it goes: a multigraph of
+    # 18 edges walks on words and one of 72 edges on arrays, detail and
+    # reduced chunks alike
+    for copies, word in ((2, True), (8, False)):
         engine = _multigraph_engine(scheme, copies)
-        assert not engine.topo.simple
+        assert engine.topo.pair is not None
         for detail in (True, False):
-            calls.clear()
             word_walks.clear()
             engine.run_chunk(7, 100, 500, detail=detail)
             assert word_walks == [word], (copies, detail)
-            assert len(calls) == (0 if word else 1), (copies, detail)
+
+
+@pytest.mark.parametrize("scheme", ["ro", "vertex"])
+def test_a_wide_multigraph_chunk_holds_no_array_per_cell(scheme):
+    # 900 edges on 9 pairs: the array walk counts Q with 9 pair counters per
+    # trial, beside 6 vertex counters, where (trials, edges) arrays of
+    # positions would take about 14 MiB per 2048-trial chunk
+    engine = _multigraph_engine(scheme, copies=100, xe=0.003)
+    engine.run_chunk(3, 0, 2048)
+    tracemalloc.start()
+    try:
+        engine.run_chunk(3, 2048, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def _mc_large_engine(scheme):
@@ -416,7 +429,7 @@ def _walk_case(rng, n_edges, count, n_go, n=9):
         mode=inst.mode,
     )
     topo = simulate._Topology(inst)
-    assert topo.n_edges == n_edges and topo.simple
+    assert topo.n_edges == n_edges and topo.pair is None
     order = np.argsort(rng.random((count, n_edges)), axis=1)
     go = np.argsort(rng.random((count, n_edges)), axis=1) < np.asarray(n_go)[:, None]
     accept = rng.random((count, n_edges)) < 0.5
@@ -489,18 +502,23 @@ def _loop_instance():
     return PricingInstance(vs, es)
 
 
-def test_a_self_loop_walks_on_arrays(word_walks):
-    # a loop spends its vertex's patience twice per proposal, which a set of
-    # probed edges cannot count; `validate_instance` refuses such an
-    # instance, but the walk stays exact on one
-    topo = simulate._Topology(_loop_instance())
-    assert topo.nbr_bits is None and not topo.simple
-    rng = np.random.default_rng(5)
-    count, e = 400, topo.n_edges
-    order = np.argsort(rng.random((count, e)), axis=1)
-    go, accept = rng.random((count, e)) < 0.8, rng.random((count, e)) < 0.5
-    want, _ = check_walk(topo, order, go, accept, topo.patience)
-    assert word_walks == [False, False] and (want.probes_used == 3).any()
+def test_a_self_loop_is_refused():
+    # as `validate_instance` refuses it, naming the first loop edge
+    inst = _loop_instance()
+    x = {e.id: 0.05 for e in inst.edges}
+    stats = edge_stats(x, inst)
+    point = FractionalPoint({(e.id, 0.0): 0.05 for e in inst.edges})
+    builds = (
+        lambda: simulate._Topology(inst),
+        lambda: simulate.RoOcrsEngine(inst, x, stats, A2),
+        lambda: simulate.StochasticOcrsEngine(inst, dict.fromkeys(x, 0.1), dict.fromkeys(x, 0.5), stats, A2),
+        lambda: simulate.VertexArrivalEngine(inst, x),
+        lambda: simulate.SequentialPricingEngine(inst, point, A2),
+        lambda: simulate.exact_trivial_oracle(x, inst),
+    )
+    for build in builds:
+        with pytest.raises(ValueError, match="^edge e0: self-loop$"):
+            build()
 
 
 def _topology_cases():
@@ -529,18 +547,10 @@ def _topology_cases():
     return cases
 
 
-def _assert_topology_matches_reference(inst):
-    want = ref.reference_neighbors(inst)
-    for i, nb in enumerate(want):
+def _assert_neighbors_match_reference(inst):
+    for i, nb in enumerate(ref.reference_neighbors(inst)):
         got = edge_neighbors(inst, i)
         assert got.dtype == nb.dtype and np.array_equal(got, nb), i
-    topo = simulate._Topology(inst)
-    simple, q_dtype, nbr_bits = ref.reference_topology(inst)
-    assert topo.simple is simple and topo.q_dtype is q_dtype
-    if nbr_bits is None:
-        assert topo.nbr_bits is None
-    else:
-        assert topo.nbr_bits.dtype == np.uint64 and np.array_equal(topo.nbr_bits, nbr_bits)
 
 
 def test_neighbourhoods_derived_from_the_incidence_match_the_stored_lists():
@@ -555,10 +565,17 @@ def test_neighbourhoods_derived_from_the_incidence_match_the_stored_lists():
         for i, (eid, pairs) in enumerate(bounds.neighbor_pairs(inst, x, stats)):
             assert tuple(inst.edges[f].id for f in edge_neighbors(inst, i)) == want[eid][3]
             assert pairs.tobytes() == np.array(want[eid][4], dtype=float).reshape(-1, 2).tobytes(), (name, eid)
-        _assert_topology_matches_reference(inst)
-    # `validate_instance` refuses loops, so a loop's m is not defined; its
-    # neighbourhoods and walk topology are
-    _assert_topology_matches_reference(_loop_instance())
+        _assert_neighbors_match_reference(inst)
+        topo = simulate._Topology(inst)
+        parallel, q_dtype, nbr_bits = ref.reference_topology(inst)
+        assert (topo.pair is not None) is parallel and topo.q_dtype is q_dtype, name
+        if nbr_bits is None:
+            assert topo.nbr_bits is None
+        else:
+            assert topo.nbr_bits.dtype == np.uint64 and np.array_equal(topo.nbr_bits, nbr_bits)
+    # `validate_instance` and the engines refuse loops, so a loop's m and walk
+    # topology are not defined; its neighbourhoods are
+    _assert_neighbors_match_reference(_loop_instance())
 
 
 def _tie_arrival_times(monkeypatch, every, levels):
