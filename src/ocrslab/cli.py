@@ -26,7 +26,6 @@ from .graphcore import (
     MenuEntry,
     PricingInstance,
     Vertex,
-    check_polytope,
     edge_stats,
     generate_family,
     marginals,
@@ -262,9 +261,6 @@ def _build_engine(args, inst: PricingInstance, x: dict[str, float] | None):
         return SequentialPricingEngine(inst, sol.point, spec, objective=objective), sol
     if x is None:
         raise ValueError(f"scheme {args.scheme!r} needs an embedded x in the instance file")
-    fit = check_polytope(x, inst)
-    if not fit.ok:
-        raise ValueError(f"x lies outside the matching polytope at {fit.worst} (excess {fit.excess:.3g})")
     if args.scheme == "ro-ocrs":
         return RoOcrsEngine(inst, x, edge_stats(x, inst), spec), None
     if args.scheme == "vertex":

@@ -134,10 +134,8 @@ def marginals(
     return x, y_e, p_e
 
 
-def fractional_point_violations(
-    fp: FractionalPoint, inst: PricingInstance, tol: float = POLYTOPE_TOL
-) -> list[str]:
-    """Check the pricing-relaxation constraints at tolerance tol.
+def fractional_point_violations(fp: FractionalPoint, inst: PricingInstance) -> list[str]:
+    """Check the pricing-relaxation constraints at tolerance `POLYTOPE_TOL`.
 
     Every y entry names a menu offer and is finite and nonnegative; offer budget
     Σ_w y_ew ≤ 1 per edge; marginal load Σ_{e∋v} x_e ≤ 1 and offer load
@@ -153,20 +151,20 @@ def fractional_point_violations(
             bad.append(f"y[{eid},{w}]: price not on the edge's menu")
         elif not math.isfinite(val):
             bad.append(f"y[{eid},{w}]: non-finite entry {val}")
-        elif val < -tol:
+        elif val < -POLYTOPE_TOL:
             bad.append(f"y[{eid},{w}]: negative entry {val}")
     x, y_e, _ = marginals(fp, inst)
     for eid, tot in y_e.items():
-        if tot > 1.0 + tol:
+        if tot > 1.0 + POLYTOPE_TOL:
             bad.append(f"edge {eid}: offer budget {tot} exceeds 1")
     for v in inst.vertices:
         inc = [inst.edges[i].id for i in inst.incident[v.id]]
         load = sum(x[eid] for eid in inc)
-        if load > 1.0 + tol:
+        if load > 1.0 + POLYTOPE_TOL:
             bad.append(f"vertex {v.id}: marginal load {load} exceeds 1")
         if v.patience is not None:
             offers = sum(y_e[eid] for eid in inc)
-            if offers > v.patience + tol:
+            if offers > v.patience + POLYTOPE_TOL:
                 bad.append(f"vertex {v.id}: offer load {offers} exceeds patience {v.patience}")
     return bad
 
@@ -259,10 +257,9 @@ def validate_instance(inst: PricingInstance) -> list[str]:
     return bad
 
 
-def check_polytope(
-    x: Mapping[str, float], inst: PricingInstance, tol: float = POLYTOPE_TOL
-) -> PolytopeCheck:
-    """Is x in P(G)?  Missing edges count as 0; unknown edge ids are an error.
+def check_polytope(x: Mapping[str, float], inst: PricingInstance) -> PolytopeCheck:
+    """Is x in P(G), to within `POLYTOPE_TOL`?  Missing edges count as 0;
+    unknown edge ids are an error.
 
     A non-finite x_e is a violation of unbounded size at that edge.
     """
@@ -281,7 +278,7 @@ def check_polytope(
         load = sum(x.get(inst.edges[i].id, 0.0) for i in inst.incident[v.id])
         if load - 1.0 > excess:
             worst, excess = v.id, load - 1.0
-    if excess <= tol:
+    if excess <= POLYTOPE_TOL:
         return PolytopeCheck(True, None, 0.0)
     return PolytopeCheck(False, worst, excess)
 

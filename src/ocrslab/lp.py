@@ -121,7 +121,7 @@ def build_lp_pricing(inst: PricingInstance, objective: str = "revenue") -> Linea
     )
 
 
-def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = PIVOT_TOL):
+def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     """Primal simplex on max c·x, Ax ≤ b, x ≥ 0, with b ≥ 0 (slack start).
 
     Bland's rule on both the entering and the leaving choice, so the walk
@@ -150,21 +150,21 @@ def _simplex_max(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float = PIVOT
         raise ValueError("simplex start requires b ≥ 0")
     try:
         with np.errstate(over="raise", invalid="raise"):
-            return _bland_pivots(A, b, c, tol)
+            return _bland_pivots(A, b, c)
     except (FloatingPointError, OverflowError) as exc:
         raise ValueError(f"simplex: {exc} (coefficients too large)") from None
 
 
-def _bland_pivots(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float):
+def _bland_pivots(A: np.ndarray, b: np.ndarray, c: np.ndarray):
     m, n = A.shape
     # compact tableau: one column per nonbasic variable, then the rhs.  The
     # variables are 0..n-1 structural and n..n+m-1 slack; label[j] names the
     # variable of column j and basis[i] the variable basic in row i.
     # No entry is −0.0: `+ 0.0` and `0.0 -` turn a signed zero into +0.0, and
     # no pivot makes one (a difference is −0.0 only when its first operand
-    # is, the pivot row is divided by piv > tol, and every assignment writes
-    # +0.0 or a nonzero), short of a division that underflows a negative
-    # subnormal.  So the zero products of the rank-1 update, of either sign,
+    # is, the pivot row is divided by piv > PIVOT_TOL, and every assignment
+    # writes +0.0 or a nonzero), short of a division that underflows a
+    # negative subnormal.  So the zero products of the rank-1 update, of either sign,
     # change no entry, and rows whose entering entry is zero need no mask.
     T = np.zeros((m + 1, n + 1))
     T[:m, :n] = A + 0.0
@@ -176,13 +176,13 @@ def _bland_pivots(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float):
 
     max_iter = 50 * (m + n + 10)
     for _ in range(max_iter):
-        improving = np.flatnonzero(T[m, :n] < -tol)
+        improving = np.flatnonzero(T[m, :n] < -PIVOT_TOL)
         if improving.size == 0:
             break
         # Bland: the improving variable with the smallest label
         entering = improving[np.argmin(label[improving])]
         col = T[:m, entering]
-        eligible = np.flatnonzero(col > tol)
+        eligible = np.flatnonzero(col > PIVOT_TOL)
         if eligible.size == 0:
             raise ValueError("simplex: unbounded direction (malformed program)")
         # Bland: among the (near-)minimum ratios, the smallest basic variable
@@ -212,7 +212,7 @@ def _bland_pivots(A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: float):
     sol = x[:n]
 
     # optimality + feasibility certificate; a basic column's reduced cost is 0
-    if np.any(T[m, :n] < -10 * tol):
+    if np.any(T[m, :n] < -10 * PIVOT_TOL):
         raise ValueError("simplex: left with an improving pivot")
     if np.any(sol < -1e-9) or np.any(A @ sol > b + 1e-9):
         raise ValueError("simplex: infeasible output")

@@ -22,20 +22,23 @@ all its per-cell arrays.  The kept cells are sorted once by trial and
 arrival: a plain sort of packed uint64 keys (53-bit time, 11-bit edge
 position), then stable sorts of the online vertex's position and time for
 vertex arrival, and of the trial.
-One tail, ``_finish``, walks the sorted cells and reduces the chunk or
-returns its per-cell arrays.  In ``_walk`` each trial's cells are its
-steps: an edge proposes when its coins allow ("go") and both endpoints are
-free (and patient), and is matched when the proposal is accepted.  A
-trial's walk state takes one of two forms, fixed by the instance.  With
-E <= 64 edges it is uint64 words, the trial's realized, matched and probed
-edge sets, tested against static per-edge neighbour masks and per-vertex
-incidence masks; wider instances keep per-(trial, vertex) arrays.  The walk
-counts Q(e), the realized neighbours that arrive before e in its own order,
-on every cell it visits: the word walk from its realized edge set, the
-array walk (``_q_counts``) from counters of realized arrivals per (trial,
-vertex) and, on a multigraph, per (trial, endpoint pair).  Both walks
-reduce a chunk with one ``bincount`` of its matched steps.  The engines
-refuse an instance with a self-loop, as ``validate_instance`` does.
+One tail, ``_walk``, walks the sorted cells and reduces the chunk or
+returns its per-cell arrays: each trial's cells are its steps, and an edge
+proposes when its coins allow ("go") and both endpoints are free (and
+patient), and is matched when the proposal is accepted.  A trial's walk
+state takes one of two forms, fixed by the instance.  With E <= 64 edges it
+is uint64 words, the trial's realized, matched and probed edge sets, tested
+against static per-edge neighbour masks and per-vertex incidence masks;
+wider instances keep per-(trial, vertex) arrays.  A form only walks: it
+returns the q, matched and probed records of the steps, and ``_walk``
+derives revenue, the reduction (one ``bincount`` of the matched steps) and
+a detail chunk's per-cell arrays and per-vertex probes from them, one rule
+each.  The walk counts Q(e), the realized neighbours that arrive before e
+in its own order, on every cell it visits: the word walk from its realized
+edge set, the array walk (``_q_counts``) from counters of realized
+arrivals per (trial, vertex) and, on a multigraph, per (trial, endpoint
+pair).  The engines refuse an instance with a self-loop, as
+``validate_instance`` does.
 ``monte_carlo`` aggregates chunks into a report.  By default a chunk is
 sized by cells, about one front-end row block (2048 to 16384 trials, more
 on fewer edges).  It cuts its chunks at the boundaries of fixed blocks of
@@ -171,15 +174,15 @@ class SimulationReport:
         return min((er.ratio for er in self.edges if er.x_ref > 0), default=math.nan)
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z99) -> tuple[float, float]:
-    """Wilson score interval; well behaved at frequencies near 0 and 1."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """The 99% Wilson score interval; well behaved at frequencies near 0 and 1."""
     if trials <= 0:
         raise ValueError("trials must be positive")
     phat = successes / trials
-    z2n = z * z / trials
+    z2n = Z99 * Z99 / trials
     denom = 1.0 + z2n
     center = (phat + z2n / 2.0) / denom
-    hw = z * math.sqrt(phat * (1.0 - phat) / trials + z2n / (4.0 * trials)) / denom
+    hw = Z99 * math.sqrt(phat * (1.0 - phat) / trials + z2n / (4.0 * trials)) / denom
     # clamp to [0, 1] and to phat: the interval is analytically inside both,
     # but sqrt rounding can leave an endpoint a few ulps on the wrong side
     return (max(0.0, min(center - hw, phat)), min(1.0, max(center + hw, phat)))
@@ -297,14 +300,6 @@ class _ChunkDetail(NamedTuple):
     probes_used: np.ndarray  # per vertex
 
 
-class _Walk(NamedTuple):
-    q: np.ndarray  # q, matched and probed: per step, or per kept cell from `_walk`
-    matched: np.ndarray
-    probed: np.ndarray
-    revenue: np.ndarray
-    probes_used: np.ndarray  # per vertex
-
-
 def _reduce_chunk(e: int, steps, q, matched, revenue) -> _ChunkCounts:
     """A reduced chunk of `e` edges from its walk's (steps, trials) records:
     each match counted under its edge and its class, r0, r1 or neither
@@ -315,8 +310,9 @@ def _reduce_chunk(e: int, steps, q, matched, revenue) -> _ChunkCounts:
     return _ChunkCounts(r0 + r1 + rest, r0, r1, revenue)
 
 
-def _walk(topo: _Topology, cells: _Cells, count: int, patience=None, reduce: bool = False):
-    """The greedy walk every scheme shares, over a chunk's kept cells.
+def _walk(topo: _Topology, cells: _Cells, count: int, detail: bool, patience=None):
+    """The greedy walk every scheme shares, over a chunk's kept cells: the
+    chunk's `_ChunkCounts`, or with `detail` its `_ChunkDetail`.
 
     Trial i's cells are its steps, in order: an arriving edge proposes when
     its `go` holds and both endpoints are free.  Given per-vertex
@@ -333,13 +329,17 @@ def _walk(topo: _Topology, cells: _Cells, count: int, patience=None, reduce: boo
     before e, a parallel edge counted once.  Realized cells are go cells, so
     Q is exact on every kept cell.
 
-    With `reduce`, returns the chunk's `_ChunkCounts`; otherwise a `_Walk`
-    whose q, matched and probed hold one entry per cell of `cells`.  A
-    trial's state takes one of two forms, chosen by the instance alone.  With
-    at most 64 edges, `_walk_bits` keeps each trial's realized, matched and
-    probed edges as the bits of uint64 words; otherwise `_walk_bools` keeps
-    per-(trial, vertex) arrays.  Both walk (k, trials) step arrays: step j
-    of trial i is edge steps[j, i].
+    A trial's state takes one of two forms, chosen by the instance alone.
+    With at most 64 edges, `_walk_bits` keeps each trial's realized, matched
+    and probed edges as the bits of uint64 words; otherwise `_walk_bools`
+    keeps per-(trial, vertex) arrays.  A form only walks: it takes (k,
+    trials) step arrays, step j of trial i being edge steps[j, i], and
+    returns q, matched and probed as step arrays of the same shape.  Here
+    revenue is summed step by step, a reduced chunk goes to
+    `_reduce_chunk`, and a detail chunk keeps every cell, so its step
+    records scatter into (trials, edges) arrays.  Its active cells are its
+    accepted ones, its realized cells those where `go` and `accept` both
+    hold, and a vertex's probes are the kept probed cells at it.
     """
     per = np.bincount(cells.trial, minlength=count)
     k = int(per.max(initial=0))
@@ -351,17 +351,37 @@ def _walk(topo: _Topology, cells: _Cells, count: int, patience=None, reduce: boo
         s.ravel()[at] = a
         return s
 
-    steps, go, accept = steps_of(cells.edge), steps_of(cells.go), steps_of(cells.accept)
-    reward = None if cells.reward is None else steps_of(cells.reward)
+    steps = steps_of(cells.edge)
     form = _walk_bits if topo.nbr_bits is not None else _walk_bools
-    walk = form(topo, steps, go, accept, patience, reward, reduce)
-    if reduce:
-        return walk
-    return walk._replace(q=walk.q.ravel().take(at), matched=walk.matched.ravel().take(at),
-                         probed=walk.probed.ravel().take(at))
+    q, matched, probed = form(topo, steps, steps_of(cells.go), steps_of(cells.accept), patience, detail)
+    revenue = np.zeros(count)
+    if cells.reward is not None:
+        # adding 0.0 leaves every sum as it was, since one that starts at
+        # +0.0 is never -0.0, so this is the walk's sum in arrival order
+        for win, r in zip(matched, steps_of(cells.reward)):
+            revenue += np.where(win, r, 0.0)
+    if not detail:
+        return _reduce_chunk(topo.n_edges, steps, q, matched, revenue)
+    e, nv = topo.n_edges, topo.n_vertices
+    flat = cells.trial * e + cells.edge
+
+    def dense(a, dtype=None):
+        out = np.empty(count * e, dtype=dtype or a.dtype)
+        out[flat] = a
+        return out.reshape(count, e)
+
+    # a padded step is no kept cell, so only kept cells count probes
+    probed = probed.ravel().take(at)
+    edge, trial = cells.edge[probed], cells.trial[probed] * nv
+    ends = np.concatenate([trial + topo.u_idx.take(edge), trial + topo.v_idx.take(edge)])
+    probes = np.bincount(ends, minlength=count * nv).astype(np.int32).reshape(count, nv)
+    return _ChunkDetail(
+        dense(cells.accept), dense(cells.go & cells.accept), dense(probed),
+        dense(matched.ravel().take(at)), dense(q.ravel().take(at), topo.q_dtype), revenue, probes,
+    )
 
 
-def _walk_bits(topo: _Topology, steps, go, accept, patience, reward, reduce: bool):
+def _walk_bits(topo: _Topology, steps, go, accept, patience, detail: bool):
     """The walk over edge sets held as uint64 words, one word per trial.
 
     Bit f of a word is edge f, so a step gathers only its edges' static
@@ -377,18 +397,21 @@ def _walk_bits(topo: _Topology, steps, go, accept, patience, reward, reduce: boo
     included, since a neighbour is one bit.  Each step gathers its masks
     afresh rather than all of them up front: whole (steps, trials) uint64
     arrays grew the heap past glibc's trim threshold, and every chunk then
-    paid its page faults again.
+    paid its page faults again.  Returns (q, matched, probed) step arrays;
+    probed, each step's edge's bit of the final probed word, is None unless
+    `detail` is set.
     """
     count = steps.shape[1]
     bits = np.left_shift(np.uint64(1), np.arange(topo.n_edges, dtype=np.uint64))
     # a budget of at least its vertex's degree never binds, so each endpoint
-    # side is checked only if one of its budgets can; a reduced chunk needs
-    # no probed edges, so without a binding budget it walks as if unbounded
+    # side is checked only if one of its budgets can; without `detail` no
+    # probed edges are returned, so without a binding budget the walk runs
+    # as if unbounded
     ends = []
     if patience is not None:
         binds = patience < topo.degree
         ends = [(topo.inc_bits[x], patience[x]) for x in (topo.u_idx, topo.v_idx) if binds[x].any()]
-    probe = patience is not None and (ends or not reduce)
+    probe = patience is not None and (ends or detail)
     real = go & accept
     realized_b, matched_b, probed_b = np.zeros((3, count), dtype=np.uint64)
     q_s = np.empty(steps.shape, dtype=np.uint8)
@@ -412,29 +435,17 @@ def _walk_bits(topo: _Topology, steps, go, accept, patience, reward, reduce: boo
             bit *= free
         matched_b |= bit
         np.not_equal(bit, 0, out=win_s[j])
-
-    revenue = np.zeros(count)
-    if reward is not None:
-        # adding 0.0 leaves every sum as it was, since one that starts at
-        # +0.0 is never -0.0, so this is the walk's sum in arrival order
-        for win, r in zip(win_s, reward):
-            revenue += np.where(win, r, 0.0)
-    if reduce:
-        return _reduce_chunk(topo.n_edges, steps, q_s, win_s, revenue)
-    if patience is None:
-        probes = np.zeros((count, topo.n_vertices), dtype=np.int32)
-    else:
-        probes = np.bitwise_count(probed_b[:, None] & topo.inc_bits).astype(np.int32)
-    return _Walk(q_s, win_s, (probed_b & bits.take(steps)) != 0, revenue, probes)
+    return q_s, win_s, (probed_b & bits.take(steps)) != 0 if detail else None
 
 
-def _walk_bools(topo: _Topology, steps, go, accept, patience, reward, reduce: bool):
+def _walk_bools(topo: _Topology, steps, go, accept, patience, detail: bool):
     """The walk over per-(trial, vertex) arrays, for instances wider than a word.
 
     Counters of realized arrivals per (trial, vertex), and on a multigraph
     per (trial, endpoint pair) after them in the same array, give Q(e) at
     each step (`_q_counts`).  Vertex arrays are read and written through
-    flat (trial * |V| + vertex) indices.
+    flat (trial * |V| + vertex) indices.  Returns (q, matched, probed) step
+    arrays.
     """
     count = steps.shape[1]
     nv = topo.n_vertices
@@ -442,7 +453,6 @@ def _walk_bools(topo: _Topology, steps, go, accept, patience, reward, reduce: bo
     win_s = np.zeros(steps.shape, dtype=bool)
     probed_s = np.zeros(steps.shape, dtype=bool)
     q = np.empty(steps.shape, dtype=topo.q_dtype)
-    revenue = np.zeros(count)
     taken = np.zeros(count * nv, dtype=bool)  # matched vertices
     n_pairs = 0 if topo.pair is None else int(topo.pair.max()) + 1
     arrived = np.zeros(count * (nv + n_pairs), dtype=topo.q_dtype)
@@ -464,16 +474,7 @@ def _walk_bools(topo: _Topology, steps, go, accept, patience, reward, reduce: bo
         win = np.logical_and(propose, acc, out=win_s[j])
         taken[fu[win]] = True
         taken[fv[win]] = True
-        if reward is not None:
-            revenue[win] += reward[j][win]
-
-    if reduce:
-        return _reduce_chunk(topo.n_edges, steps, q, win_s, revenue)
-    if patience is None:
-        probes = np.zeros((count, nv), dtype=np.int32)
-    else:
-        probes = (patience[None, :] - pat.reshape(count, nv)).astype(np.int32)
-    return _Walk(q, win_s, probed_s, revenue, probes)
+    return q, win_s, probed_s
 
 
 def _draw(engine, seed: int, start: int, count: int, detail: bool) -> _Cells:
@@ -554,27 +555,6 @@ def _draw(engine, seed: int, start: int, count: int, detail: bool) -> _Cells:
     return _Cells(*(a if a is None else a.take(by) for a in (trial, edge, go, accept, reward)))
 
 
-def _finish(topo: _Topology, cells: _Cells, count: int, detail: bool, patience=None):
-    """Walks a chunk's kept cells into its reduction, or with `detail` its
-    per-cell arrays.  A detail chunk keeps every cell, so the walk counts
-    Q(e) on each; its active cells are its accepted ones, and its realized
-    cells those where `go` and `accept` both hold."""
-    walk = _walk(topo, cells, count, patience, reduce=not detail)
-    if not detail:
-        return walk
-    flat = cells.trial * topo.n_edges + cells.edge
-
-    def dense(a, dtype=None):
-        out = np.empty(count * topo.n_edges, dtype=dtype or a.dtype)
-        out[flat] = a
-        return out.reshape(count, topo.n_edges)
-
-    return _ChunkDetail(
-        dense(cells.accept), dense(cells.go & cells.accept), dense(walk.probed),
-        dense(walk.matched), dense(walk.q, topo.q_dtype), walk.revenue, walk.probes_used,
-    )
-
-
 # --------------------------------------------------------------------------
 # engines
 # --------------------------------------------------------------------------
@@ -608,7 +588,7 @@ class RoOcrsEngine:
     purposes = (ARRIVAL, COIN)
 
     def run_chunk(self, seed: int, start: int, count: int, detail: bool = False):
-        return _finish(self.topo, _draw(self, seed, start, count, detail), count, detail)
+        return _walk(self.topo, _draw(self, seed, start, count, detail), count, detail)
 
     def _coins(self, seed, trial, edge, u_active, t, u_coin):
         x = self.x.take(edge)
@@ -660,7 +640,7 @@ class StochasticOcrsEngine:
 
     def run_chunk(self, seed: int, start: int, count: int, detail: bool = False):
         cells = _draw(self, seed, start, count, detail)
-        return _finish(self.topo, cells, count, detail, self.topo.patience)
+        return _walk(self.topo, cells, count, detail, self.topo.patience)
 
     def _coins(self, seed, trial, edge, u_coin, t, u_active):
         probe_ok = u_coin < (
@@ -701,7 +681,7 @@ class VertexArrivalEngine:
     purposes = (ARRIVAL, COIN)
 
     def run_chunk(self, seed: int, start: int, count: int, detail: bool = False):
-        return _finish(self.topo, _draw(self, seed, start, count, detail), count, detail)
+        return _walk(self.topo, _draw(self, seed, start, count, detail), count, detail)
 
     def _coins(self, seed, trial, edge, u_active, t_e, u_coin):
         x = self.x.take(edge)
@@ -755,7 +735,7 @@ class SequentialPricingEngine:
     purposes = (ARRIVAL, ACTIVE, COIN)
 
     def run_chunk(self, seed: int, start: int, count: int, detail: bool = False):
-        res = _finish(self.topo, _draw(self, seed, start, count, detail), count, detail, self.topo.patience)
+        res = _walk(self.topo, _draw(self, seed, start, count, detail), count, detail, self.topo.patience)
         # no activity coin of its own: a detail chunk's active cells are the realized ones
         return res._replace(active=res.realized) if detail else res
 

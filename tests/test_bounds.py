@@ -242,6 +242,17 @@ def test_verify_facts_covers_expected_rows(battery):
     } <= ids
 
 
+def test_union_bound_product_row_is_the_least_sampled_value(battery):
+    # the row is f = ∏(1−R_i) − (1 − ΣR_i) at its proven minimiser, n = 2 and
+    # R = (0.01, 0.01); no draw over [0.01, 0.99]ⁿ, n = 2..8, falls below it
+    row = next(r for r in battery[0] if r.fact_id == "union_bound_product")
+    assert row.margin == 9.999999999998899e-05
+    rng = np.random.default_rng(20260819)
+    for _ in range(10_000):
+        r = rng.uniform(0.01, 0.99, size=int(rng.integers(2, 9)))
+        assert float(np.prod(1.0 - r) - (1.0 - r.sum())) >= row.margin
+
+
 def test_verify_facts_matches_reference_bits(battery):
     # both sides sum each block of 16 rows from each chunk's start with one
     # BLAS gemv of the same shape, so every margin agrees to the bit on any

@@ -249,7 +249,7 @@ def test_simulate_scheme_input_errors(tmp_path):
         doc["x"][0]["value"] = value
         off = tmp_path / "off.json"
         off.write_text(json.dumps(doc))
-        for scheme in ("ro-ocrs", "vertex"):
+        for scheme in ("ro-ocrs", "vertex", "stochastic"):
             assert main(["simulate", "--instance", str(off), "--scheme", scheme]) == 1
 
 

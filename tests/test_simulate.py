@@ -296,19 +296,19 @@ def test_row_blocks_draw_what_one_whole_chunk_draw_does(n_edges, monkeypatch):
     engines = _cut_engines(n_edges)
     block = max(1, simulate._BLOCK_CELLS // n_edges)
     cells_seen, steps_seen = [], []
-    real = simulate._finish
+    real = simulate._walk
 
     def spy(topo, cells, *args):
         cells_seen.append(cells)
         return real(topo, cells, *args)
 
-    monkeypatch.setattr(simulate, "_finish", spy)
+    monkeypatch.setattr(simulate, "_walk", spy)
     for name in ("_walk_bits", "_walk_bools"):
         walk = getattr(simulate, name)
 
-        def walk_spy(topo, steps, go, accept, patience, reward, *args, _walk=walk):
-            steps_seen.append((steps, go, accept, reward))
-            return _walk(topo, steps, go, accept, patience, reward, *args)
+        def walk_spy(topo, steps, go, accept, *args, _walk=walk):
+            steps_seen.append((steps, go, accept))
+            return _walk(topo, steps, go, accept, *args)
 
         monkeypatch.setattr(simulate, name, walk_spy)
     for name, eng in engines.items():
@@ -319,8 +319,8 @@ def test_row_blocks_draw_what_one_whole_chunk_draw_does(n_edges, monkeypatch):
             order, go, accept, active, reward = ref.whole_chunk_coins(eng, 13, 5000, count)
             res = eng.run_chunk(13, 5000, count, detail=detail)
             cells = cells_seen.pop()
-            steps, go_s, accept_s, reward_s = steps_seen.pop()
-            assert (reward is None) == (cells.reward is None) == (reward_s is None), name
+            steps, go_s, accept_s = steps_seen.pop()
+            assert (reward is None) == (cells.reward is None), name
             if detail:
                 # every cell, in the reference's arrival order
                 assert np.array_equal(cells.edge.reshape(count, n_edges), order), (name, count)
@@ -336,7 +336,7 @@ def test_row_blocks_draw_what_one_whole_chunk_draw_does(n_edges, monkeypatch):
             assert np.array_equal(go_s & accept_s, (go & accept)[rows, want]), name
             assert np.array_equal(steps[go_s], want[go_s]), name
             if reward is not None:
-                assert np.array_equal(reward_s[go_s], reward[rows, want][go_s]), name
+                assert np.array_equal(cells.reward, reward[cells.trial, cells.edge]), name
         # the default chunk's coins are not all of one value
         assert go.any() and accept.any() and not go.all(), name
 

@@ -83,7 +83,7 @@ def reference_walk(topo, order, go, accept, patience=None, reward=None):
     position = np.empty_like(order)
     np.put_along_axis(position, order, np.arange(e), axis=1)
     q = reference_q(topo, go & accept, position)
-    return simulate._Walk(q, matched_e, probed_e, revenue, probes)
+    return SimpleNamespace(q=q, matched=matched_e, probed=probed_e, revenue=revenue, probes_used=probes)
 
 
 def kept_cells(order, go, accept, reward=None, every=False):
@@ -109,29 +109,31 @@ def dense_coins(cells, count, e):
 
 
 def assert_walk_is_the_reference(got, cells, want):
-    """`_walk`'s per-cell records against the reference's dense outputs.  A
-    cell's q is defined when it is kept and its go holds: on every go cell
-    of a reduced chunk and on every cell of a detail chunk, which the
-    detail arrays check."""
+    """`_walk`'s detail arrays at the kept cells `cells` against the
+    reference's dense outputs.  A cell's q is defined when it is kept and
+    its go holds: on every go cell of a reduced chunk and on every cell of a
+    detail chunk, which the detail arrays check."""
     at = (cells.trial, cells.edge)
     for field in ("matched", "probed"):
-        assert np.array_equal(getattr(got, field), getattr(want, field)[at]), field
+        kept = getattr(got, field)[at]
+        assert np.array_equal(kept, getattr(want, field)[at]), field
         # a matched or probed cell is a go cell, so the kept cells hold them all
-        assert getattr(got, field).sum() == getattr(want, field).sum(), field
+        assert kept.sum() == getattr(want, field).sum(), field
     for field in ("revenue", "probes_used"):
         a, b = getattr(got, field), getattr(want, field)
         assert a.dtype == b.dtype and np.array_equal(a, b), field
-    assert np.array_equal(got.q[cells.go], want.q[at][cells.go])
+    assert np.array_equal(got.q[at][cells.go], want.q[at][cells.go])
 
 
 def check_walk(topo, order, go, accept, patience=None, reward=None):
-    """Walks the go cells of dense coins, then every cell, each against the
-    reference; returns the reference outputs and the go-cell walk."""
+    """Walks the go cells of dense coins, then every cell, each into detail
+    arrays against the reference; returns the reference outputs and the
+    go-cell walk."""
     want = reference_walk(topo, order, go, accept, patience, reward)
     walks = []
     for every in (False, True):
         cells = kept_cells(order, go, accept, reward, every)
-        walks.append(simulate._walk(topo, cells, go.shape[0], patience))
+        walks.append(simulate._walk(topo, cells, go.shape[0], True, patience))
         assert_walk_is_the_reference(walks[-1], cells, want)
     return want, walks[0]
 
@@ -176,9 +178,9 @@ def run_against_reference(engine, monkeypatch, seed=7, count=1500):
     real = simulate._walk
     seen = []
 
-    def spy(topo, cells, n, *args, **kwargs):
-        seen.append((topo, cells, args[0] if args else None))
-        return real(topo, cells, n, *args, **kwargs)
+    def spy(topo, cells, n, detail, patience=None):
+        seen.append((topo, cells, patience))
+        return real(topo, cells, n, detail, patience)
 
     monkeypatch.setattr(simulate, "_walk", spy)
     det = engine.run_chunk(seed, 100, count, detail=True)
@@ -194,7 +196,7 @@ def run_against_reference(engine, monkeypatch, seed=7, count=1500):
     # the walk counts `go & accept` as realized; every engine reports the same
     assert np.array_equal(det.realized, go & accept)
     assert det.matched.any() and det.q.any()
-    assert_walk_is_the_reference(real(topo, kept, count, patience), kept, want)
+    assert_walk_is_the_reference(real(topo, kept, count, True, patience), kept, want)
     per = np.bincount(kept.trial, minlength=count)
     return det, int(per.max(initial=0))
 
@@ -701,8 +703,8 @@ def test_vertex_order_matches_the_lexsort_under_time_ties(nv, monkeypatch):
     order = lexsort_order(draw[:, :e], draw[:, e:], engine.online_of_edge)
     _tie_arrival_times(monkeypatch, 2, 3)
     seen = []
-    real = simulate._finish
-    monkeypatch.setattr(simulate, "_finish", lambda topo, cells, *a: seen.append(cells) or real(topo, cells, *a))
+    real = simulate._walk
+    monkeypatch.setattr(simulate, "_walk", lambda topo, cells, *a: seen.append(cells) or real(topo, cells, *a))
     engine.run_chunk(3, 0, 500, detail=True)
     engine.run_chunk(3, 0, 500)
     every, kept = seen
