@@ -5,10 +5,11 @@ Four jobs:
   * evaluators for the per-edge lower-bound formulas (the probability that an
     edge is matched jointly with seeing zero / one realized earlier neighbor);
   * five-variable minimization certificates for the headline balancedness
-    constants (0.450 general / 0.456 bipartite / 0.395 patience / 0.426
-    one-sided patience), each the exact minimum of the program: a reduction
-    proved in `five_var_minimize` leaves a piecewise cubic in one variable,
-    minimized over its piece ends and stationary points;
+    constants (general, bipartite, patience and one-sided patience, whose α
+    and constant `suite.CERTIFIED` lists), each the exact minimum of the
+    program: a reduction proved in `five_var_minimize` leaves a piecewise
+    cubic in one variable, minimized over its piece ends and stationary
+    points;
   * a battery of grid-verified inequalities ("facts") that the bound
     derivations lean on, each reported with its worst-case margin.
 

@@ -225,11 +225,12 @@ def _point_to_doc(point: FractionalPoint, inst: PricingInstance, objective_value
 
 def _objective_value(point: FractionalPoint, inst: PricingInstance, objective: str) -> float:
     coeffs = objective_coefficients(inst, objective)
-    total = 0.0
-    for e in inst.edges:
-        for k, entry in enumerate(e.menu):
-            total += point.y.get((e.id, entry.w), 0.0) * coeffs[e.id][k]
-    return total
+    # summed as `LpSolution.objective` is, so the LP's own point reads its objective
+    return math.fsum(
+        point.y.get((e.id, entry.w), 0.0) * coeffs[e.id][k]
+        for e in inst.edges
+        for k, entry in enumerate(e.menu)
+    )
 
 
 def _cmd_lp(args) -> int:

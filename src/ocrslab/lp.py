@@ -220,13 +220,14 @@ def _bland_pivots(A: np.ndarray, b: np.ndarray, c: np.ndarray):
 
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
-    sol, obj = _simplex_max(lp.A, lp.b, lp.c)
-    y: dict[tuple[str, float], float] = {}
-    for key, val in zip(lp.var_keys, sol):
-        # drift guard: a clean pivot sequence keeps entries in [-1e-12, 1+1e-12];
-        # max keeps its first argument on a tie, so -0.0 becomes 0.0 too
-        y[key] = max(0.0, float(val))
-    return LpSolution(point=FractionalPoint(y=y), objective=obj)
+    """The optimal menu point and its objective: c·y of the returned point,
+    after the drift guard, summed by `math.fsum`."""
+    sol, _ = _simplex_max(lp.A, lp.b, lp.c)
+    # drift guard: a clean pivot sequence keeps entries in [-1e-12, 1+1e-12];
+    # max keeps its first argument on a tie, so -0.0 becomes 0.0 too
+    y = [max(0.0, float(val)) for val in sol]
+    point = FractionalPoint(y=dict(zip(lp.var_keys, y)))
+    return LpSolution(point=point, objective=math.fsum(lp.c * y))
 
 
 def two_weight_reduction(
