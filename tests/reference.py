@@ -3,8 +3,9 @@
 Adaptive Simpson quadrature and the integrals z and h1 evaluated with it, one
 point at a time, for the special functions in ``ocrslab.bounds``; h1's
 closed form with every term evaluated in full, and the fact battery with each
-grid integrand evaluated on its own over whole chunks, for the fused row
-blocks of ``bounds.verify_facts``; the pricing LP built one constraint row at
+grid integrand evaluated on its own over whole chunks under any node rule
+(Gauss–Legendre or composite Simpson), for the fused row blocks of
+``bounds.verify_facts``; the pricing LP built one constraint row at
 a time, for ``lp.build_lp_pricing``; the simplex pivoted on the full tableau
 with its slack identity block, for the compact tableau of
 ``lp._bland_pivots``; and the optimal-policy DP and
@@ -27,6 +28,7 @@ import math
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 
 from ocrslab._rng import ACTIVE, ARRIVAL, COIN, PRICE, hash_uniform
 from ocrslab.attenuation import AttenuationSpec, attenuation_profile
@@ -34,8 +36,6 @@ from ocrslab.bounds import (
     _ELLS,
     FIVE_VAR_SETTINGS,
     FactCheck,
-    _ell_scan_matrices,
-    _simpson_weights,
     h,
     phi,
 )
@@ -126,10 +126,25 @@ def reference_h1(a, x):
     return first - second
 
 
-def reference_x_integrands(xc):
+def gauss_legendre(n_nodes: int):
+    """The n_nodes-point Gauss–Legendre nodes and weights on [0, 1]."""
+    t, w = leggauss(n_nodes)
+    return (t + 1.0) / 2.0, w / 2.0
+
+
+def simpson_weights(n_nodes: int) -> np.ndarray:
+    """Composite-Simpson weights on n_nodes (odd) uniform nodes over [0, 1]."""
+    if n_nodes % 2 == 0:
+        raise ValueError("composite Simpson needs an odd node count")
+    w = np.ones(n_nodes)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w * (1.0 / (n_nodes - 1) / 3.0)
+
+
+def reference_x_integrands(xc, y):
     """The z kernel and the two r1-floor integrands on the x-grid rows xc over
-    the 2001 y nodes, each evaluated on its own, for `bounds._x_rows`."""
-    y = np.linspace(0.0, 1.0, 2001)
+    the y nodes, each evaluated on its own, for `bounds._x_rows`."""
     xc2 = xc[:, None]
     an = y[None, :]
     first = np.where(
@@ -143,31 +158,33 @@ def reference_x_integrands(xc):
     return z, g22, g2
 
 
-def reference_k_integrands(kc):
-    """The two r0-floor integrands on the k-grid rows kc over the 2001 y
-    nodes, each evaluated on its own, for `bounds._k_rows`."""
-    y = np.linspace(0.0, 1.0, 2001)[None, :]
+def reference_k_integrands(kc, y):
+    """The two r0-floor integrands on the k-grid rows kc over the y nodes,
+    each evaluated on its own, for `bounds._k_rows`."""
+    y = y[None, :]
     karr = kc[:, None]
     return np.exp(-y * (4.0 - karr)) * (1.0 + y) ** 2, np.exp(-y * (3.0 - karr)) * (1.0 + y)
 
 
-def reference_verify_facts() -> list[FactCheck]:
-    """The fact battery with each grid integrand evaluated on its own over a
-    whole chunk of the 20-chunk split at a time, for the fused row blocks of
-    `bounds.verify_facts`; the rows without a grid integrand are the
-    library's, repeated so that the list compares whole.  Each chunk's
-    integrands are summed in blocks of 16 rows from the chunk's start, one
-    gemv per block as in the library, so the two agree bit for bit on any
-    machine by construction: BLAS rounds a row sum according to the shape of
-    its call and, above a size, the number of threads it splits the rows
-    over, while a 16-row gemv runs on one thread."""
+def reference_verify_facts(y=None, wy=None) -> list[FactCheck]:
+    """The fact battery under the node rule (y, wy), by default the 32-node
+    Gauss–Legendre rule of `bounds.verify_facts`, with each grid integrand
+    evaluated on its own over a whole chunk of a 100-chunk split at a time,
+    for the fused row blocks of the library.  Each ℓ-scan pair matrix is
+    built one column at a time.  The rows without a grid integrand are the
+    library's, repeated so that the list compares whole.  Every integral is
+    a numpy row sum of integrand times weight, which rounds the same for any
+    number of rows, so under the library's rule the two agree bit for bit on
+    any machine."""
+    if y is None:
+        y, wy = gauss_legendre(32)
     rows: list[FactCheck] = []
 
     def add(fact_id: str, margin: float) -> None:
-        rows.append(FactCheck(fact_id=fact_id, holds=bool(margin >= 0.0), margin=float(margin)))
+        rows.append(FactCheck(fact_id=fact_id, holds=bool(margin >= 0.0), margin=float(margin) + 0.0))
 
-    def block_sums(integrand):
-        return np.concatenate([integrand[i : i + 16] @ wy for i in range(0, len(integrand), 16)])
+    def integrals(integrand):
+        return (integrand * wy).sum(axis=1)
 
     a = np.linspace(0.0, 1.0, 101)[:, None]
     xg = np.linspace(0.0, 1.0, 101)[None, :]
@@ -182,19 +199,17 @@ def reference_verify_facts() -> list[FactCheck]:
 
     pc0, pc1, _, _ = FIVE_VAR_SETTINGS["patience_general"]
     oc0, oc1, _, _ = FIVE_VAR_SETTINGS["patience_one_sided"]
-    y = np.linspace(0.0, 1.0, 2001)
-    wy = _simpson_weights(2001, 0.0, 1.0)
     zmin = g22_m = g2_m = np.inf
-    for xc in np.array_split(np.linspace(0.0, 1.0, 10_001), 20):
-        z, g22, g2 = reference_x_integrands(xc)
-        zmin = min(zmin, float(np.min(block_sums(z))))
-        g22_m = min(g22_m, float(np.min(block_sums(g22))))
-        g2_m = min(g2_m, float(np.min(block_sums(g2))))
+    for xc in np.array_split(np.linspace(0.0, 1.0, 10_001), 100):
+        z, g22, g2 = reference_x_integrands(xc, y)
+        zmin = min(zmin, float(np.min(integrals(z))))
+        g22_m = min(g22_m, float(np.min(integrals(g22))))
+        g2_m = min(g2_m, float(np.min(integrals(g2))))
     f22_m = f2_m = np.inf
-    for kc in np.array_split(np.linspace(0.0, 2.0, 10_001), 20):
-        f22, f2 = reference_k_integrands(kc)
-        f22_m = min(f22_m, float(np.min(block_sums(f22) - (pc0 + pc1 * kc))))
-        f2_m = min(f2_m, float(np.min(block_sums(f2) - (oc0 + oc1 * kc))))
+    for kc in np.array_split(np.linspace(0.0, 2.0, 10_001), 100):
+        f22, f2 = reference_k_integrands(kc, y)
+        f22_m = min(f22_m, float(np.min(integrals(f22) - (pc0 + pc1 * kc))))
+        f2_m = min(f2_m, float(np.min(integrals(f2) - (oc0 + oc1 * kc))))
     add("z_kernel_floor", zmin - 0.055)
     add("patience_r0_floor_at_2", f22_m)
     add("one_sided_r0_floor_at_2", f2_m)
@@ -203,16 +218,21 @@ def reference_verify_facts() -> list[FactCheck]:
 
     phis = np.vstack([phi(ell, y) for ell in _ELLS])
     i2 = _ELLS.index(2)
+
+    def scan(kk):
+        weighted = phis * (np.exp(-y * (2.0 - kk)) * wy)
+        return np.stack([(weighted * p).sum(axis=1) for p in phis], axis=1), weighted.sum(axis=1)
+
     pair_m = np.inf
     for kk in np.linspace(0.0, 1.0, 5):
-        mat = _ell_scan_matrices(np.exp(-y * (2.0 - kk)), phis, wy)
+        mat = scan(kk)[0]
         ref = mat[i2, i2]
         mat[i2, i2] = np.inf
         pair_m = min(pair_m, float(mat.min() - ref))
     add("ell2_argmin_r0_pair", pair_m)
     single_m = np.inf
     for kk in np.linspace(0.0, 0.5, 5):
-        vals = (phis * (np.exp(-y * (2.0 - kk)) * wy)).sum(axis=1)
+        vals = scan(kk)[1]
         ref = vals[i2]
         vals[i2] = np.inf
         single_m = min(single_m, float(vals.min() - ref))
@@ -220,10 +240,8 @@ def reference_verify_facts() -> list[FactCheck]:
 
     worst_pair = worst_single = np.inf
     for kk in np.linspace(0.0, 2.0, 201):
-        kernel = np.exp(-y * (2.0 - kk))
-        mat = _ell_scan_matrices(kernel, phis, wy)
+        mat, vals = scan(kk)
         worst_pair = min(worst_pair, float(mat.min() - (pc0 + pc1 * kk)))
-        vals = (phis * (kernel * wy)).sum(axis=1)
         worst_single = min(worst_single, float(vals.min() - (oc0 + oc1 * kk)))
     add("patience_r0_floor_all_ell", worst_pair)
     add("one_sided_r0_floor_all_ell", worst_single)

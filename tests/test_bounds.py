@@ -226,6 +226,8 @@ def test_verify_facts_all_hold(battery):
     for r in rows:
         assert r.holds, f"{r.fact_id}: margin {r.margin}"
         assert r.margin >= 0.0
+        # no −0.0: the exact-zero rows print +0.00e+00 whichever zero np.min picked
+        assert math.copysign(1.0, r.margin) == 1.0, r.fact_id
 
 
 def test_verify_facts_covers_expected_rows(battery):
@@ -254,40 +256,87 @@ def test_union_bound_product_row_is_the_least_sampled_value(battery):
 
 
 def test_verify_facts_matches_reference_bits(battery):
-    # both sides sum each block of 16 rows from each chunk's start with one
-    # BLAS gemv of the same shape, so every margin agrees to the bit on any
-    # machine
+    # both sides integrate on the same 32 Gauss-Legendre nodes with numpy row
+    # sums, which round the same for any block or chunk shape and use no
+    # BLAS, so every margin agrees to the bit on any machine
     got = [(r.fact_id, r.holds, r.margin.hex()) for r in battery[0]]
     assert got == [(r.fact_id, r.holds, r.margin.hex()) for r in ref.reference_verify_facts()]
 
 
+# the rows whose margin is a quadrature over y
+_QUADRATURE_ROWS = {
+    "z_kernel_floor",
+    "patience_r0_floor_at_2",
+    "one_sided_r0_floor_at_2",
+    "patience_r1_floor_at_2",
+    "one_sided_r1_floor_at_2",
+    "ell2_argmin_r0_pair",
+    "ell2_argmin_r0_single",
+    "patience_r0_floor_all_ell",
+    "one_sided_r0_floor_all_ell",
+}
+
+
+def _margins(rows):
+    return {r.fact_id: r.margin for r in rows if r.fact_id in _QUADRATURE_ROWS}
+
+
+def test_gauss_legendre_margins_match_simpson_2001(battery):
+    # the 2001-node composite Simpson rule the battery used before; its own
+    # error on these integrands is a few 1e-14
+    simpson = _margins(ref.reference_verify_facts(np.linspace(0.0, 1.0, 2001), ref.simpson_weights(2001)))
+    got = _margins(battery[0])
+    assert len(got) == len(simpson) == 9
+    for fact_id, margin in got.items():
+        assert abs(margin - simpson[fact_id]) <= 1e-12, fact_id
+
+
+def test_gauss_legendre_32_nodes_is_converged(battery):
+    finer = _margins(ref.reference_verify_facts(*ref.gauss_legendre(64)))
+    got = _margins(battery[0])
+    assert len(got) == len(finer) == 9
+    for fact_id, margin in got.items():
+        assert abs(margin - finer[fact_id]) <= 1e-14, fact_id
+
+
+def test_gauss_legendre_z_kernel_matches_adaptive_quadrature():
+    y, wy = bounds._gauss_legendre(32)
+    x = np.array([0.0, 0.3, 1.0])
+    scratch = np.empty((5, bounds._BLOCK_ROWS, y.size))
+    (_, z, _, _), = bounds._x_rows(x, y, scratch)
+    for xi, zi in zip(x, (z * wy).sum(axis=1)):
+        assert abs(zi - ref.z(float(xi))) <= 1e-9, xi
+
+
 def test_fused_rows_match_each_integrand_on_its_own():
     # a margin is the minimum over 10,001 row sums, so it can hide a changed
-    # integrand; the first and last chunks hold x = 0 and short tail blocks
-    y = np.linspace(0.0, 1.0, 2001)
+    # integrand; each grid's first block holds its start (x = 0), and its
+    # last block is short
+    y, _ = bounds._gauss_legendre(32)
     scratch = np.full((5, bounds._BLOCK_ROWS, y.size), np.nan)
     for grid, fill, reference in (
         (np.linspace(0.0, 1.0, 10_001), bounds._x_rows, ref.reference_x_integrands),
         (np.linspace(0.0, 2.0, 10_001), bounds._k_rows, ref.reference_k_integrands),
     ):
-        for chunk in np.array_split(grid, 20)[::19]:
-            want = reference(chunk)
-            covered = 0
-            for rows, *got in fill(chunk, y, scratch):
-                assert rows.start == covered
-                covered = min(rows.stop, len(chunk))
-                assert len(got) == len(want)
-                for g, w in zip(got, want):
-                    assert g.shape == w[rows].shape
-                    assert g.tobytes() == w[rows].tobytes()
-            assert covered == len(chunk)
-            assert len(chunk) % bounds._BLOCK_ROWS != 0  # a short tail block ran
+        want = reference(grid, y)
+        covered = 0
+        for rows, *got in fill(grid, y, scratch):
+            assert rows.start == covered
+            covered = min(rows.stop, len(grid))
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.shape == w[rows].shape
+                assert g.tobytes() == w[rows].tobytes()
+        assert covered == len(grid)
+        assert len(grid) % bounds._BLOCK_ROWS != 0  # a short tail block ran
 
 
 def test_verify_facts_memory_is_bounded(battery):
-    # one (5, 16, 2001) scratch array is 1.3 MB; holding three integrands
-    # over a whole 501-row chunk takes 24 MB
-    assert battery[1] <= 4 * 2**20
+    # the peak is 0.80 MiB, set by the 20,001-point temporaries of the
+    # h_linear_underestimate row; the (5, 256, 32) scratch array is 320 KiB.
+    # The bound leaves about 50% over that peak and fails the former
+    # (5, 16, 2001) Simpson scratch block, 1.22 MiB on its own
+    assert battery[1] <= 1.25 * 2**20
 
 
 # ---------------------------------------------------------------------------
