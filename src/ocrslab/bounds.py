@@ -12,8 +12,9 @@ Four jobs:
     points;
   * a battery of grid-verified inequalities ("facts") that the bound
     derivations lean on, each reported with its worst-case margin; its
-    integrals over y use the 32-node Gauss–Legendre rule with numpy row
-    sums, so the margins do not depend on the BLAS kernel.
+    integrands are plain numpy expressions in (grid point, y), integrated
+    on the 32-node Gauss–Legendre rule with numpy row sums, so the margins
+    do not depend on the BLAS kernel.
 
 Everything here is deterministic, pure, and numpy-vectorized where grids get
 large.
@@ -69,35 +70,19 @@ def h(x):
 def h1(a, x):
     """∫₀^a e^{-bx}·(4 − (3b+4)e^{-3b}) db elementwise, in closed form.
 
-    4·∫e^{-bx}db − ∫(3b+4)e^{-b(x+3)}db over [0, a], from elementary
-    antiderivatives.
+    4·∫e^{-bx}db − ∫(3b+4)e^{-bc}db over [0, a] with c = x + 3, from
+    elementary antiderivatives; the first term is 4a at x = 0.
     """
     a = np.asarray(a, dtype=float)
     x = np.asarray(x, dtype=float)
     if not (np.all((a >= 0.0) & (a <= 1.0)) and np.all((x >= 0.0) & (x <= 1.0))):
         raise ValueError(f"h1: need a, x in [0, 1], got a={a}, x={x}")
+    c = x + 3.0
     pos = x > 0.0
     xs = np.where(pos, x, 1.0)
     first = np.where(pos, 4.0 * -np.expm1(-a * xs) / xs, 4.0 * a)
-    return _h1_terms(a, x, first, np.empty_like(first), np.empty_like(first))[()]
-
-
-def _h1_terms(a, x, first, n, t):
-    """h1(a, x) from its first term, first = 4·(1 − e^{-ax})/x (4a at x = 0):
-    first − ∫₀^a (3b+4)e^{-bc} db with c = x + 3, written over `first` and
-    returned.  n and t are temporaries of first's shape.  Unchecked; `h1`
-    and the fact battery's r1 rows both evaluate h1 here."""
-    c = x + 3.0
-    np.multiply(a, -c, out=n)  # −ca
-    np.exp(n, out=t)
-    np.multiply(3.0 * a + 4.0, t, out=t)
-    np.subtract(4.0, t, out=t)
-    np.divide(t, c, out=t)
-    np.expm1(n, out=n)
-    np.multiply(n, -3.0, out=n)
-    np.divide(n, c * c, out=n)
-    np.add(t, n, out=t)  # the integral
-    return np.subtract(first, t, out=first)
+    second = (4.0 - (3.0 * a + 4.0) * np.exp(-c * a)) / c + 3.0 * -np.expm1(-c * a) / (c * c)
+    return (first - second)[()]
 
 
 def phi(ell: int | None, y):
@@ -285,70 +270,47 @@ def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 _ELLS: list[int | None] = list(range(1, 21)) + [None]
 
 
-# Grid rows computed at once: 256 rows of 32 nodes are 64 KiB per integrand,
-# so a block's five scratch rows (320 KiB) stay in L2 between its steps.
+# Grid points whose integrands are evaluated at once: a 256-point block holds
+# 64 KiB per integrand array, and its temporaries (about 0.5 MiB) bound the
+# memory of a grid pass.
 _BLOCK_ROWS = 256
 
 
-def _x_rows(x, y, scratch):
-    """Yield (rows, z, g22, g2) for each block of `_BLOCK_ROWS` x-grid rows
-    from the start of `x`: the integrands over y of the z kernel
-    e^{-2y+yx}·((1 − e^{-yx})/x − (1 − e^{-y(x+2)})/(x+2)) and the r1 floors
-    e^{-4y+yx}·h1(y,x)·(1+y)² and e^{-3y+yx}·h1(y,x)·(1+y) on x[rows].
-
-    Each block is filled in place into `scratch`, a (5, `_BLOCK_ROWS`, len(y))
-    array that the next block overwrites.  A block shares −y·x, e^{-yx} − 1
-    and the quotient (1 − e^{-yx})/x, which is h1's first term over 4.
-    Every value is bit-identical to evaluating each integrand on its own: the
-    rewrites are sign flips and a scaling by 4, which round the same, and
-    each `out=` step is the operation, in the operand order, of the plain
-    expression.
-    """
-    one_y = 1.0 + y
-    sq = one_y**2
-    m2y, m3y, m4y = -2.0 * y, -3.0 * y, -4.0 * y
-    for i in range(0, len(x), _BLOCK_ROWS):
-        rows = slice(i, i + _BLOCK_ROWS)
-        xb = x[rows, None]
-        z, g22, g2, nyx, q = scratch[:, : len(xb)]
-        np.multiply(y, -xb, out=nyx)
-        np.expm1(nyx, out=q)
-        np.divide(q, -np.where(xb > 0.0, xb, 1.0), out=q)
-        q[xb[:, 0] == 0.0] = y  # its limit at x = 0
-        nc = -(xb + 2.0)
-        np.multiply(y, nc, out=g22)  # g22 and g2 hold temporaries until filled
-        np.expm1(g22, out=g22)
-        np.divide(g22, nc, out=g22)
-        np.subtract(q, g22, out=g22)
-        np.subtract(m2y, nyx, out=z)
-        np.exp(z, out=z)
-        np.multiply(z, g22, out=z)
-        h1v = _h1_terms(y, xb, np.multiply(q, 4.0, out=q), g22, g2)
-        for out, my, factor in ((g22, m4y, sq), (g2, m3y, one_y)):
-            np.subtract(my, nyx, out=out)
-            np.exp(out, out=out)
-            np.multiply(out, h1v, out=out)
-            np.multiply(out, factor, out=out)
-        yield rows, z, g22, g2
+def _x_integrands(x, y):
+    """(z, g22, g2): the integrands over the nodes y at each point of x,
+    one row per point.  z is the light-neighbor kernel
+    e^{-2y+yx}·((1 − e^{-yx})/x − (1 − e^{-y(x+2)})/(x+2)), with its limit
+    y at x = 0 in the first quotient; g22 = e^{-4y+yx}·h1(y,x)·(1+y)² and
+    g2 = e^{-3y+yx}·h1(y,x)·(1+y) are the r1 floors."""
+    x = x[:, None]
+    pos = x > 0.0
+    xs = np.where(pos, x, 1.0)
+    first = np.where(pos, -np.expm1(-xs * y) / xs, y)
+    second = -np.expm1(-y * (x + 2.0)) / (x + 2.0)
+    z = np.exp(-2.0 * y + y * x) * (first - second)
+    h1v = h1(y, x)
+    g22 = np.exp(-4.0 * y + y * x) * h1v * (1.0 + y) ** 2
+    g2 = np.exp(-3.0 * y + y * x) * h1v * (1.0 + y)
+    return z, g22, g2
 
 
-def _k_rows(k, y, scratch):
-    """Yield (rows, f22, f2) for each block of `_BLOCK_ROWS` k-grid rows from
-    the start of `k`: the r0-floor integrands over y, e^{-y(4-k)}·(1+y)² and
-    e^{-y(3-k)}·(1+y) on k[rows], filled in place into `scratch` as in
-    `_x_rows`."""
-    ny = -y
-    one_y = 1.0 + y
-    sq = one_y**2
-    for i in range(0, len(k), _BLOCK_ROWS):
-        rows = slice(i, i + _BLOCK_ROWS)
-        kb = k[rows, None]
-        f22, f2 = scratch[:2, : len(kb)]
-        for out, top, factor in ((f22, 4.0, sq), (f2, 3.0, one_y)):
-            np.multiply(ny, top - kb, out=out)
-            np.exp(out, out=out)
-            np.multiply(out, factor, out=out)
-        yield rows, f22, f2
+def _k_integrands(k, y):
+    """(f22, f2): the r0-floor integrands e^{-y(4-k)}·(1+y)² and
+    e^{-y(3-k)}·(1+y) over the nodes y at each point of k, one row per
+    point."""
+    k = k[:, None]
+    return np.exp(-y * (4.0 - k)) * (1.0 + y) ** 2, np.exp(-y * (3.0 - k)) * (1.0 + y)
+
+
+def _grid_integrals(integrands, grid, y, wy) -> np.ndarray:
+    """Each integrand's integral Σ f·wy over the nodes y at every point of
+    `grid`, one row per integrand.  `integrands` is evaluated on
+    `_BLOCK_ROWS` grid points at a time, and each block is summed before the
+    next is made."""
+    sums = []
+    for i in range(0, len(grid), _BLOCK_ROWS):
+        sums.append([(f * wy).sum(axis=1) for f in integrands(grid[i : i + _BLOCK_ROWS], y)])
+    return np.concatenate(sums, axis=1)
 
 
 def verify_facts() -> list[FactCheck]:
@@ -361,14 +323,12 @@ def verify_facts() -> list[FactCheck]:
     Every integral over y uses the 32-node Gauss–Legendre rule on [0, 1]
     (`_gauss_legendre`); 16 to 64 nodes agree to about 1e-15 on every row.
     The five integral floors evaluate it at each point of a 10,001-point
-    grid.  Two fused passes fill their integrands in blocks of `_BLOCK_ROWS`
-    grid rows, one over the x-grid for the z kernel and both r1 floors
-    (`_x_rows`), one over the k-grid for both r0 floors (`_k_rows`), into
-    one (5, 256, 32) scratch array, and each block is summed before the next
-    is filled.  Every integrand value has the bits it has when evaluated on
-    its own, and every integral is a numpy row sum, which rounds the same
-    for any block shape and uses no BLAS, so the margins do not depend on
-    the BLAS kernel or its thread count.
+    grid: `_grid_integrals` sums the integrands of `_x_integrands` (the z
+    kernel and both r1 floors) over the x-grid and those of `_k_integrands`
+    (both r0 floors) over the k-grid, `_BLOCK_ROWS` grid points at a time.
+    Every integral is a numpy row sum, which rounds the same for any block
+    shape and uses no BLAS, so the margins do not depend on the BLAS kernel
+    or its thread count.
     """
     rows: list[FactCheck] = []
 
@@ -400,27 +360,14 @@ def verify_facts() -> list[FactCheck]:
     pc0, pc1, _, _ = FIVE_VAR_SETTINGS["patience_general"]
     oc0, oc1, _, _ = FIVE_VAR_SETTINGS["patience_one_sided"]
     y, wy = _gauss_legendre(32)
-    scratch = np.empty((5, _BLOCK_ROWS, y.size))
-
-    def integrals(f: np.ndarray) -> np.ndarray:
-        return np.multiply(f, wy, out=f).sum(axis=1)
-
-    zmin = g22_m = g2_m = np.inf
-    for _, z, g22, g2 in _x_rows(np.linspace(0.0, 1.0, 10_001), y, scratch):
-        zmin = min(zmin, float(np.min(integrals(z))))
-        g22_m = min(g22_m, float(np.min(integrals(g22))))
-        g2_m = min(g2_m, float(np.min(integrals(g2))))
-    f22_m = f2_m = np.inf
+    z, g22, g2 = _grid_integrals(_x_integrands, np.linspace(0.0, 1.0, 10_001), y, wy)
     k = np.linspace(0.0, 2.0, 10_001)
-    for blk, f22, f2 in _k_rows(k, y, scratch):
-        kb = k[blk]
-        f22_m = min(f22_m, float(np.min(integrals(f22) - (pc0 + pc1 * kb))))
-        f2_m = min(f2_m, float(np.min(integrals(f2) - (oc0 + oc1 * kb))))
-    add("z_kernel_floor", zmin - 0.055)
-    add("patience_r0_floor_at_2", f22_m)
-    add("one_sided_r0_floor_at_2", f2_m)
-    add("patience_r1_floor_at_2", g22_m - 0.181)
-    add("one_sided_r1_floor_at_2", g2_m - 0.209)
+    f22, f2 = _grid_integrals(_k_integrands, k, y, wy)
+    add("z_kernel_floor", float(z.min()) - 0.055)
+    add("patience_r0_floor_at_2", float(np.min(f22 - (pc0 + pc1 * k))))
+    add("one_sided_r0_floor_at_2", float(np.min(f2 - (oc0 + oc1 * k))))
+    add("patience_r1_floor_at_2", float(g22.min()) - 0.181)
+    add("one_sided_r1_floor_at_2", float(g2.min()) - 0.209)
 
     # -- patience-2 minimality scans over ℓ ∈ {1..20, ∞} ----------------------
     phis = np.vstack([phi(ell, y) for ell in _ELLS])

@@ -559,6 +559,13 @@ def _draw(engine, seed: int, start: int, count: int, detail: bool) -> _Cells:
 # engines
 # --------------------------------------------------------------------------
 
+def _require_polytope(x: dict[str, float], inst: PricingInstance) -> None:
+    """Refuse an x outside the matching polytope, or one naming an unknown edge."""
+    fit = check_polytope(x, inst)
+    if not fit.ok:
+        raise ValueError(f"x lies outside the matching polytope at {fit.worst} (excess {fit.excess:.3g})")
+
+
 class RoOcrsEngine:
     """Random-order contention resolution on edge arrivals.
 
@@ -575,9 +582,7 @@ class RoOcrsEngine:
         stats: dict[str, EdgeStats],
         spec: AttenuationSpec,
     ):
-        fit = check_polytope(x, inst)
-        if not fit.ok:
-            raise ValueError(f"x lies outside the matching polytope at {fit.worst} (excess {fit.excess:.3g})")
+        _require_polytope(x, inst)
         self.topo = _Topology(inst)
         self.x = self.topo.x_vector(x)
         self.s = np.array([stats[eid].s for eid in self.topo.edge_ids], dtype=float)
@@ -658,9 +663,7 @@ class VertexArrivalEngine:
     """
 
     def __init__(self, inst: PricingInstance, x: dict[str, float]):
-        fit = check_polytope(x, inst)
-        if not fit.ok:
-            raise ValueError(f"x lies outside the matching polytope at {fit.worst} (excess {fit.excess:.3g})")
+        _require_polytope(x, inst)
         self.topo = _Topology(inst)
         sides = {v.id: v.side for v in inst.vertices}
         if any(s not in ("offline", "online") for s in sides.values()):
@@ -872,11 +875,13 @@ def exact_trivial_oracle(x: dict[str, float], inst: PricingInstance) -> dict[str
 
     Equivalent to summing over every arrival order and active subset: the
     recursion draws the first arrival uniformly among remaining edges and
-    branches on its activity.
+    branches on its activity.  An x outside the matching polytope, or one
+    naming an unknown edge, is refused as the engines refuse it.
     """
     m = len(inst.edges)
     if m > 10:
         raise ValueError(f"exact oracle supports at most 10 edges, got {m}")
+    _require_polytope(x, inst)
     topo = _Topology(inst)
     uv = list(zip(topo.u_idx.tolist(), topo.v_idx.tolist()))
     xs = topo.x_vector(x).tolist()

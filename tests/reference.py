@@ -4,9 +4,9 @@ Adaptive Simpson quadrature and the integrals z and h1 evaluated with it, one
 point at a time, for the special functions in ``ocrslab.bounds``; h1's
 closed form with every term evaluated in full, and the fact battery with each
 grid integrand evaluated on its own over whole chunks under any node rule
-(Gauss–Legendre or composite Simpson), for the fused row blocks of
-``bounds.verify_facts``; the pricing LP built one constraint row at
-a time, for ``lp.build_lp_pricing``; the simplex pivoted on the full tableau
+(Gauss–Legendre or composite Simpson), for the integrands and the blocked
+grid integrals of ``bounds.verify_facts``; the pricing LP built one
+constraint row at a time, for ``lp.build_lp_pricing``; the simplex pivoted on the full tableau
 with its slack identity block, for the compact tableau of
 ``lp._bland_pivots``; and the optimal-policy DP and
 the fixed-order greedy as two separate recursions, for
@@ -144,7 +144,7 @@ def simpson_weights(n_nodes: int) -> np.ndarray:
 
 def reference_x_integrands(xc, y):
     """The z kernel and the two r1-floor integrands on the x-grid rows xc over
-    the y nodes, each evaluated on its own, for `bounds._x_rows`."""
+    the y nodes, each evaluated on its own, for `bounds._x_integrands`."""
     xc2 = xc[:, None]
     an = y[None, :]
     first = np.where(
@@ -160,7 +160,7 @@ def reference_x_integrands(xc, y):
 
 def reference_k_integrands(kc, y):
     """The two r0-floor integrands on the k-grid rows kc over the y nodes,
-    each evaluated on its own, for `bounds._k_rows`."""
+    each evaluated on its own, for `bounds._k_integrands`."""
     y = y[None, :]
     karr = kc[:, None]
     return np.exp(-y * (4.0 - karr)) * (1.0 + y) ** 2, np.exp(-y * (3.0 - karr)) * (1.0 + y)
@@ -170,7 +170,7 @@ def reference_verify_facts(y=None, wy=None) -> list[FactCheck]:
     """The fact battery under the node rule (y, wy), by default the 32-node
     Gauss–Legendre rule of `bounds.verify_facts`, with each grid integrand
     evaluated on its own over a whole chunk of a 100-chunk split at a time,
-    for the fused row blocks of the library.  Each ℓ-scan pair matrix is
+    for the library's `_BLOCK_ROWS`-point blocks.  Each ℓ-scan pair matrix is
     built one column at a time.  The rows without a grid integrand are the
     library's, repeated so that the list compares whole.  Every integral is
     a numpy row sum of integrand times weight, which rounds the same for any

@@ -302,40 +302,38 @@ def test_gauss_legendre_32_nodes_is_converged(battery):
 def test_gauss_legendre_z_kernel_matches_adaptive_quadrature():
     y, wy = bounds._gauss_legendre(32)
     x = np.array([0.0, 0.3, 1.0])
-    scratch = np.empty((5, bounds._BLOCK_ROWS, y.size))
-    (_, z, _, _), = bounds._x_rows(x, y, scratch)
+    z = bounds._x_integrands(x, y)[0]
     for xi, zi in zip(x, (z * wy).sum(axis=1)):
         assert abs(zi - ref.z(float(xi))) <= 1e-9, xi
 
 
-def test_fused_rows_match_each_integrand_on_its_own():
+def test_integrands_and_grid_integrals_match_the_reference_bits():
     # a margin is the minimum over 10,001 row sums, so it can hide a changed
-    # integrand; each grid's first block holds its start (x = 0), and its
-    # last block is short
-    y, _ = bounds._gauss_legendre(32)
-    scratch = np.full((5, bounds._BLOCK_ROWS, y.size), np.nan)
-    for grid, fill, reference in (
-        (np.linspace(0.0, 1.0, 10_001), bounds._x_rows, ref.reference_x_integrands),
-        (np.linspace(0.0, 2.0, 10_001), bounds._k_rows, ref.reference_k_integrands),
+    # integrand or a skipped or repeated block; every grid point's integral
+    # is compared, and each grid's last block is short
+    y, wy = bounds._gauss_legendre(32)
+    for grid, integrands, reference in (
+        (np.linspace(0.0, 1.0, 10_001), bounds._x_integrands, ref.reference_x_integrands),
+        (np.linspace(0.0, 2.0, 10_001), bounds._k_integrands, ref.reference_k_integrands),
     ):
         want = reference(grid, y)
-        covered = 0
-        for rows, *got in fill(grid, y, scratch):
-            assert rows.start == covered
-            covered = min(rows.stop, len(grid))
-            assert len(got) == len(want)
-            for g, w in zip(got, want):
-                assert g.shape == w[rows].shape
-                assert g.tobytes() == w[rows].tobytes()
-        assert covered == len(grid)
-        assert len(grid) % bounds._BLOCK_ROWS != 0  # a short tail block ran
+        got = integrands(grid, y)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (grid.size, y.size)
+            assert g.tobytes() == w.tobytes()
+        sums = bounds._grid_integrals(integrands, grid, y, wy)
+        assert sums.shape == (len(want), grid.size)
+        assert sums.tobytes() == np.array([(w * wy).sum(axis=1) for w in want]).tobytes()
+        assert len(grid) % bounds._BLOCK_ROWS != 0
 
 
 def test_verify_facts_memory_is_bounded(battery):
-    # the peak is 0.80 MiB, set by the 20,001-point temporaries of the
-    # h_linear_underestimate row; the (5, 256, 32) scratch array is 320 KiB.
-    # The bound leaves about 50% over that peak and fails the former
-    # (5, 16, 2001) Simpson scratch block, 1.22 MiB on its own
+    # the peak is 0.98 MiB, reached in the x-grid pass: one 256-row block's
+    # integrand temporaries (0.5 MiB), the integrals summed so far, and the
+    # 20,001-point grid of the h_linear_underestimate row, still held.  The
+    # bound fails the former (5, 16, 2001) Simpson scratch block, 1.22 MiB
+    # on its own
     assert battery[1] <= 1.25 * 2**20
 
 

@@ -126,6 +126,27 @@ def test_oracle_size_guard():
         exact_trivial_oracle(gen.x, gen.instance)
 
 
+def _refused_as_by_the_engines(x, inst, message):
+    # the oracle's refusal is the engines' refusal, word for word
+    for build in (lambda: VertexArrivalEngine(inst, x), lambda: exact_trivial_oracle(x, inst)):
+        with pytest.raises(ValueError) as err:
+            build()
+        assert str(err.value) == message
+
+
+def test_oracle_refuses_an_x_off_the_polytope():
+    # branch weights 1 − x_e would go negative at x_e > 1
+    inst = generate_family("star", k=2).instance
+    _refused_as_by_the_engines(
+        {"e0": 1.5, "e1": 0.9}, inst, "x lies outside the matching polytope at c (excess 1.4)"
+    )
+
+
+def test_oracle_refuses_an_unknown_edge():
+    inst = generate_family("star", k=2).instance
+    _refused_as_by_the_engines({"zz": 0.5}, inst, "unknown edge id in x: 'zz'")
+
+
 # ---------------------------------------------------------------------------
 # random-order engine
 
